@@ -27,11 +27,9 @@ from .models import build, load_checkpoint, save_checkpoint
 from .pipeline import (
     FeatureSchema,
     NormStats,
-    aggregate_redundant,
     load_trips,
     prepare_dataset,
-    resample,
-    smooth_trip,
+    preprocess_trip,
     write_trip_csv,
 )
 from .synth import synthesize_trips
@@ -274,9 +272,8 @@ def cmd_predict(args) -> int:
     if not trip_path.is_file():
         raise ValueError(f"{trip_path}: trip CSV not found")
     trip = load_trips(trip_path, schema, pl["sample_period_s"])[0]
-    trip = aggregate_redundant(trip, schema)
-    trip = smooth_trip(trip, pl["savgol_window"], pl["savgol_order"])
-    trip = resample(trip, pl["target_period_s"])
+    trip = preprocess_trip(trip, schema, pl["savgol_window"],
+                           pl["savgol_order"], pl["target_period_s"])
 
     w, h = model.spec.window, model.spec.horizon
     start = args.start
@@ -338,8 +335,6 @@ def _add_config_args(p):
     p.add_argument("-O", "--override", action="append", metavar="KEY=VALUE",
                    help="override a config key, e.g. -O data.window=30")
     p.add_argument("--out", help="output directory (overrides output_dir)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (execution is currently serial)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -212,11 +212,8 @@ def _layer_checks(rng: np.random.Generator) -> list:
     mha_arrays = [n(size=(2, 3, 6))] + [p.data.copy() for _, p in mha.named_params()]
     s_mha = wsum((2, 3, 6))
 
-    def mha_fwd(x, *params):
-        it = iter(params)
-        for i in range(mha.n_heads):
-            mha.heads[i] = (next(it), next(it), next(it))
-        mha.wo = next(it)
+    def mha_fwd(x, wq, wk, wv, wo):
+        mha.wq, mha.wk, mha.wv, mha.wo = wq, wk, wv, wo
         return s_mha(mha(x, x))
 
     entry("multi_head_attention", mha_fwd, mha_arrays)
@@ -244,10 +241,7 @@ def _layer_checks(rng: np.random.Generator) -> list:
 
     def load_lstm(net, it):
         for lay in net.layers:
-            for gate in lay.GATES:
-                lay.w[gate] = next(it)
-                lay.u[gate] = next(it)
-                lay.b[gate] = next(it)
+            lay.w, lay.u, lay.b = next(it), next(it), next(it)
 
     cell = Lstm(3, 4, 1, rng)
     s_cell_seq, s_cell_c = wsum((2, 1, 4)), wsum((1, 2, 4))

@@ -19,7 +19,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat,
     layer_norm_core,
     matmul,
     mul,
@@ -149,10 +148,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 class MultiHeadAttention:
-    """Per-head q/k/v projections, scaled-dot attention, concat, output map.
+    """Fused q/k/v projections, scaled-dot attention per head, output map.
 
-    Self-attention when the same tensor is passed as query and key/value
-    source; cross-attention when ``x_kv`` is an encoder output.
+    ``wq``, ``wk`` and ``wv`` are ``(d_model, d_model)``; head ``h`` owns
+    columns ``h*d_head:(h+1)*d_head`` of each. Self-attention when the same
+    tensor is passed as query and key/value source; cross-attention when
+    ``x_kv`` is an encoder output.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -162,68 +163,64 @@ class MultiHeadAttention:
             )
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
-        self.heads = []
-        for _ in range(n_heads):
-            wq = Tensor(xavier_uniform(rng, d_model, self.d_head), requires_grad=True)
-            wk = Tensor(xavier_uniform(rng, d_model, self.d_head), requires_grad=True)
-            wv = Tensor(xavier_uniform(rng, d_model, self.d_head), requires_grad=True)
-            self.heads.append((wq, wk, wv))
+        # seeded initial values depend on this draw order and these bounds:
+        # head by head, q then k then v, each with the per-head Xavier bound
+        draws = [[xavier_uniform(rng, d_model, self.d_head) for _ in "qkv"]
+                 for _ in range(n_heads)]
+        self.wq, self.wk, self.wv = (
+            Tensor(np.concatenate(cols, axis=-1), requires_grad=True)
+            for cols in zip(*draws))
         self.wo = Tensor(xavier_uniform(rng, d_model, d_model), requires_grad=True)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor,
                  mask: Optional[Tensor] = None) -> Tensor:
-        # all heads in one pass: concatenated projections, then a head axis
-        wq_all = concat([wq for wq, _, _ in self.heads], axis=-1)
-        wk_all = concat([wk for _, wk, _ in self.heads], axis=-1)
-        wv_all = concat([wv for _, _, wv in self.heads], axis=-1)
+        # all heads in one pass: one projection each, then a head axis
         lead = x_q.shape[:-2]
         lq, lk = x_q.shape[-2], x_kv.shape[-2]
         split_q = (*lead, lq, self.n_heads, self.d_head)
         split_k = (*lead, lk, self.n_heads, self.d_head)
-        q = transpose(matmul(x_q, wq_all).reshape(*split_q), -3, -2)
-        k = transpose(matmul(x_kv, wk_all).reshape(*split_k), -3, -2)
-        v = transpose(matmul(x_kv, wv_all).reshape(*split_k), -3, -2)
+        q = transpose(matmul(x_q, self.wq).reshape(*split_q), -3, -2)
+        k = transpose(matmul(x_kv, self.wk).reshape(*split_k), -3, -2)
+        v = transpose(matmul(x_kv, self.wv).reshape(*split_k), -3, -2)
         out = scaled_dot_attention(q, k, v, mask)
         merged = transpose(out, -3, -2).reshape(*lead, lq,
                                                 self.n_heads * self.d_head)
         return matmul(merged, self.wo)
 
     def named_params(self):
-        ps = []
-        for i, (wq, wk, wv) in enumerate(self.heads):
-            ps += [(f"heads.{i}.wq", wq), (f"heads.{i}.wk", wk),
-                   (f"heads.{i}.wv", wv)]
-        ps.append(("wo", self.wo))
-        return ps
+        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
+                ("wo", self.wo)]
 
 
 class _LstmLayer:
-    """Gate parameters for one LSTM layer (input, forget, output, candidate)."""
+    """Fused gate parameters for one LSTM layer.
 
-    GATES = ("i", "f", "o", "g")
+    ``w`` is ``(d_in, 4h)``, ``u`` is ``(h, 4h)`` and ``b`` is ``(4h,)``, with
+    the gates in column blocks of width ``h`` in the order input, forget,
+    output, candidate.
+    """
 
     def __init__(self, d_in: int, hidden: int, rng: np.random.Generator):
-        self.w = {}
-        self.u = {}
-        self.b = {}
-        for gate in self.GATES:
-            self.w[gate] = Tensor(xavier_uniform(rng, d_in, hidden),
-                                  requires_grad=True)
-            self.u[gate] = Tensor(xavier_uniform(rng, hidden, hidden),
-                                  requires_grad=True)
-            init = np.ones(hidden) if gate == "f" else np.zeros(hidden)
-            self.b[gate] = Tensor(init, requires_grad=True)
+        # seeded initial values depend on this draw order and these bounds:
+        # gate by gate, w then u, each with the per-gate Xavier bound
+        draws = [(xavier_uniform(rng, d_in, hidden),
+                  xavier_uniform(rng, hidden, hidden)) for _ in "ifog"]
+        ws, us = zip(*draws)
+        self.w = Tensor(np.concatenate(ws, axis=-1), requires_grad=True)
+        self.u = Tensor(np.concatenate(us, axis=-1), requires_grad=True)
+        b = np.zeros(4 * hidden)
+        b[hidden:2 * hidden] = 1.0  # forget gate
+        self.b = Tensor(b, requires_grad=True)
 
     def named_params(self):
-        ps = []
-        for gate in self.GATES:
-            ps += [(f"w_{gate}", self.w[gate]), (f"u_{gate}", self.u[gate]),
-                   (f"b_{gate}", self.b[gate])]
-        return ps
+        return [("w", self.w), ("u", self.u), ("b", self.b)]
 
 
 class Lstm:
-    """Stacked LSTM. Forget-gate biases start at 1.0; other biases at zero."""
+    """Stacked LSTM; each layer holds its four gates as one fused weight.
+
+    Forget-gate biases start at 1.0; other biases at zero.
+    """
 
     def __init__(self, d_in: int, hidden: int, num_layers: int,
                  rng: np.random.Generator):
@@ -255,15 +252,12 @@ class Lstm:
             else:
                 h = Tensor(np.zeros((batch, hid)))
                 c = Tensor(np.zeros((batch, hid)))
-            # fuse the four gates into one projection each for input
-            # (whole sequence at once) and recurrence (one gemm per step)
-            w_cat = concat([layer.w[g] for g in layer.GATES], axis=-1)
-            u_cat = concat([layer.u[g] for g in layer.GATES], axis=-1)
-            b_cat = concat([layer.b[g] for g in layer.GATES], axis=-1)
-            pre = add(matmul(seq, w_cat), b_cat)   # (B, L, 4*hid)
+            # all four gates in one projection each: the input for the
+            # whole sequence at once, the recurrence one gemm per step
+            pre = add(matmul(seq, layer.w), layer.b)   # (B, L, 4*hid)
             hs = []
             for t in range(length):
-                z = add(pre[:, t, :], matmul(h, u_cat))
+                z = add(pre[:, t, :], matmul(h, layer.u))
                 i_g = sigmoid(z[:, 0:hid])
                 f_g = sigmoid(z[:, hid:2 * hid])
                 o_g = sigmoid(z[:, 2 * hid:3 * hid])

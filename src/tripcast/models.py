@@ -92,7 +92,7 @@ class ModelSpec:
         return cls(**d)
 
 
-def _as_tensor(x, name: str) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
@@ -216,7 +216,7 @@ class Model:
         autoregressively from there. Other kinds ignore both.
         """
         spec = self.spec
-        x = _as_tensor(x_enc, "x_enc")
+        x = _as_tensor(x_enc)
         if x.data.ndim != 3 or x.shape[1:] != (spec.window, spec.n_features):
             raise ShapeError(
                 f"x_enc must have shape (batch, {spec.window}, "
@@ -247,7 +247,7 @@ class Model:
                     f"training forward for kind {spec.kind!r} needs teacher "
                     "inputs (previous target values)"
                 )
-            t = _as_tensor(teacher, "teacher")
+            t = _as_tensor(teacher)
             if t.data.ndim != 3 or t.shape != (batch, spec.horizon,
                                                spec.n_targets):
                 raise ShapeError(
@@ -261,7 +261,7 @@ class Model:
                 f"inference forward for kind {spec.kind!r} needs start values "
                 "(last observed targets) to seed autoregressive decoding"
             )
-        s = _as_tensor(start, "start")
+        s = _as_tensor(start)
         if s.data.ndim != 2 or s.shape != (batch, spec.n_targets):
             raise ShapeError(
                 f"start must have shape ({batch}, {spec.n_targets}), "
@@ -278,10 +278,6 @@ def build(spec: ModelSpec, seed: int) -> Model:
     The same ``(spec, seed)`` pair always yields bit-identical parameters.
     """
     return Model(spec, np.random.default_rng(seed))
-
-
-def count_parameters(model: Model) -> int:
-    return model.count_parameters()
 
 
 # --------------------------------------------------------------- checkpoints

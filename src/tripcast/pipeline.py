@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize
 from .savgol import savgol_smooth
 
 log = logging.getLogger(__name__)
@@ -271,6 +270,15 @@ def resample(trip: TripSeries, target_period_s: float) -> TripSeries:
     return out
 
 
+def preprocess_trip(trip: TripSeries, schema: FeatureSchema,
+                    savgol_window: int, savgol_order: int,
+                    target_period_s: float) -> TripSeries:
+    """Aggregate redundant sensors, smooth every channel, then resample."""
+    trip = aggregate_redundant(trip, schema)
+    trip = smooth_trip(trip, savgol_window, savgol_order)
+    return resample(trip, target_period_s)
+
+
 def make_windows(trip: TripSeries, schema: FeatureSchema,
                  window: int, horizon: int) -> list:
     """Cut stride-1 sliding windows; a too-short trip yields none (warned)."""
@@ -395,74 +403,8 @@ def prepare_dataset(trips: list, schema: FeatureSchema, window: int,
     """Run the whole pipeline: aggregate, smooth, resample, window, split."""
     samples = []
     for trip in trips:
-        t = aggregate_redundant(trip, schema)
-        t = smooth_trip(t, savgol_window, savgol_order)
-        t = resample(t, target_period_s)
+        t = preprocess_trip(trip, schema, savgol_window, savgol_order,
+                            target_period_s)
         samples.extend(make_windows(t, schema, window, horizon))
     return normalize_and_split(samples, train_n, val_n, test_n, seed,
                                mode=split_mode)
-
-
-# ------------------------------------------------------------- cache files
-
-def _stack_portion(portion: list):
-    return (np.stack([s.x_enc for s in portion]),
-            np.stack([s.teacher for s in portion]),
-            np.stack([s.y for s in portion]),
-            np.asarray([s.start for s in portion], dtype=np.float64),
-            [s.trip_id for s in portion])
-
-
-def save_dataset(split: DatasetSplit, path, schema: FeatureSchema,
-                 pipeline_meta: dict | None = None) -> None:
-    """Serialize a DatasetSplit to a versioned container file."""
-    meta = {
-        "seed": split.seed,
-        "schema": schema.to_dict(),
-        "pipeline": pipeline_meta or {},
-        "trip_ids": {},
-        "counts": {},
-    }
-    arrays = [
-        ("stats.input_mean", split.stats.input_mean),
-        ("stats.input_std", split.stats.input_std),
-        ("stats.target_mean", split.stats.target_mean),
-        ("stats.target_std", split.stats.target_std),
-    ]
-    for name, portion in (("train", split.train),
-                          ("validation", split.validation),
-                          ("test", split.test)):
-        x, teacher, y, start, trip_ids = _stack_portion(portion)
-        arrays += [(f"{name}.x_enc", x), (f"{name}.teacher", teacher),
-                   (f"{name}.y", y), (f"{name}.start", start)]
-        meta["trip_ids"][name] = trip_ids
-        meta["counts"][name] = len(portion)
-    serialize.write_container(path, "dataset", meta, arrays)
-
-
-def load_dataset(path):
-    """Read a dataset container; returns ``(split, schema, pipeline_meta)``."""
-    _, meta, arrays = serialize.read_container(path, expect_kind="dataset")
-    stats = NormStats(
-        input_mean=arrays["stats.input_mean"],
-        input_std=arrays["stats.input_std"],
-        target_mean=arrays["stats.target_mean"],
-        target_std=arrays["stats.target_std"],
-    )
-    portions = {}
-    for name in ("train", "validation", "test"):
-        x = arrays[f"{name}.x_enc"]
-        teacher = arrays[f"{name}.teacher"]
-        y = arrays[f"{name}.y"]
-        start = arrays[f"{name}.start"]
-        trip_ids = meta["trip_ids"][name]
-        portions[name] = [
-            WindowedSample(x[i], teacher[i], y[i], trip_ids[i], int(start[i]))
-            for i in range(len(trip_ids))
-        ]
-    split = DatasetSplit(train=portions["train"],
-                         validation=portions["validation"],
-                         test=portions["test"], stats=stats,
-                         seed=int(meta["seed"]))
-    schema = FeatureSchema.from_dict(meta["schema"])
-    return split, schema, meta.get("pipeline", {})

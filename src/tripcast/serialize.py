@@ -1,4 +1,4 @@
-"""Versioned binary container for checkpoints and dataset caches.
+"""Versioned binary container for checkpoints.
 
 Layout: 4-byte magic, u32 format version, u64 header length, UTF-8 JSON
 header, then the named float64 payloads concatenated little-endian in
@@ -8,13 +8,16 @@ header order. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"TRPC"
 FORMAT_VERSION = 1
+
+# magic, format version, header length
+_FIXED = struct.Struct("<4sIQ")
 
 
 def write_container(path, kind: str, meta: dict, arrays: list) -> None:
@@ -27,40 +30,55 @@ def write_container(path, kind: str, meta: dict, arrays: list) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(_FIXED.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_container(path, expect_kind: str | None = None):
-    """Read a container, returning ``(kind, meta, ordered name->array dict)``."""
+    """Read a container, returning ``(kind, meta, ordered name->array dict)``.
+
+    Any malformed file (bad magic or version, a truncated header or
+    payload, an unreadable JSON header, or bytes after the last payload)
+    raises ``ValueError`` naming ``path``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a tripcast container (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported container version {version}"
-            )
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated payload for {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    kind = header["container"]
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise ValueError(f"{path}: not a tripcast container (bad magic)")
+    if len(raw) < _FIXED.size:
+        raise ValueError(f"{path}: truncated container header")
+    _, version, header_len = _FIXED.unpack_from(raw)
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: unsupported container version {version}"
+        )
+    offset = _FIXED.size + header_len
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated container header")
+    try:
+        header = json.loads(raw[_FIXED.size:offset].decode("utf-8"))
+        kind, meta = header["container"], header["meta"]
+        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        if not all(isinstance(n, int) and n >= 0
+                   for _, shape in entries for n in shape):
+            raise ValueError("array shapes must be non-negative integers")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed container header: {exc!r}") \
+            from None
+    arrays = {}
+    for name, shape in entries:
+        count = math.prod(shape)
+        if len(raw) < offset + 8 * count:
+            raise ValueError(f"{path}: truncated payload for {name}")
+        arrays[name] = np.frombuffer(raw, "<f8", count, offset) \
+            .reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(raw):
+        raise ValueError(
+            f"{path}: {len(raw) - offset} unexpected bytes after the payload"
+        )
     if expect_kind is not None and kind != expect_kind:
         raise ValueError(f"{path}: expected {expect_kind} container, found {kind}")
-    return kind, header["meta"], arrays
-
-
-def _as_path(p) -> Path:
-    return p if isinstance(p, Path) else Path(p)
+    return kind, meta, arrays

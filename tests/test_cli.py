@@ -11,11 +11,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tripcast.training
 from tripcast.cli import main
 from tripcast.config import SEED_DATA, fan_seed
+from tripcast.serialize import read_container, write_container
 
 
 def base_config() -> dict:
@@ -104,12 +106,6 @@ class TestDatagen:
         for entry in json.loads((again / "manifest.json").read_text())["trips"]:
             assert ((again / entry["file"]).read_bytes()
                     == (ws["gen"] / entry["file"]).read_bytes())
-
-    def test_jobs_flag_accepted(self, ws, tmp_path):
-        out = tmp_path / "genj"
-        rc = main(["datagen", "--config", ws["config"], "--jobs", "4",
-                   "--out", str(out)])
-        assert rc == 0
 
 
 # ------------------------------------------------------------------- train
@@ -337,6 +333,39 @@ class TestPredict:
         ])
         assert rc == 1
         assert "trip CSV not found" in capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, ws, tmp_path, capsys):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes((ws["run"] / "checkpoint.ckpt").read_bytes()[:12])
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_checkpoint_with_per_gate_names(self, ws, tmp_path, capsys):
+        # the layout before LSTM gates were fused: lstm.layer.0.w_i, ...
+        kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
+        old = []
+        for name, arr in arrays.items():
+            if name.rsplit(".", 1)[1] in ("w", "u", "b"):
+                old += [(f"{name}_{g}", part)
+                        for g, part in zip("ifog", np.split(arr, 4, axis=-1))]
+            else:
+                old.append((name, arr))
+        assert len(old) > len(arrays)
+        path = tmp_path / "old.ckpt"
+        write_container(path, kind, meta, old)
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert (f"error: {path}: checkpoint parameters do not match spec"
+                in capsys.readouterr().err)
 
 
 # --------------------------------------------------------------- gradcheck

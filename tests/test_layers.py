@@ -203,10 +203,11 @@ class TestMultiHeadAttention:
         xkv = rng.standard_normal((3, 6, 8))
         got = mha(Tensor(xq), Tensor(xkv)).data
         parts = []
-        for wq, wk, wv in mha.heads:
-            q = xq @ wq.data
-            k = xkv @ wk.data
-            v = xkv @ wv.data
+        for h in range(mha.n_heads):
+            cols = slice(h * mha.d_head, (h + 1) * mha.d_head)
+            q = xq @ mha.wq.data[:, cols]
+            k = xkv @ mha.wk.data[:, cols]
+            v = xkv @ mha.wv.data[:, cols]
             per_batch = [attention_oracle(q[b], k[b], v[b])[0]
                          for b in range(3)]
             parts.append(np.stack(per_batch))
@@ -232,6 +233,17 @@ class TestMultiHeadAttention:
         for (_, pa), (_, pb) in zip(a.named_params(), b.named_params()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
+    def test_weights_are_per_head_draws_concatenated(self):
+        # a seed must give the numbers per-head storage would: q, k, v of
+        # head 0, then of head 1, each with the per-head Xavier bound
+        mha = MultiHeadAttention(8, 2, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        heads = [[xavier_uniform(rng, 8, 4) for _ in "qkv"] for _ in range(2)]
+        for i, w in enumerate((mha.wq, mha.wk, mha.wv)):
+            np.testing.assert_array_equal(
+                w.data, np.concatenate([qkv[i] for qkv in heads], axis=1))
+        np.testing.assert_array_equal(mha.wo.data, xavier_uniform(rng, 8, 8))
+
 
 def lstm_scalar_oracle(xs, w, u, b):
     """Python-float single-unit LSTM; returns hidden state sequence."""
@@ -253,9 +265,10 @@ class TestLstm:
     def test_single_unit_matches_scalar_oracle(self, rng):
         lstm = Lstm(1, 1, 1, rng)
         layer = lstm.layers[0]
-        w = {g: float(layer.w[g].data[0, 0]) for g in layer.GATES}
-        u = {g: float(layer.u[g].data[0, 0]) for g in layer.GATES}
-        b = {g: float(layer.b[g].data[0]) for g in layer.GATES}
+        # one hidden unit: column j of the fused weights is gate j
+        w = dict(zip("ifog", map(float, layer.w.data[0])))
+        u = dict(zip("ifog", map(float, layer.u.data[0])))
+        b = dict(zip("ifog", map(float, layer.b.data)))
         xs = [0.3, -1.2, 0.7, 2.0, -0.4]
         seq, h_last, c_last = lstm(Tensor(np.array(xs).reshape(1, 5, 1)))
         want = lstm_scalar_oracle(xs, w, u, b)
@@ -265,8 +278,27 @@ class TestLstm:
     def test_forget_bias_initialized_to_one(self, rng):
         lstm = Lstm(3, 4, 2, rng)
         for layer in lstm.layers:
-            np.testing.assert_array_equal(layer.b["f"].data, np.ones(4))
-            np.testing.assert_array_equal(layer.b["i"].data, np.zeros(4))
+            np.testing.assert_array_equal(
+                layer.b.data, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
+
+    def test_weights_are_per_gate_draws_concatenated(self):
+        # a seed must give the numbers per-gate storage would: w then u of
+        # gates i, f, o, g in turn, layer by layer
+        lstm = Lstm(3, 4, 2, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for layer, d_in in zip(lstm.layers, (3, 4)):
+            gates = [(xavier_uniform(rng, d_in, 4), xavier_uniform(rng, 4, 4))
+                     for _ in "ifog"]
+            np.testing.assert_array_equal(
+                layer.w.data, np.concatenate([w for w, _ in gates], axis=1))
+            np.testing.assert_array_equal(
+                layer.u.data, np.concatenate([u for _, u in gates], axis=1))
+
+    def test_records_no_concat_besides_its_stacks(self, rng, tape_ops):
+        # one stack per layer's hidden sequence plus the final h and c
+        lstm = Lstm(3, 4, 2, rng)
+        seq, h, c = lstm(Tensor(rng.standard_normal((2, 5, 3))))
+        assert tape_ops(seq, h, c)["concat"] == 2 + 2
 
     def test_state_continuity_across_chunks(self, rng):
         lstm = Lstm(3, 5, 2, rng)

@@ -4,6 +4,8 @@ Parameter counts are checked against closed-form arithmetic derived from
 the layer definitions, evaluated at a deliberately small configuration.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tripcast.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from tripcast.serialize import write_container
 from tripcast.tensor import ShapeError, no_grad
 
 SMALL = dict(window=6, horizon=3, n_features=5, n_targets=2, d_model=16,
@@ -35,7 +38,7 @@ def _linear(a, b):
 
 
 def _mha(d):
-    # three per-head projections without bias plus the output map
+    # fused q/k/v projections without bias plus the output map
     return 4 * d * d
 
 
@@ -219,6 +222,16 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+    def test_v_tst_teacher_forced_step_records_no_concat(self, rng,
+                                                          tape_ops):
+        # attention weights are stored fused, so nothing re-concatenates
+        model = build(small_spec("v_tst"), seed=3)
+        pred = model.forward(rng.standard_normal((2, 6, 5)),
+                             teacher=rng.standard_normal((2, 3, 2)),
+                             training=True)
+        assert tape_ops(pred)["concat"] == 0
+
+
 class TestAutoregressiveConsistency:
     @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
     def test_ar_rollout_equals_teacher_forcing_on_own_outputs(self, kind, rng):
@@ -290,4 +303,27 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_per_head_and_per_gate_names_refused(self, tmp_path):
+        # the layout before attention heads and LSTM gates were fused
+        model = build(small_spec("tst_lstm"), seed=0)
+        arrays = []
+        for name, t in model.named_params():
+            prefix, leaf = name.rsplit(".", 1)
+            if leaf in ("wq", "wk", "wv"):
+                parts = np.split(t.data, model.spec.n_heads, axis=-1)
+                arrays += [(f"param.{prefix}.heads.{h}.{leaf}", part)
+                           for h, part in enumerate(parts)]
+            elif leaf in ("w", "u", "b"):
+                parts = np.split(t.data, 4, axis=-1)
+                arrays += [(f"param.{prefix}.{leaf}_{g}", part)
+                           for g, part in zip("ifog", parts)]
+            else:
+                arrays.append((f"param.{name}", t.data))
+        path = tmp_path / "old.ckpt"
+        write_container(path, "checkpoint",
+                        {"spec": model.spec.to_dict(), "extra": {}}, arrays)
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + ": checkpoint parameters do not match spec"):
             load_checkpoint(path)

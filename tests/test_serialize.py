@@ -1,6 +1,7 @@
 """Binary container format: layout, round trips, and failure modes."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -103,3 +104,35 @@ class TestFailureModes:
         path = self._write(tmp_path, rng)
         kind, _, _ = read_container(path, expect_kind="demo")
         assert kind == "demo"
+
+    @pytest.mark.parametrize("cut", [0, 3, 4, 8, 15, 16, "header_end"])
+    def test_truncated_before_payload(self, tmp_path, rng, cut):
+        path = self._write(tmp_path, rng)
+        raw = path.read_bytes()
+        if cut == "header_end":
+            cut = 16 + struct.unpack("<Q", raw[8:16])[0] - 1
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_container(path)
+
+    def test_trailing_byte(self, tmp_path, rng):
+        path = self._write(tmp_path, rng)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_container(path)
+
+    @pytest.mark.parametrize("header", [
+        b"\xff\xfe",
+        b"{not json",
+        b"[]",
+        b'{"container": "demo", "meta": {}}',
+        b'{"container": "demo", "meta": {}, "arrays": [{"name": "a"}]}',
+        b'{"container": "demo", "meta": {}, '
+        b'"arrays": [{"name": "a", "shape": [-1]}]}',
+    ])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "c.bin"
+        path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header))
+                         + header)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_container(path)
