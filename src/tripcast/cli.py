@@ -46,6 +46,11 @@ EXIT_ALL_CELLS_FAILED = 3
 # physical-unit column names for the default forecast targets
 UNIT_COLUMNS = {"soc": "soc_pct", "batt_temp": "batt_temp_C"}
 
+# what ``train`` stores with a checkpoint and ``predict`` reads back
+PIPELINE_FIELDS = ("sample_period_s", "savgol_window", "savgol_order",
+                   "target_period_s")
+NORM_FIELDS = ("input_mean", "input_std", "target_mean", "target_std")
+
 
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -170,19 +175,10 @@ def cmd_train(args) -> int:
         model, out / "checkpoint.ckpt",
         extra_meta={
             "schema": schema.to_dict(),
-            "pipeline": {
-                "sample_period_s": cfg.data.sample_period_s,
-                "savgol_window": cfg.data.savgol_window,
-                "savgol_order": cfg.data.savgol_order,
-                "target_period_s": cfg.data.target_period_s,
-            },
+            "pipeline": {k: getattr(cfg.data, k) for k in PIPELINE_FIELDS},
         },
-        extra_arrays={
-            "norm.input_mean": split.stats.input_mean,
-            "norm.input_std": split.stats.input_std,
-            "norm.target_mean": split.stats.target_mean,
-            "norm.target_std": split.stats.target_std,
-        },
+        extra_arrays={f"norm.{k}": getattr(split.stats, k)
+                      for k in NORM_FIELDS},
     )
     _write_json(out / "report.json", {
         "model": spec.to_dict(),
@@ -260,20 +256,22 @@ def cmd_predict(args) -> int:
     if not ckpt_path.is_file():
         raise ValueError(f"{ckpt_path}: checkpoint not found")
     model, extra_meta, extra_arrays = load_checkpoint(ckpt_path)
-    schema = FeatureSchema.from_dict(extra_meta["schema"])
-    pl = extra_meta["pipeline"]
-    stats = NormStats(
-        input_mean=extra_arrays["norm.input_mean"],
-        input_std=extra_arrays["norm.input_std"],
-        target_mean=extra_arrays["norm.target_mean"],
-        target_std=extra_arrays["norm.target_std"],
-    )
+    try:
+        schema = FeatureSchema.from_dict(extra_meta["schema"])
+        sample_period, sg_window, sg_order, target_period = (
+            extra_meta["pipeline"][k] for k in PIPELINE_FIELDS)
+        stats = NormStats(**{k: extra_arrays[f"norm.{k}"]
+                             for k in NORM_FIELDS})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{ckpt_path}: checkpoint lacks the training-run data predict "
+            f"needs ({exc!r}); use one written by `tripcast train`"
+        ) from None
     trip_path = Path(args.trip)
     if not trip_path.is_file():
         raise ValueError(f"{trip_path}: trip CSV not found")
-    trip = load_trips(trip_path, schema, pl["sample_period_s"])[0]
-    trip = preprocess_trip(trip, schema, pl["savgol_window"],
-                           pl["savgol_order"], pl["target_period_s"])
+    trip = load_trips(trip_path, schema, sample_period)[0]
+    trip = preprocess_trip(trip, schema, sg_window, sg_order, target_period)
 
     w, h = model.spec.window, model.spec.horizon
     start = args.start
@@ -299,7 +297,6 @@ def cmd_predict(args) -> int:
     out_path = Path(args.out) if args.out else Path("forecast.csv")
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    period = pl["target_period_s"]
     cols = [UNIT_COLUMNS.get(c, c) for c in schema.target_channels]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -307,10 +304,10 @@ def cmd_predict(args) -> int:
         for i in range(start - w, start):
             vals = [repr(float(trip.channels[c][i]))
                     for c in schema.target_channels]
-            writer.writerow([i, repr(i * period), "observed", *vals])
+            writer.writerow([i, repr(i * target_period), "observed", *vals])
         for k in range(h):
             vals = [repr(float(v)) for v in pred_phys[k]]
-            writer.writerow([start + k, repr((start + k) * period),
+            writer.writerow([start + k, repr((start + k) * target_period),
                              "forecast", *vals])
     print(f"wrote {w} observed + {h} forecast rows to {out_path}")
     return EXIT_OK

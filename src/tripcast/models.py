@@ -38,7 +38,7 @@ from .layers import (
     causal_mask,
     positional_encoding,
 )
-from .tensor import ShapeError, Tensor, add
+from .tensor import ShapeError, Tensor, _as_tensor, add
 
 KINDS = ("lstm", "enc_tst", "v_tst", "tst_lstm", "enc_tst_dec_lstm")
 
@@ -90,12 +90,6 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"unknown ModelSpec fields: {', '.join(unknown)}")
         return cls(**d)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Model:
@@ -295,7 +289,13 @@ def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
 def load_checkpoint(path):
     """Load a checkpoint, returning ``(model, extra_meta, extra_arrays)``."""
     _, meta, arrays = serialize.read_container(path, expect_kind="checkpoint")
-    spec = ModelSpec.from_dict(meta["spec"])
+    spec = meta.get("spec") if isinstance(meta, dict) else None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: checkpoint holds no model spec")
+    try:
+        spec = ModelSpec.from_dict(spec)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: bad model spec: {exc}") from None
     model = build(spec, seed=0)
     wanted = {f"param.{name}" for name, _ in model.named_params()}
     stored = {n for n in arrays if n.startswith("param.")}

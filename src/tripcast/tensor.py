@@ -11,6 +11,14 @@ Broadcasting is deliberately restricted to two cases: a size-1 operand
 (scalar), and a trailing-suffix match where the smaller operand's shape equals
 the trailing dimensions of the larger (bias vectors, positional tables).
 Anything else requires an explicit reshape.
+
+``matmul`` against a 2-D right operand (a weight) folds every leading axis of
+the left operand into rows: the forward, the input gradient and the weight
+gradient are one GEMM each. The weight gradient is therefore summed over all
+rows inside one GEMM rather than per batch entry and then over the batch, so
+it can differ from the per-batch order in the last bits; it is the same on
+every run. Only a batched right operand (attention's ``q·kᵀ`` and
+``weights·v``) takes numpy's per-batch path.
 """
 
 from __future__ import annotations
@@ -344,19 +352,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul batch dimensions disagree: {a.shape} vs {b.shape}"
         )
+    if b.ndim == 2:
+        # a weight: fold every leading axis of ``a`` into rows, one GEMM each
+        d, h = b.shape
+        data = (a.data.reshape(-1, d) @ b.data).reshape(a.shape[:-1] + (h,))
+
+        def backward_fn(g):
+            g2 = g.reshape(-1, h)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, d).T @ g2)
+
+        return _record("matmul", (a, b), data, backward_fn)
+
     data = np.matmul(a.data, b.data)
 
     def backward_fn(g):
         if a.requires_grad:
             da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if da.shape != a.shape:
+            if da.shape != a.shape:      # a 2-D ``a`` against a batched ``b``
                 da = da.sum(axis=tuple(range(da.ndim - a.ndim)))
             a._accumulate(da)
         if b.requires_grad:
-            db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if db.shape != b.shape:
-                db = db.sum(axis=tuple(range(db.ndim - b.ndim)))
-            b._accumulate(db)
+            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _record("matmul", (a, b), data, backward_fn)
 

@@ -17,6 +17,7 @@ import pytest
 import tripcast.training
 from tripcast.cli import main
 from tripcast.config import SEED_DATA, fan_seed
+from tripcast.models import ModelSpec, build, save_checkpoint
 from tripcast.serialize import read_container, write_container
 
 
@@ -366,6 +367,31 @@ class TestPredict:
         assert rc == 1
         assert (f"error: {path}: checkpoint parameters do not match spec"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("extras", ["none", "no_norm", "no_spec"])
+    def test_checkpoint_without_training_data(self, ws, tmp_path, capsys,
+                                              extras):
+        # a library-written checkpoint lacks what ``train`` stores with it
+        spec = ModelSpec(kind="lstm", window=6, horizon=3, n_features=5,
+                         n_targets=2, d_model=8, n_heads=2, lstm_layers=1)
+        path = tmp_path / "bare.ckpt"
+        save_checkpoint(build(spec, seed=0), path)
+        if extras != "none":
+            kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
+            if extras == "no_norm":
+                arrays = {n: a for n, a in arrays.items()
+                          if not n.startswith("extra.norm.")}
+            else:
+                del meta["spec"]
+            write_container(path, kind, meta, list(arrays.items()))
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "f.csv").exists()
 
 
 # --------------------------------------------------------------- gradcheck

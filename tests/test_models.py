@@ -20,6 +20,7 @@ from tripcast.models import (
 )
 from tripcast.serialize import write_container
 from tripcast.tensor import ShapeError, no_grad
+from tripcast.training import mse_loss
 
 SMALL = dict(window=6, horizon=3, n_features=5, n_targets=2, d_model=16,
              n_heads=2, enc_layers=2, dec_layers=2, ffn_width=24,
@@ -230,6 +231,26 @@ class TestForward:
                              teacher=rng.standard_normal((2, 3, 2)),
                              training=True)
         assert tape_ops(pred)["concat"] == 0
+
+    # teacher-forced step at the default spec: (all nodes, matmul nodes)
+    @pytest.mark.parametrize("kind, nodes, matmuls", [
+        ("lstm", 829, 54),
+        ("enc_tst", 133, 34),
+        ("v_tst", 345, 91),
+        ("tst_lstm", 1569, 163),
+        ("enc_tst_dec_lstm", 953, 86),
+    ])
+    def test_training_step_tape_size(self, kind, nodes, matmuls, rng,
+                                     tape_ops):
+        # counts do not depend on the batch size, so a batch of 2 suffices
+        spec = ModelSpec(kind=kind)
+        model = build(spec, seed=0)
+        pred = model.forward(
+            rng.standard_normal((2, spec.window, spec.n_features)),
+            teacher=rng.standard_normal((2, spec.horizon, spec.n_targets)),
+            training=True)
+        counts = tape_ops(mse_loss(pred, np.zeros(pred.shape)))
+        assert (sum(counts.values()), counts["matmul"]) == (nodes, matmuls)
 
 
 class TestAutoregressiveConsistency:

@@ -178,6 +178,44 @@ class TestBackward:
         np.testing.assert_allclose(a.grad, ones @ bv.T, atol=1e-12)
         np.testing.assert_allclose(b.grad, av.T @ ones, atol=1e-12)
 
+    @pytest.mark.parametrize("lead", [(5, 3), (2, 3, 4)])
+    def test_matmul_folds_rows_against_a_weight(self, rng, lead):
+        av = rng.standard_normal(lead + (6,))
+        bv = rng.standard_normal((6, 7))
+        gv = rng.standard_normal(lead + (7,))
+        a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
+        out = matmul(a, b)
+        for idx in np.ndindex(*lead[:-1]):
+            np.testing.assert_allclose(out.data[idx], av[idx] @ bv,
+                                       rtol=0, atol=1e-12)
+        tsum(mul(out, Tensor(gv))).backward()
+        np.testing.assert_allclose(a.grad, gv @ bv.T, rtol=0, atol=1e-12)
+        assert b.grad.shape == b.shape
+        np.testing.assert_allclose(
+            b.grad, av.reshape(-1, 6).T @ gv.reshape(-1, 7), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4, 5), (2, 3, 5, 4)),      # attention q·kᵀ
+        ((2, 3, 4, 4), (2, 3, 4, 5)),      # attention weights·v
+        ((4, 5), (3, 5, 6)),               # 2-D a against a batched b
+    ])
+    def test_batched_matmul_grads_per_slice(self, rng, a_shape, b_shape):
+        av, bv = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
+        out = matmul(a, b)
+        np.testing.assert_array_equal(out.data, av @ bv)
+        gv = rng.standard_normal(out.shape)
+        tsum(mul(out, Tensor(gv))).backward()
+        da = gv @ np.swapaxes(bv, -1, -2)
+        np.testing.assert_allclose(
+            a.grad, da.sum(axis=tuple(range(da.ndim - av.ndim))),
+            rtol=0, atol=1e-12)
+        assert a.grad.shape == a.shape and b.grad.shape == b.shape
+        for idx in np.ndindex(*b_shape[:-2]):
+            a_idx = idx if av.ndim > 2 else ()
+            np.testing.assert_allclose(b.grad[idx], av[a_idx].T @ gv[idx],
+                                       rtol=0, atol=1e-12)
+
     def test_tanh_grad(self, rng):
         xv = rng.standard_normal(6)
         x = Tensor(xv, requires_grad=True)
