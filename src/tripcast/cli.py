@@ -32,6 +32,7 @@ from .pipeline import (
     preprocess_trip,
     write_trip_csv,
 )
+from .serialize import atomic_write
 from .synth import synthesize_trips
 from .tensor import RECORDED_OPS, no_grad
 from .training import evaluate, run_grid, train
@@ -57,7 +58,7 @@ def _now_iso() -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -2,9 +2,10 @@
 
 Each registered check builds small random inputs, runs a scalar forward,
 and compares the tape's gradients against central differences (step 1e-6,
-float64). The registry covers every tensor primitive exactly once plus the
-composite layers (attention heads, multi-head with output weights, FFN,
-layer norm, LSTM cell and stack, embedding, positional-table path).
+float64). The registry covers every tensor primitive exactly once (the fused
+``lstm`` layer op among them) plus the composite layers (attention heads,
+multi-head with output weights, FFN, layer norm, LSTM cell and stack,
+embedding, positional-table path).
 """
 
 from __future__ import annotations
@@ -164,6 +165,13 @@ def _primitive_checks(rng: np.random.Generator) -> list:
     entry("slice",
           lambda a: T.add(w_sl1(a[:, 1:3, :]), w_sl2(a[:, 0, :])),
           [n(size=(2, 4, 3))])
+
+    # B=2, L=3, d=3, h=4; the weights see both the h half and the c half
+    w_lstm = wsum((2, 3, 8))
+    entry("lstm",
+          lambda x, h0, c0, w, u, b: w_lstm(T.lstm(x, h0, c0, w, u, b)),
+          [n(size=(2, 3, 3)), n(size=(2, 4)), n(size=(2, 4)),
+           0.5 * n(size=(3, 16)), 0.5 * n(size=(4, 16)), 0.5 * n(size=16)])
     return checks
 
 

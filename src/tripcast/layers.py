@@ -20,14 +20,13 @@ from .tensor import (
     Tensor,
     add,
     layer_norm_core,
+    lstm,
     matmul,
     mul,
     relu,
     scale,
-    sigmoid,
     softmax,
     stack,
-    tanh,
     transpose,
 )
 
@@ -217,7 +216,8 @@ class _LstmLayer:
 
 
 class Lstm:
-    """Stacked LSTM; each layer holds its four gates as one fused weight.
+    """Stacked LSTM; each layer holds its four gates as one fused weight and
+    runs as one :func:`tripcast.tensor.lstm` node.
 
     Forget-gate biases start at 1.0; other biases at zero.
     """
@@ -239,35 +239,17 @@ class Lstm:
         (B, L, hidden) output and the states are stacked (num_layers, B,
         hidden). Zero initial states are used when none are given.
         """
-        batch, length = x.shape[0], x.shape[1]
-        if length == 0:
-            raise ShapeError("LSTM cannot run on a length-zero sequence")
-        h_last, c_last = [], []
         hid = self.hidden
+        zeros = Tensor(np.zeros((x.shape[0], hid)))
+        h_last, c_last = [], []
         seq = x
         for li, layer in enumerate(self.layers):
-            if h0 is not None:
-                h = h0[li]
-                c = c0[li]
-            else:
-                h = Tensor(np.zeros((batch, hid)))
-                c = Tensor(np.zeros((batch, hid)))
-            # all four gates in one projection each: the input for the
-            # whole sequence at once, the recurrence one gemm per step
-            pre = add(matmul(seq, layer.w), layer.b)   # (B, L, 4*hid)
-            hs = []
-            for t in range(length):
-                z = add(pre[:, t, :], matmul(h, layer.u))
-                i_g = sigmoid(z[:, 0:hid])
-                f_g = sigmoid(z[:, hid:2 * hid])
-                o_g = sigmoid(z[:, 2 * hid:3 * hid])
-                g_g = tanh(z[:, 3 * hid:4 * hid])
-                c = add(mul(f_g, c), mul(i_g, g_g))
-                h = mul(o_g, tanh(c))
-                hs.append(h)
-            seq = stack(hs, axis=1)
-            h_last.append(h)
-            c_last.append(c)
+            h = h0[li] if h0 is not None else zeros
+            c = c0[li] if c0 is not None else zeros
+            out = lstm(seq, h, c, layer.w, layer.u, layer.b)   # (B, L, 2*hid)
+            seq = out[:, :, :hid]
+            h_last.append(out[:, -1, :hid])
+            c_last.append(out[:, -1, hid:])
         return seq, stack(h_last, axis=0), stack(c_last, axis=0)
 
     def named_params(self):

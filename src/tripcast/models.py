@@ -286,6 +286,15 @@ def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
     serialize.write_container(path, "checkpoint", meta, arrays)
 
 
+class _NoDraw:
+    """Generator stand-in for :func:`load_checkpoint`: every initial value
+    is overwritten by a stored array, so none is drawn."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def load_checkpoint(path):
     """Load a checkpoint, returning ``(model, extra_meta, extra_arrays)``."""
     _, meta, arrays = serialize.read_container(path, expect_kind="checkpoint")
@@ -296,7 +305,7 @@ def load_checkpoint(path):
         spec = ModelSpec.from_dict(spec)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: bad model spec: {exc}") from None
-    model = build(spec, seed=0)
+    model = Model(spec, _NoDraw())
     wanted = {f"param.{name}" for name, _ in model.named_params()}
     stored = {n for n in arrays if n.startswith("param.")}
     if wanted != stored:
@@ -315,6 +324,10 @@ def load_checkpoint(path):
             raise ValueError(
                 f"{path}: shape mismatch for {name}: stored "
                 f"{stored_arr.shape}, expected {tensor.data.shape}"
+            )
+        if not np.isfinite(stored_arr).all():
+            raise ValueError(
+                f"{path}: parameter {name} holds non-finite values"
             )
         tensor.data = stored_arr
     extra = {n[len("extra."):]: a for n, a in arrays.items()

@@ -2,13 +2,16 @@
 
 Layout: 4-byte magic, u32 format version, u64 header length, UTF-8 JSON
 header, then the named float64 payloads concatenated little-endian in
-header order. Round trips are bit-exact.
+header order. Round trips are bit-exact. Files are written through
+:func:`atomic_write`, so a failed write never replaces an existing file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -20,6 +23,27 @@ FORMAT_VERSION = 1
 _FIXED = struct.Struct("<4sIQ")
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temporary file beside ``path``; replace ``path`` with it on
+    success.
+
+    If the block raises, the temporary file is removed and whatever was at
+    ``path`` before is left as it was.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_container(path, kind: str, meta: dict, arrays: list) -> None:
     """Write ``arrays`` (list of (name, float64 ndarray)) under a JSON header."""
     header = {
@@ -29,7 +53,7 @@ def write_container(path, kind: str, meta: dict, arrays: list) -> None:
                    for name, arr in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_FIXED.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for _, arr in arrays:

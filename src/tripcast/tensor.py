@@ -19,6 +19,12 @@ rows inside one GEMM rather than per batch entry and then over the batch, so
 it can differ from the per-batch order in the last bits; it is the same on
 every run. Only a batched right operand (attention's ``q·kᵀ`` and
 ``weights·v``) takes numpy's per-batch path.
+
+``lstm`` runs a whole LSTM layer as one primitive with a hand-written
+backward through time (BPTT): one input-projection GEMM over the sequence,
+one recurrent GEMM per step forward and backward, and one GEMM or sum each
+for the input and weight gradients. ``sigmoid`` and the LSTM gates share
+one formula, ``0.5·tanh(0.5x) + 0.5``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ Scalar = Union[int, float]
 RECORDED_OPS = frozenset({
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "relu", "matmul",
     "transpose", "reshape", "sum", "mean", "softmax", "layer_norm",
-    "concat", "slice",
+    "concat", "slice", "lstm",
 })
 
 
@@ -312,10 +318,21 @@ def tanh(a: Tensor) -> Tensor:
     return _record("tanh", (a,), out, backward_fn)
 
 
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function as ``0.5·tanh(0.5x) + 0.5``, written into ``out``.
+
+    Finite and within [0, 1] for every finite input, with no overflow
+    warning and no branch on the sign of ``x``.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = _sigmoid(a.data)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -500,6 +517,100 @@ def tslice(a: Tensor, idx) -> Tensor:
             a._accumulate_at(idx, g)
 
     return _record("slice", (a,), data, backward_fn)
+
+
+# ----------------------------------------------------------------------
+# recurrent primitive
+
+
+def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
+         b: Tensor) -> Tensor:
+    """One LSTM layer over a ``(B, L, d)`` sequence, recorded as one node.
+
+    ``w`` is ``(d, 4h)``, ``u`` is ``(h, 4h)`` and ``b`` is ``(4h,)``, with
+    the gates in column blocks input, forget, output, candidate; ``h0`` and
+    ``c0`` are ``(B, h)``. Returns ``(B, L, 2h)``: ``h_t`` in the first
+    ``h`` columns and ``c_t`` in the last ``h``.
+
+    The input projection ``x·w + b`` is one GEMM over all ``L·B`` rows;
+    each step adds ``h·u`` and applies the gates. The backward runs time
+    in reverse with one ``dz_t·uᵀ`` GEMM per step, then forms the gradients
+    of ``x``, ``w``, ``u`` and ``b`` as one GEMM or sum over all rows.
+    Per-step buffers are time-major, so every step reads and writes
+    contiguous ``(B, ·)`` blocks.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"lstm input must be (B, L, d), got {x.shape}")
+    batch, length, d = x.shape
+    hid = u.shape[0]
+    if length == 0:
+        raise ShapeError("LSTM cannot run on a length-zero sequence")
+    if (w.shape != (d, 4 * hid) or u.shape != (hid, 4 * hid)
+            or b.shape != (4 * hid,)):
+        raise ShapeError(
+            f"lstm weights {w.shape}, {u.shape}, {b.shape} do not fit input "
+            f"{x.shape} and hidden size {hid}"
+        )
+    if h0.shape != (batch, hid) or c0.shape != (batch, hid):
+        raise ShapeError(
+            f"lstm states {h0.shape}, {c0.shape} must be ({batch}, {hid})"
+        )
+    rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(-1, d)
+    gates = (rows @ w.data).reshape(length, batch, 4 * hid)
+    gates += b.data
+    hs = np.empty((length + 1, batch, hid))
+    cs = np.empty((length + 1, batch, hid))
+    tanh_c = np.empty((length, batch, hid))
+    hs[0], cs[0] = h0.data, c0.data
+    for t in range(length):
+        z = gates[t]
+        z += hs[t] @ u.data
+        _sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+        np.multiply(z[:, hid:2 * hid], cs[t], out=cs[t + 1])
+        cs[t + 1] += z[:, :hid] * z[:, 3 * hid:]
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(z[:, 2 * hid:3 * hid], tanh_c[t], out=hs[t + 1])
+    data = np.empty((batch, length, 2 * hid))
+    data[:, :, :hid] = hs[1:].transpose(1, 0, 2)
+    data[:, :, hid:] = cs[1:].transpose(1, 0, 2)
+
+    def backward_fn(g):
+        g = g.transpose(1, 0, 2)
+        dz = np.empty_like(gates)        # pre-activation gradients, time-major
+        dh = np.zeros((batch, hid))
+        dc = np.zeros((batch, hid))
+        for t in reversed(range(length)):
+            act, d_act, tc = gates[t], dz[t], tanh_c[t]
+            i_g, f_g = act[:, :hid], act[:, hid:2 * hid]
+            o_g, g_g = act[:, 2 * hid:3 * hid], act[:, 3 * hid:]
+            dh = g[t, :, :hid] + dh
+            dc = g[t, :, hid:] + dc + dh * o_g * (1.0 - tc * tc)
+            d_sig = act[:, :3 * hid] * (1.0 - act[:, :3 * hid])
+            np.multiply(d_sig[:, :hid], g_g * dc, out=d_act[:, :hid])
+            np.multiply(d_sig[:, hid:2 * hid], cs[t] * dc,
+                        out=d_act[:, hid:2 * hid])
+            np.multiply(d_sig[:, 2 * hid:], tc * dh,
+                        out=d_act[:, 2 * hid:3 * hid])
+            np.multiply(1.0 - g_g * g_g, i_g * dc, out=d_act[:, 3 * hid:])
+            dc = dc * f_g
+            dh = d_act @ u.data.T
+        dz = dz.reshape(-1, 4 * hid)
+        if x.requires_grad:
+            x._accumulate((dz @ w.data.T).reshape(length, batch, d)
+                          .transpose(1, 0, 2))
+        if h0.requires_grad:
+            h0._accumulate(dh)
+        if c0.requires_grad:
+            c0._accumulate(dc)
+        if w.requires_grad:
+            w._accumulate(rows.T @ dz)
+        if u.requires_grad:
+            u._accumulate(hs[:-1].reshape(-1, hid).T @ dz)
+        if b.requires_grad:
+            b._accumulate(dz.sum(axis=0))
+
+    return _record("lstm", (x, h0, c0, w, u, b), data, backward_fn)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tripcast.training
-from tripcast.cli import main
+from tripcast.cli import _write_json, main
 from tripcast.config import SEED_DATA, fan_seed
 from tripcast.models import ModelSpec, build, save_checkpoint
 from tripcast.serialize import read_container, write_container
@@ -392,6 +392,33 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "f.csv").exists()
+
+    def test_checkpoint_with_non_finite_weight(self, ws, tmp_path, capsys):
+        kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
+        name = next(n for n in arrays if n.startswith("param."))
+        arrays[name].reshape(-1)[0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        write_container(path, kind, meta, list(arrays.items()))
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: parameter {name[len('param.'):]} holds non-finite")
+        assert not (tmp_path / "f.csv").exists()
+
+
+def test_failed_json_write_leaves_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    _write_json(path, {"a": 1})
+    before = path.read_bytes()
+    # json.dump streams: "a" is written before the unserializable value raises
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": 2, "b": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # --------------------------------------------------------------- gradcheck

@@ -17,7 +17,7 @@ from tripcast.tensor import Tensor, matmul, mul, tanh, tsum
 PRIMITIVE_NAMES = {
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "relu", "matmul",
     "transpose", "reshape", "sum", "mean", "softmax", "layer_norm",
-    "concat", "slice",
+    "concat", "slice", "lstm",
 }
 LAYER_NAMES = {
     "embedding_linear", "positional_path", "attention_head",
@@ -72,7 +72,8 @@ class TestRegistryCoverage:
 
 
 class TestCorruptionDetection:
-    @pytest.mark.parametrize("op", ["matmul", "softmax", "sigmoid", "mul"])
+    @pytest.mark.parametrize("op", ["matmul", "softmax", "sigmoid", "mul",
+                                    "lstm"])
     def test_corrupting_one_op_fails_the_run(self, op):
         report = run_gradcheck(corrupt_op=op)
         assert not report.passed

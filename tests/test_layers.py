@@ -2,7 +2,9 @@
 
 The attention tests compare the vectorized implementation to an explicit
 per-query-position loop; the LSTM tests compare to a python-float gate
-recurrence. Both oracles share no code with the library.
+recurrence. Both oracles share no code with the library. The fused ``lstm``
+op is also checked, forward and backward, against the per-timestep chain of
+tape ops it replaced.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from tripcast import tensor as T
 from tripcast.layers import (
     MASK_VALUE,
     DecoderBlock,
@@ -294,11 +297,13 @@ class TestLstm:
             np.testing.assert_array_equal(
                 layer.u.data, np.concatenate([u for _, u in gates], axis=1))
 
-    def test_records_no_concat_besides_its_stacks(self, rng, tape_ops):
-        # one stack per layer's hidden sequence plus the final h and c
+    def test_records_one_lstm_node_per_layer_and_no_gate_ops(self, rng,
+                                                             tape_ops):
         lstm = Lstm(3, 4, 2, rng)
         seq, h, c = lstm(Tensor(rng.standard_normal((2, 5, 3))))
-        assert tape_ops(seq, h, c)["concat"] == 2 + 2
+        counts = tape_ops(seq, h, c)
+        assert counts["lstm"] == 2
+        assert counts["sigmoid"] == counts["tanh"] == 0
 
     def test_state_continuity_across_chunks(self, rng):
         lstm = Lstm(3, 5, 2, rng)
@@ -322,6 +327,67 @@ class TestLstm:
         lstm = Lstm(2, 3, 1, rng)
         with pytest.raises(ShapeError):
             lstm(Tensor(np.zeros((1, 0, 2))))
+
+
+def lstm_step_oracle(x, h, c, w, u, b):
+    """One LSTM layer as a chain of tape ops per timestep.
+
+    The gate equations of :func:`tripcast.tensor.lstm` spelled out with
+    ``add``/``slice``/``sigmoid``/``tanh``/``mul`` nodes, in the same order
+    of operations; returns the (B, L, 2h) sequence of ``[h_t, c_t]``.
+    """
+    hid = u.shape[0]
+    pre = T.add(T.matmul(x, w), b)
+    outs = []
+    for t in range(x.shape[1]):
+        z = T.add(pre[:, t, :], T.matmul(h, u))
+        i_g = T.sigmoid(z[:, 0:hid])
+        f_g = T.sigmoid(z[:, hid:2 * hid])
+        o_g = T.sigmoid(z[:, 2 * hid:3 * hid])
+        g_g = T.tanh(z[:, 3 * hid:4 * hid])
+        c = T.add(T.mul(f_g, c), T.mul(i_g, g_g))
+        h = T.mul(o_g, T.tanh(c))
+        outs.append(T.concat([h, c], axis=-1))
+    return T.stack(outs, axis=1)
+
+
+class TestFusedLstmOp:
+    @pytest.mark.parametrize("length", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("zero_state", [True, False])
+    def test_matches_per_step_oracle(self, length, batch, zero_state, rng):
+        d, hid = 3, 4
+        arrays = [rng.standard_normal((batch, length, d)),
+                  np.zeros((batch, hid)) if zero_state
+                  else rng.standard_normal((batch, hid)),
+                  np.zeros((batch, hid)) if zero_state
+                  else rng.standard_normal((batch, hid)),
+                  0.5 * rng.standard_normal((d, 4 * hid)),
+                  0.5 * rng.standard_normal((hid, 4 * hid)),
+                  0.5 * rng.standard_normal(4 * hid)]
+        weight = Tensor(rng.standard_normal((batch, length, 2 * hid)))
+        results = []
+        for fn in (T.lstm, lstm_step_oracle):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*inputs)
+            tsum(T.mul(out, weight)).backward()
+            results.append((out.data, [t.grad for t in inputs]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        for name, g, ref in zip(("x", "h0", "c0", "w", "u", "b"),
+                                got_grads, want_grads):
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-12,
+                                       err_msg=name)
+
+    def test_rejects_mismatched_weights(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 3)))
+        state = Tensor(np.zeros((2, 4)))
+        w, u = Tensor(np.zeros((3, 16))), Tensor(np.zeros((4, 16)))
+        with pytest.raises(ShapeError):
+            T.lstm(x, state, state, w, u, Tensor(np.zeros(12)))
+        with pytest.raises(ShapeError):
+            T.lstm(x, Tensor(np.zeros((3, 4))), state, w, u,
+                   Tensor(np.zeros(16)))
 
 
 class TestBlocks:

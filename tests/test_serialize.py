@@ -66,6 +66,20 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded["v"], view)
 
 
+class TestAtomicWrite:
+    def test_failed_rewrite_leaves_previous_file(self, tmp_path, rng):
+        path = tmp_path / "c.bin"
+        write_container(path, "demo", {}, sample_arrays(rng))
+        before = path.read_bytes()
+        # the header and the first payload are written before this raises
+        unconvertible = np.array(["not a number"], dtype=object)
+        with pytest.raises(ValueError):
+            write_container(path, "demo", {},
+                            [("alpha", np.ones(3)), ("beta", unconvertible)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
 class TestFailureModes:
     def _write(self, tmp_path, rng):
         path = tmp_path / "c.bin"

@@ -107,6 +107,16 @@ class TestForward:
         b = softmax(Tensor(x + 100.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_sigmoid_saturates_without_warning(self):
+        xv = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
+        with np.errstate(all="raise"):
+            out = sigmoid(Tensor(xv)).data
+        assert np.isfinite(out).all()
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+        np.testing.assert_allclose(out[1:4], 1.0 / (1.0 + np.exp(-xv[1:4])),
+                                   rtol=0, atol=1e-15)
+        assert (out[0], out[-1]) == (0.0, 1.0)
+
     def test_softmax_rejects_non_finite(self):
         with pytest.raises(ValueError):
             softmax(Tensor(np.array([1.0, np.nan, 2.0])))
