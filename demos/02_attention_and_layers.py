@@ -103,15 +103,15 @@ print(rule)
 lstm = Lstm(3, 5, 2, rng)
 seq = Tensor(rng.normal(size=(1, 7, 3)))
 with no_grad():
-    hs, h_last, c_last = lstm(seq)
+    hs, outs = lstm(seq)
 print("hidden sequence shape:", hs.shape)
-print("stacked final hidden/cell:", h_last.shape, c_last.shape)
+print("per-layer [hidden, cell] sequences:", [o.shape for o in outs])
 
 # Feeding the same sequence in two halves with carried state matches the
 # single pass: the recurrence is the whole story.
 with no_grad():
-    first, h_mid, c_mid = lstm(Tensor(seq.data[:, :4]))
-    second, _, _ = lstm(Tensor(seq.data[:, 4:]), h_mid, c_mid)
+    first, mid = lstm(Tensor(seq.data[:, :4]))
+    second, _ = lstm(Tensor(seq.data[:, 4:]), [o[:, -1] for o in mid])
 joined = np.concatenate([first.data, second.data], axis=1)
 print("split-and-carry equals one pass:",
       np.max(np.abs(joined - hs.data)) < 1e-12)

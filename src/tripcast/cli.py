@@ -149,7 +149,9 @@ def cmd_train(args) -> int:
              spec.kind, spec.window, spec.horizon,
              f"{model.count_parameters():,}", len(split.train))
 
-    with open(out / "epochs.csv", "w", newline="") as fh:
+    # streamed into a temporary file, renamed over epochs.csv once
+    # training ends
+    with atomic_write(out / "epochs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss", "seconds"])
 
@@ -237,7 +239,8 @@ def cmd_grid(args) -> int:
                       on_cell=on_cell)
     _write_json(out / "grid_report.json", report.to_dict(include_timing=False))
     table = report.format_table()
-    (out / "grid_table.txt").write_text(table + "\n")
+    with atomic_write(out / "grid_table.txt", "w") as fh:
+        fh.write(table + "\n")
     _write_json(out / "meta.json", {
         "command": "grid", "started": started, "finished": _now_iso(),
         "seconds": time.perf_counter() - tic,
@@ -299,7 +302,7 @@ def cmd_predict(args) -> int:
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     cols = [UNIT_COLUMNS.get(c, c) for c in schema.target_channels]
-    with open(out_path, "w", newline="") as fh:
+    with atomic_write(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "time_s", "role", *cols])
         for i in range(start - w, start):

@@ -252,12 +252,12 @@ def _layer_checks(rng: np.random.Generator) -> list:
             lay.w, lay.u, lay.b = next(it), next(it), next(it)
 
     cell = Lstm(3, 4, 1, rng)
-    s_cell_seq, s_cell_c = wsum((2, 1, 4)), wsum((1, 2, 4))
+    s_cell_seq, s_cell_c = wsum((2, 1, 4)), wsum((2, 4))
 
     def cell_fwd(x, *params):
         load_lstm(cell, iter(params))
-        seq, _, c = cell(x)
-        return T.add(s_cell_seq(seq), s_cell_c(c))
+        seq, (out,) = cell(x)
+        return T.add(s_cell_seq(seq), s_cell_c(out[:, -1, 4:]))
 
     entry("lstm_cell", cell_fwd,
           [n(size=(2, 1, 3))] + [p.data.copy() for _, p in cell.named_params()])
@@ -267,8 +267,9 @@ def _layer_checks(rng: np.random.Generator) -> list:
 
     def deep_fwd(x, *params):
         load_lstm(deep, iter(params))
-        seq, h, _ = deep(x)
-        return T.add(s_deep_seq(seq), s_deep_h(h))
+        seq, outs = deep(x)
+        return T.add(s_deep_seq(seq),
+                     s_deep_h(T.stack([o[:, -1, :4] for o in outs])))
 
     entry("lstm_stack", deep_fwd,
           [n(size=(2, 3, 3))] + [p.data.copy() for _, p in deep.named_params()])

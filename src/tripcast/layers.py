@@ -26,7 +26,6 @@ from .tensor import (
     relu,
     scale,
     softmax,
-    stack,
     transpose,
 )
 
@@ -152,7 +151,8 @@ class MultiHeadAttention:
     ``wq``, ``wk`` and ``wv`` are ``(d_model, d_model)``; head ``h`` owns
     columns ``h*d_head:(h+1)*d_head`` of each. Self-attention when the same
     tensor is passed as query and key/value source; cross-attention when
-    ``x_kv`` is an encoder output.
+    ``x_kv`` is an encoder output, whose keys and values
+    :meth:`project_kv` can compute once for many calls to :meth:`attend`.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -171,20 +171,34 @@ class MultiHeadAttention:
             for cols in zip(*draws))
         self.wo = Tensor(xavier_uniform(rng, d_model, d_model), requires_grad=True)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor,
-                 mask: Optional[Tensor] = None) -> Tensor:
-        # all heads in one pass: one projection each, then a head axis
-        lead = x_q.shape[:-2]
-        lq, lk = x_q.shape[-2], x_kv.shape[-2]
-        split_q = (*lead, lq, self.n_heads, self.d_head)
-        split_k = (*lead, lk, self.n_heads, self.d_head)
-        q = transpose(matmul(x_q, self.wq).reshape(*split_q), -3, -2)
-        k = transpose(matmul(x_kv, self.wk).reshape(*split_k), -3, -2)
-        v = transpose(matmul(x_kv, self.wv).reshape(*split_k), -3, -2)
+    def _split_heads(self, t: Tensor) -> Tensor:
+        # (*lead, L, d_model) -> (*lead, n_heads, L, d_head)
+        return transpose(t.reshape(*t.shape[:-1], self.n_heads, self.d_head),
+                         -3, -2)
+
+    def project_kv(self, x_kv: Tensor) -> tuple:
+        """Keys and values of ``x_kv``, projected and split into heads.
+
+        Returns two ``(*lead, n_heads, Lk, d_head)`` tensors for
+        :meth:`attend`. Cross-attention over a fixed encoder output computes
+        them once and reuses them for every query.
+        """
+        return (self._split_heads(matmul(x_kv, self.wk)),
+                self._split_heads(matmul(x_kv, self.wv)))
+
+    def attend(self, x_q: Tensor, k: Tensor, v: Tensor,
+               mask: Optional[Tensor] = None) -> Tensor:
+        """Attend from ``x_q`` to keys and values from :meth:`project_kv`."""
+        # all heads in one pass: one projection, then a head axis
+        q = self._split_heads(matmul(x_q, self.wq))
         out = scaled_dot_attention(q, k, v, mask)
-        merged = transpose(out, -3, -2).reshape(*lead, lq,
+        merged = transpose(out, -3, -2).reshape(*x_q.shape[:-1],
                                                 self.n_heads * self.d_head)
         return matmul(merged, self.wo)
+
+    def __call__(self, x_q: Tensor, x_kv: Tensor,
+                 mask: Optional[Tensor] = None) -> Tensor:
+        return self.attend(x_q, *self.project_kv(x_kv), mask)
 
     def named_params(self):
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
@@ -231,26 +245,28 @@ class Lstm:
             for i in range(num_layers)
         ]
 
-    def __call__(self, x: Tensor, h0: Optional[Tensor] = None,
-                 c0: Optional[Tensor] = None):
+    def __call__(self, x: Tensor, state: Optional[list] = None):
         """Run the stack over a (B, L, d_in) sequence.
 
-        Returns ``(seq, h_last, c_last)`` where ``seq`` is the top layer's
-        (B, L, hidden) output and the states are stacked (num_layers, B,
-        hidden). Zero initial states are used when none are given.
+        Returns ``(seq, outs)``: ``seq`` is the top layer's (B, L, hidden)
+        output and ``outs`` holds each layer's (B, L, 2*hidden)
+        :func:`~tripcast.tensor.lstm` output, ``h_t`` in the first
+        ``hidden`` columns and ``c_t`` in the rest; a caller slices only the
+        states it reads. ``state`` continues an earlier run: one
+        (B, 2*hidden) ``[h, c]`` tensor per layer, such as
+        ``[out[:, -1] for out in outs]`` of that run. Zero initial states
+        are used when none are given.
         """
         hid = self.hidden
         zeros = Tensor(np.zeros((x.shape[0], hid)))
-        h_last, c_last = [], []
+        outs = []
         seq = x
         for li, layer in enumerate(self.layers):
-            h = h0[li] if h0 is not None else zeros
-            c = c0[li] if c0 is not None else zeros
-            out = lstm(seq, h, c, layer.w, layer.u, layer.b)   # (B, L, 2*hid)
-            seq = out[:, :, :hid]
-            h_last.append(out[:, -1, :hid])
-            c_last.append(out[:, -1, hid:])
-        return seq, stack(h_last, axis=0), stack(c_last, axis=0)
+            h, c = ((zeros, zeros) if state is None
+                    else (state[li][:, :hid], state[li][:, hid:]))
+            outs.append(lstm(seq, h, c, layer.w, layer.u, layer.b))
+            seq = outs[-1][:, :, :hid]
+        return seq, outs
 
     def named_params(self):
         ps = []
@@ -271,7 +287,7 @@ class LstmSubLayer:
         self.proj = Linear(d_model, d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        seq, _, _ = self.lstm(x)
+        seq, _ = self.lstm(x)
         return self.proj(seq)
 
     def named_params(self):
@@ -309,7 +325,11 @@ class EncoderBlock:
 
 
 class DecoderBlock:
-    """Pre-norm block: masked self-attention, cross-attention, sub-layer."""
+    """Pre-norm block: masked self-attention, cross-attention, sub-layer.
+
+    Cross-attention reads keys and values the caller projects once from the
+    encoder output with ``cross_attn.project_kv``.
+    """
 
     def __init__(self, d_model: int, n_heads: int, ffn_width: int,
                  rng: np.random.Generator, sub_layer: str = "ffn"):
@@ -320,10 +340,10 @@ class DecoderBlock:
         self.ln3 = LayerNorm(d_model)
         self.sub = _make_sublayer(sub_layer, d_model, ffn_width, rng)
 
-    def __call__(self, x: Tensor, enc_out: Tensor, mask: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, cross_kv: tuple, mask: Tensor) -> Tensor:
         h = self.ln1(x)
         x = add(x, self.self_attn(h, h, mask))
-        x = add(x, self.cross_attn(self.ln2(x), enc_out))
+        x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv))
         x = add(x, self.sub(self.ln3(x)))
         return x
 

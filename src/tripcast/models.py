@@ -172,15 +172,15 @@ class Model:
             e = blk(e)
         return self.enc_norm(e)
 
-    def _decode(self, y_in: Tensor, enc_out: Tensor) -> Tensor:
+    def _decode(self, y_in: Tensor, cross_kv: list) -> Tensor:
         steps = y_in.shape[1]
         d = add(self.dec_embed(y_in), Tensor(self.pe_dec[:steps]))
         mask = causal_mask(steps)
-        for blk in self.dec_blocks:
-            d = blk(d, enc_out, mask)
+        for blk, kv in zip(self.dec_blocks, cross_kv):
+            d = blk(d, kv, mask)
         return self.head(self.dec_norm(d))
 
-    def _autoregress(self, enc_out: Tensor, start: Tensor) -> Tensor:
+    def _autoregress(self, cross_kv: list, start: Tensor) -> Tensor:
         # Decode at full horizon length every step, with future positions
         # zero-padded. The causal mask gives padded positions exactly zero
         # weight, and keeping the matrix shapes fixed keeps the float
@@ -192,7 +192,7 @@ class Model:
         buf[:, 0, :] = start.data
         preds = np.zeros_like(buf)
         for step in range(spec.horizon):
-            out = self._decode(Tensor(buf.copy()), enc_out)
+            out = self._decode(Tensor(buf), cross_kv)
             preds[:, step, :] = out.data[:, step, :]
             if step + 1 < spec.horizon:
                 buf[:, step + 1, :] = preds[:, step, :]
@@ -219,8 +219,8 @@ class Model:
         batch = x.shape[0]
 
         if spec.kind == "lstm":
-            _, h_last, _ = self.lstm(self.embed(x))
-            out = self.head(h_last[-1])
+            seq, _ = self.lstm(self.embed(x))
+            out = self.head(seq[:, -1])
             return out.reshape(batch, spec.horizon, spec.n_targets)
 
         enc_out = self._encode(x)
@@ -230,11 +230,14 @@ class Model:
             return self.head(flat).reshape(batch, spec.horizon, spec.n_targets)
 
         if spec.kind == "enc_tst_dec_lstm":
-            _, h_last, _ = self.dec_lstm(enc_out)
-            out = self.head(h_last[-1])
+            seq, _ = self.dec_lstm(enc_out)
+            out = self.head(seq[:, -1])
             return out.reshape(batch, spec.horizon, spec.n_targets)
 
-        # v_tst / tst_lstm
+        # v_tst / tst_lstm: every decoding step attends to the same encoder
+        # output, so each layer projects its keys and values once here
+        cross_kv = [blk.cross_attn.project_kv(enc_out)
+                    for blk in self.dec_blocks]
         if training:
             if teacher is None:
                 raise ValueError(
@@ -248,7 +251,7 @@ class Model:
                     f"teacher must have shape ({batch}, {spec.horizon}, "
                     f"{spec.n_targets}), got {t.shape}"
                 )
-            return self._decode(t, enc_out)
+            return self._decode(t, cross_kv)
 
         if start is None:
             raise ValueError(
@@ -261,7 +264,7 @@ class Model:
                 f"start must have shape ({batch}, {spec.n_targets}), "
                 f"got {s.shape}"
             )
-        return self._autoregress(enc_out, s)
+        return self._autoregress(cross_kv, s)
 
     __call__ = forward
 

@@ -24,10 +24,11 @@ _FIXED = struct.Struct("<4sIQ")
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode: str = "wb"):
+def atomic_write(path, mode: str = "wb", newline: str | None = None):
     """Open a temporary file beside ``path``; replace ``path`` with it on
     success.
 
+    ``newline`` is passed to :func:`open` (``""`` for the csv module).
     If the block raises, the temporary file is removed and whatever was at
     ``path`` before is left as it was.
     """
@@ -35,7 +36,7 @@ def atomic_write(path, mode: str = "wb"):
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -10,10 +10,12 @@ import csv
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tripcast.cli
 import tripcast.training
 from tripcast.cli import _write_json, main
 from tripcast.config import SEED_DATA, fan_seed
@@ -117,6 +119,8 @@ class TestTrain:
         for name in ("checkpoint.ckpt", "report.json", "epochs.csv",
                      "config.json", "meta.json"):
             assert (run / name).is_file(), name
+        # every output was renamed into place; no temporary file is left
+        assert not [p.name for p in run.iterdir() if p.name.startswith(".")]
 
     def test_report_structure(self, ws):
         report = json.loads((ws["run"] / "report.json").read_text())
@@ -139,6 +143,9 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss", "seconds"]
         assert len(rows) - 1 == 2
+        # the csv module's line terminator is written untranslated
+        raw = (ws["run"] / "epochs.csv").read_bytes()
+        assert raw.count(b"\r\n") == 3 and raw.endswith(b"\r\n")
         for i, row in enumerate(rows[1:]):
             assert int(row[0]) == i
             float(row[1]), float(row[2]), float(row[3])
@@ -254,6 +261,7 @@ class TestGrid:
         assert "seconds" not in cell  # timing is meta-only
         table = (out / "grid_table.txt").read_text()
         assert "Case W=6, H=3" in table
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
         assert "lstm" in table
         meta = json.loads((out / "meta.json").read_text())
         assert "lstm@W6H3" in meta["cell_seconds"]
@@ -292,6 +300,7 @@ class TestPredict:
         assert rows[0] == ["step", "time_s", "role", "soc_pct", "batt_temp_C"]
         body = rows[1:]
         assert len(body) == 6 + 3  # window observed + horizon forecast
+        assert out.read_bytes().count(b"\r\n") == 1 + 9
         assert [r[2] for r in body] == ["observed"] * 6 + ["forecast"] * 3
         assert [int(r[0]) for r in body] == list(range(14, 23))
         for r in body:
@@ -419,6 +428,54 @@ def test_failed_json_write_leaves_previous_file(tmp_path):
         _write_json(path, {"a": 2, "b": object()})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_interrupted_training_leaves_previous_epochs_csv(ws, tmp_path,
+                                                         monkeypatch):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "epochs.csv").write_text("previous\n")
+
+    def one_epoch_then_fail(model, split, cfg, on_epoch):
+        on_epoch(SimpleNamespace(epoch=0, train_loss=1.0, val_loss=1.0,
+                                 seconds=0.1))
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(tripcast.cli, "train", one_epoch_then_fail)
+    rc = main(["train", "--config", ws["config"], "--out", str(run)])
+    assert rc == 2
+    assert (run / "epochs.csv").read_text() == "previous\n"
+    assert sorted(p.name for p in run.iterdir()) == ["config.json",
+                                                     "epochs.csv"]
+
+
+def test_failed_forecast_write_leaves_previous_file(ws, tmp_path,
+                                                    monkeypatch):
+    out = tmp_path / "forecast.csv"
+    out.write_text("previous\n")
+
+    def writer_failing_at_row_4(fh):
+        inner = csv.writer(fh)
+        rows = []
+
+        def writerow(row):
+            if len(rows) == 3:
+                raise OSError("disk full")
+            rows.append(row)
+            inner.writerow(row)
+
+        return SimpleNamespace(writerow=writerow)
+
+    monkeypatch.setattr(tripcast.cli, "csv",
+                        SimpleNamespace(writer=writer_failing_at_row_4))
+    rc = main([
+        "predict", "--checkpoint", str(ws["run"] / "checkpoint.ckpt"),
+        "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+        "--start", "20", "--out", str(out),
+    ])
+    assert rc == 2
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["forecast.csv"]
 
 
 # --------------------------------------------------------------- gradcheck

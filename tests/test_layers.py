@@ -273,10 +273,10 @@ class TestLstm:
         u = dict(zip("ifog", map(float, layer.u.data[0])))
         b = dict(zip("ifog", map(float, layer.b.data)))
         xs = [0.3, -1.2, 0.7, 2.0, -0.4]
-        seq, h_last, c_last = lstm(Tensor(np.array(xs).reshape(1, 5, 1)))
+        seq, (out,) = lstm(Tensor(np.array(xs).reshape(1, 5, 1)))
         want = lstm_scalar_oracle(xs, w, u, b)
         np.testing.assert_allclose(seq.data[0, :, 0], want, atol=1e-12)
-        assert h_last.data[0, 0, 0] == pytest.approx(want[-1], abs=1e-12)
+        np.testing.assert_array_equal(out.data[0, :, 0], seq.data[0, :, 0])
 
     def test_forget_bias_initialized_to_one(self, rng):
         lstm = Lstm(3, 4, 2, rng)
@@ -300,28 +300,33 @@ class TestLstm:
     def test_records_one_lstm_node_per_layer_and_no_gate_ops(self, rng,
                                                              tape_ops):
         lstm = Lstm(3, 4, 2, rng)
-        seq, h, c = lstm(Tensor(rng.standard_normal((2, 5, 3))))
-        counts = tape_ops(seq, h, c)
+        seq, outs = lstm(Tensor(rng.standard_normal((2, 5, 3))))
+        counts = tape_ops(seq, *outs)
         assert counts["lstm"] == 2
         assert counts["sigmoid"] == counts["tanh"] == 0
+        # the only other nodes carry each layer's h_t to the next layer
+        assert sum(counts.values()) == 4 and counts["slice"] == 2
 
     def test_state_continuity_across_chunks(self, rng):
         lstm = Lstm(3, 5, 2, rng)
         x = rng.standard_normal((2, 8, 3))
-        full, h_full, c_full = lstm(Tensor(x))
-        first, h1, c1 = lstm(Tensor(x[:, :4]))
-        second, h2, c2 = lstm(Tensor(x[:, 4:]), h0=h1, c0=c1)
+        full, outs_full = lstm(Tensor(x))
+        first, outs1 = lstm(Tensor(x[:, :4]))
+        second, outs2 = lstm(Tensor(x[:, 4:]),
+                             state=[o[:, -1] for o in outs1])
         np.testing.assert_allclose(first.data, full.data[:, :4], atol=1e-10)
         np.testing.assert_allclose(second.data, full.data[:, 4:], atol=1e-10)
-        np.testing.assert_allclose(h2.data, h_full.data, atol=1e-10)
-        np.testing.assert_allclose(c2.data, c_full.data, atol=1e-10)
+        # every layer's final hidden and cell state carries over
+        for o2, o_full in zip(outs2, outs_full):
+            np.testing.assert_allclose(o2.data[:, -1], o_full.data[:, -1],
+                                       atol=1e-10)
 
     def test_stacked_output_shape_and_states(self, rng):
         lstm = Lstm(4, 6, 3, rng)
-        seq, h, c = lstm(Tensor(rng.standard_normal((2, 5, 4))))
+        seq, outs = lstm(Tensor(rng.standard_normal((2, 5, 4))))
         assert seq.shape == (2, 5, 6)
-        assert h.shape == (3, 2, 6)
-        assert c.shape == (3, 2, 6)
+        assert [o.shape for o in outs] == [(2, 5, 12)] * 3
+        np.testing.assert_array_equal(outs[-1].data[:, :, :6], seq.data)
 
     def test_rejects_empty_sequence(self, rng):
         lstm = Lstm(2, 3, 1, rng)
@@ -400,7 +405,8 @@ class TestBlocks:
         blk = DecoderBlock(8, 2, 16, rng)
         x = Tensor(rng.standard_normal((2, 4, 8)))
         enc = Tensor(rng.standard_normal((2, 6, 8)))
-        assert blk(x, enc, causal_mask(4)).shape == (2, 4, 8)
+        kv = blk.cross_attn.project_kv(enc)
+        assert blk(x, kv, causal_mask(4)).shape == (2, 4, 8)
 
     def test_lstm_sublayer_variant(self, rng):
         blk = EncoderBlock(8, 2, 16, rng, sub_layer="lstm")
@@ -416,16 +422,16 @@ class TestBlocks:
         assert any(n.startswith("cross_attn") for n in names)
         x = Tensor(rng.standard_normal((1, 3, 8)))
         enc = Tensor(rng.standard_normal((1, 5, 8)))
-        tsum(blk(x, enc, causal_mask(3))).backward()
+        tsum(blk(x, blk.cross_attn.project_kv(enc), causal_mask(3))).backward()
         for name, p in blk.named_params():
             assert p.grad is not None, f"no gradient reached {name}"
 
     def test_decoder_self_attention_respects_mask(self, rng):
         blk = DecoderBlock(8, 2, 16, rng)
         x = rng.standard_normal((1, 5, 8))
-        enc = rng.standard_normal((1, 4, 8))
-        base = blk(Tensor(x), Tensor(enc), causal_mask(5)).data
+        kv = blk.cross_attn.project_kv(Tensor(rng.standard_normal((1, 4, 8))))
+        base = blk(Tensor(x), kv, causal_mask(5)).data
         x2 = x.copy()
         x2[:, 3:, :] += 5.0
-        pert = blk(Tensor(x2), Tensor(enc), causal_mask(5)).data
+        pert = blk(Tensor(x2), kv, causal_mask(5)).data
         np.testing.assert_array_equal(base[:, :3], pert[:, :3])

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from tripcast.layers import MultiHeadAttention, causal_mask
 from tripcast.models import (
     DECODER_INPUT_KINDS,
     KINDS,
@@ -19,7 +20,7 @@ from tripcast.models import (
     save_checkpoint,
 )
 from tripcast.serialize import write_container
-from tripcast.tensor import ShapeError, no_grad
+from tripcast.tensor import ShapeError, Tensor, add, no_grad
 from tripcast.training import mse_loss
 
 SMALL = dict(window=6, horizon=3, n_features=5, n_targets=2, d_model=16,
@@ -234,11 +235,11 @@ class TestForward:
 
     # teacher-forced step at the default spec: (all nodes, matmul nodes)
     @pytest.mark.parametrize("kind, nodes, matmuls", [
-        ("lstm", 25, 2),
+        ("lstm", 17, 2),
         ("enc_tst", 133, 34),
         ("v_tst", 345, 91),
         ("tst_lstm", 337, 83),
-        ("enc_tst_dec_lstm", 149, 34),
+        ("enc_tst_dec_lstm", 141, 34),
     ])
     def test_training_step_tape_size(self, kind, nodes, matmuls, rng,
                                      tape_ops):
@@ -251,6 +252,29 @@ class TestForward:
             training=True)
         counts = tape_ops(mse_loss(pred, np.zeros(pred.shape)))
         assert (sum(counts.values()), counts["matmul"]) == (nodes, matmuls)
+
+
+def per_step_projection_oracle(model, x, start):
+    """Autoregressive decoding in which every decoder layer's
+    cross-attention projects the encoder output's keys and values again at
+    every step, as a plain ``cross_attn(h, enc_out)`` call."""
+    spec = model.spec
+    enc_out = model._encode(Tensor(x))
+    mask = causal_mask(spec.horizon)
+    buf = np.zeros((len(x), spec.horizon, spec.n_targets))
+    buf[:, 0] = start
+    preds = np.zeros_like(buf)
+    for step in range(spec.horizon):
+        d = add(model.dec_embed(Tensor(buf)), Tensor(model.pe_dec))
+        for blk in model.dec_blocks:
+            h = blk.ln1(d)
+            d = add(d, blk.self_attn(h, h, mask))
+            d = add(d, blk.cross_attn(blk.ln2(d), enc_out))
+            d = add(d, blk.sub(blk.ln3(d)))
+        preds[:, step] = model.head(model.dec_norm(d)).data[:, step]
+        if step + 1 < spec.horizon:
+            buf[:, step + 1] = preds[:, step]
+    return preds
 
 
 class TestAutoregressiveConsistency:
@@ -266,6 +290,42 @@ class TestAutoregressiveConsistency:
             teach = np.concatenate([start[:, None, :], ar[:, :-1, :]], axis=1)
             tf = model.forward(x, teacher=teach, training=True).data
         assert np.array_equal(ar, tf)
+
+    @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
+    def test_cross_attention_kv_projected_once_per_forecast(self, kind, rng,
+                                                          monkeypatch):
+        spec = ModelSpec(kind=kind)
+        model = build(spec, seed=0)
+        cross = [blk.cross_attn for blk in model.dec_blocks]
+        projected = []
+        original = MultiHeadAttention.project_kv
+
+        def spy(mha, x_kv):
+            if any(mha is c for c in cross):
+                projected.append(mha)
+            return original(mha, x_kv)
+
+        monkeypatch.setattr(MultiHeadAttention, "project_kv", spy)
+        with no_grad():
+            model.forward(rng.standard_normal((64, spec.window,
+                                               spec.n_features)),
+                          start=rng.standard_normal((64, spec.n_targets)))
+        # once per decoder layer, not once per layer and decoding step
+        assert len(projected) == spec.dec_layers
+        assert all(p is c for p, c in zip(projected, cross))
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
+    def test_forecast_equals_per_step_projection_oracle(self, kind, batch,
+                                                        rng):
+        spec = ModelSpec(kind=kind)
+        model = build(spec, seed=4)
+        x = rng.standard_normal((batch, spec.window, spec.n_features))
+        start = rng.standard_normal((batch, spec.n_targets))
+        with no_grad():
+            got = model.forward(x, start=start).data
+            want = per_step_projection_oracle(model, x, start)
+        assert got.tobytes() == want.tobytes()
 
     def test_first_step_depends_only_on_start(self, rng):
         # step 0 of the rollout must not change when later teacher

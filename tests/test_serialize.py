@@ -1,12 +1,17 @@
 """Binary container format: layout, round trips, and failure modes."""
 
+import contextlib
+import io
 import json
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripcast.cli import main
 from tripcast.serialize import (
     FORMAT_VERSION,
     MAGIC,
@@ -150,3 +155,60 @@ class TestFailureModes:
                          + header)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_container(path)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A checkpoint from a tiny ``tripcast train`` run, and a trip CSV."""
+    root = tmp_path_factory.mktemp("ckpt")
+    cfg = {
+        "seed": 3,
+        "data": {"n_trips": 4, "trip_length": 300, "window": 4, "horizon": 2,
+                 "train_n": 40, "val_n": 10, "test_n": 10},
+        "model": {"kind": "v_tst", "d_model": 4, "n_heads": 2,
+                  "enc_layers": 1, "dec_layers": 1, "ffn_width": 4},
+        "train": {"epochs": 1, "batch_size": 20},
+    }
+    config = root / "config.json"
+    config.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["datagen", "--config", str(config),
+                     "--out", str(root / "gen")]) == 0
+        assert main(["train", "--config", str(config),
+                     "--out", str(root / "run")]) == 0
+    return {"root": root,
+            "raw": (root / "run" / "checkpoint.ckpt").read_bytes(),
+            "trip": str(root / "gen" / "trips" / "synth-000.csv")}
+
+
+def _predict(checkpoint, trip, out):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        rc = main(["predict", "--checkpoint", str(checkpoint), "--trip", trip,
+                   "--start", "10", "--out", str(out)])
+    return rc, stderr.getvalue()
+
+
+def test_untruncated_checkpoint_predicts(trained_run):
+    root = trained_run["root"]
+    rc, _ = _predict(root / "run" / "checkpoint.ckpt", trained_run["trip"],
+                     root / "full.csv")
+    assert rc == 0
+
+
+@given(data=st.data())
+@settings(max_examples=150, derandomize=True, database=None)
+def test_any_truncation_is_refused_naming_the_file(trained_run, data):
+    raw = trained_run["raw"]
+    cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1),
+                    label="cut")
+    path = trained_run["root"] / "cut.ckpt"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_container(path, expect_kind="checkpoint")
+    out = trained_run["root"] / "cut.csv"
+    rc, err = _predict(path, trained_run["trip"], out)
+    assert rc == 1
+    assert err.startswith(f"error: {path}: ")
+    assert not out.exists()
