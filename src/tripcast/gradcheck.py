@@ -232,7 +232,7 @@ def _layer_checks(rng: np.random.Generator) -> list:
     def ffn_fwd(x, w1, b1, w2, b2):
         ffn.lin1.weight, ffn.lin1.bias = w1, b1
         ffn.lin2.weight, ffn.lin2.bias = w2, b2
-        return s_ffn(ffn(x))
+        return s_ffn(ffn(x)[0])
 
     entry("feed_forward", ffn_fwd,
           [n(size=(2, 3, 6))] + [p.data.copy() for _, p in ffn.named_params()])

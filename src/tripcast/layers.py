@@ -81,14 +81,18 @@ class LayerNorm:
 
 
 class FeedForward:
-    """Position-wise two-layer net: linear, ReLU, linear."""
+    """Position-wise two-layer net: linear, ReLU, linear.
+
+    Called like :class:`LstmSubLayer`, as a block's sub-layer: returns
+    ``(y, None)``, as it has no state to carry, and ignores ``prev``.
+    """
 
     def __init__(self, d_model: int, width: int, rng: np.random.Generator):
         self.lin1 = Linear(d_model, width, rng)
         self.lin2 = Linear(width, d_model, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(relu(self.lin1(x)))
+    def __call__(self, x: Tensor, prev: Optional[Tensor] = None) -> tuple:
+        return self.lin2(relu(self.lin1(x))), None
 
     def named_params(self):
         return _prefixed("lin1", self.lin1) + _prefixed("lin2", self.lin2)
@@ -245,7 +249,8 @@ class Lstm:
             for i in range(num_layers)
         ]
 
-    def __call__(self, x: Tensor, state: Optional[list] = None):
+    def __call__(self, x: Tensor, state: Optional[list] = None,
+                 prev: Optional[list] = None):
         """Run the stack over a (B, L, d_in) sequence.
 
         Returns ``(seq, outs)``: ``seq`` is the top layer's (B, L, hidden)
@@ -255,7 +260,9 @@ class Lstm:
         states it reads. ``state`` continues an earlier run: one
         (B, 2*hidden) ``[h, c]`` tensor per layer, such as
         ``[out[:, -1] for out in outs]`` of that run. Zero initial states
-        are used when none are given.
+        are used when none are given. ``prev`` resumes each layer from an
+        earlier call on the same input prefix, one (B, s, 2*hidden)
+        ``outs`` prefix per layer; see :func:`~tripcast.tensor.lstm`.
         """
         hid = self.hidden
         zeros = Tensor(np.zeros((x.shape[0], hid)))
@@ -264,7 +271,8 @@ class Lstm:
         for li, layer in enumerate(self.layers):
             h, c = ((zeros, zeros) if state is None
                     else (state[li][:, :hid], state[li][:, hid:]))
-            outs.append(lstm(seq, h, c, layer.w, layer.u, layer.b))
+            outs.append(lstm(seq, h, c, layer.w, layer.u, layer.b,
+                             None if prev is None else prev[li]))
             seq = outs[-1][:, :, :hid]
         return seq, outs
 
@@ -279,16 +287,19 @@ class LstmSubLayer:
     """Single-layer LSTM drop-in for a block's feed-forward slot.
 
     Processes the block's sequence left to right and projects the hidden
-    states back to model width; the caller adds the residual.
+    states back to model width; the caller adds the residual. Returns
+    ``(y, out)``, where ``out`` is the layer's (B, L, 2*d_model)
+    :func:`~tripcast.tensor.lstm` output; its first ``s`` rows, passed back
+    as ``prev``, resume the recurrence at row ``s`` on the same prefix.
     """
 
     def __init__(self, d_model: int, rng: np.random.Generator):
         self.lstm = Lstm(d_model, d_model, 1, rng)
         self.proj = Linear(d_model, d_model, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        seq, _ = self.lstm(x)
-        return self.proj(seq)
+    def __call__(self, x: Tensor, prev: Optional[Tensor] = None) -> tuple:
+        seq, outs = self.lstm(x, prev=None if prev is None else [prev])
+        return self.proj(seq), outs[0]
 
     def named_params(self):
         return _prefixed("lstm", self.lstm) + _prefixed("proj", self.proj)
@@ -316,7 +327,7 @@ class EncoderBlock:
     def __call__(self, x: Tensor) -> Tensor:
         h = self.ln1(x)
         x = add(x, self.attn(h, h))
-        x = add(x, self.sub(self.ln2(x)))
+        x = add(x, self.sub(self.ln2(x))[0])
         return x
 
     def named_params(self):
@@ -328,7 +339,9 @@ class DecoderBlock:
     """Pre-norm block: masked self-attention, cross-attention, sub-layer.
 
     Cross-attention reads keys and values the caller projects once from the
-    encoder output with ``cross_attn.project_kv``.
+    encoder output with ``cross_attn.project_kv``. Returns ``(x, out)``:
+    ``out`` is what the sub-layer carries to the next decoding step, and
+    ``prev`` passes such a carry back in (see :class:`LstmSubLayer`).
     """
 
     def __init__(self, d_model: int, n_heads: int, ffn_width: int,
@@ -340,12 +353,13 @@ class DecoderBlock:
         self.ln3 = LayerNorm(d_model)
         self.sub = _make_sublayer(sub_layer, d_model, ffn_width, rng)
 
-    def __call__(self, x: Tensor, cross_kv: tuple, mask: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, cross_kv: tuple, mask: Tensor,
+                 prev: Optional[Tensor] = None) -> tuple:
         h = self.ln1(x)
         x = add(x, self.self_attn(h, h, mask))
         x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv))
-        x = add(x, self.sub(self.ln3(x)))
-        return x
+        y, out = self.sub(self.ln3(x), prev)
+        return add(x, y), out
 
     def named_params(self):
         return (_prefixed("ln1", self.ln1) + _prefixed("self_attn", self.self_attn)

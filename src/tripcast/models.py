@@ -38,7 +38,7 @@ from .layers import (
     causal_mask,
     positional_encoding,
 )
-from .tensor import ShapeError, Tensor, _as_tensor, add
+from .tensor import ShapeError, Tensor, _as_tensor, add, no_grad
 
 KINDS = ("lstm", "enc_tst", "v_tst", "tst_lstm", "enc_tst_dec_lstm")
 
@@ -172,30 +172,51 @@ class Model:
             e = blk(e)
         return self.enc_norm(e)
 
-    def _decode(self, y_in: Tensor, cross_kv: list) -> Tensor:
+    def _project_cross_kv(self, enc_out: Tensor) -> list:
+        # every decoding step attends to the same encoder output, so each
+        # layer projects its keys and values once per forward call
+        return [blk.cross_attn.project_kv(enc_out) for blk in self.dec_blocks]
+
+    def _decode(self, y_in: Tensor, cross_kv: list,
+                prev: list | None = None) -> tuple:
+        """Decoder output and, per layer, what its sub-layer carries to the
+        next decoding step; ``prev`` passes those carries back in."""
         steps = y_in.shape[1]
         d = add(self.dec_embed(y_in), Tensor(self.pe_dec[:steps]))
         mask = causal_mask(steps)
-        for blk, kv in zip(self.dec_blocks, cross_kv):
-            d = blk(d, kv, mask)
-        return self.head(self.dec_norm(d))
+        outs = []
+        for i, (blk, kv) in enumerate(zip(self.dec_blocks, cross_kv)):
+            d, out = blk(d, kv, mask, None if prev is None else prev[i])
+            outs.append(out)
+        return self.head(self.dec_norm(d)), outs
 
-    def _autoregress(self, cross_kv: list, start: Tensor) -> Tensor:
+    def _autoregress(self, x: Tensor, start: Tensor) -> Tensor:
         # Decode at full horizon length every step, with future positions
         # zero-padded. The causal mask gives padded positions exactly zero
         # weight, and keeping the matrix shapes fixed keeps the float
         # summation order fixed, so each collected row is bit-identical to a
         # teacher-forced pass fed these same inputs.
+        #
+        # Each decoder LSTM resumes at row ``step`` from its outputs of the
+        # previous step (rows < step) and runs one recurrence step; rows
+        # past ``step`` stay zero and are masked like the padded positions.
+        # The forecast is returned detached, so nothing is recorded.
         spec = self.spec
         batch = start.shape[0]
         buf = np.zeros((batch, spec.horizon, spec.n_targets))
         buf[:, 0, :] = start.data
         preds = np.zeros_like(buf)
-        for step in range(spec.horizon):
-            out = self._decode(Tensor(buf), cross_kv)
-            preds[:, step, :] = out.data[:, step, :]
-            if step + 1 < spec.horizon:
-                buf[:, step + 1, :] = preds[:, step, :]
+        prev = [Tensor(np.zeros((batch, 0, 2 * spec.d_model)))] * len(
+            self.dec_blocks)
+        with no_grad():
+            cross_kv = self._project_cross_kv(self._encode(x))
+            for step in range(spec.horizon):
+                out, outs = self._decode(Tensor(buf), cross_kv, prev)
+                preds[:, step, :] = out.data[:, step, :]
+                if step + 1 < spec.horizon:
+                    buf[:, step + 1, :] = preds[:, step, :]
+                    prev = [None if o is None else o[:, :step + 1]
+                            for o in outs]
         return Tensor(preds)
 
     def forward(self, x_enc, teacher=None, start=None,
@@ -207,7 +228,9 @@ class Model:
         ``teacher``, the previous target values ``(batch, horizon,
         n_targets)``; an inference-mode call needs ``start``, the last
         observed target values ``(batch, n_targets)``, and decodes
-        autoregressively from there. Other kinds ignore both.
+        autoregressively from there; that forecast is computed under
+        :func:`~tripcast.tensor.no_grad` and returned detached. Other kinds
+        ignore both.
         """
         spec = self.spec
         x = _as_tensor(x_enc)
@@ -223,6 +246,21 @@ class Model:
             out = self.head(seq[:, -1])
             return out.reshape(batch, spec.horizon, spec.n_targets)
 
+        if spec.kind in DECODER_INPUT_KINDS and not training:
+            if start is None:
+                raise ValueError(
+                    f"inference forward for kind {spec.kind!r} needs start "
+                    "values (last observed targets) to seed autoregressive "
+                    "decoding"
+                )
+            s = _as_tensor(start)
+            if s.data.ndim != 2 or s.shape != (batch, spec.n_targets):
+                raise ShapeError(
+                    f"start must have shape ({batch}, {spec.n_targets}), "
+                    f"got {s.shape}"
+                )
+            return self._autoregress(x, s)
+
         enc_out = self._encode(x)
 
         if spec.kind == "enc_tst":
@@ -234,37 +272,20 @@ class Model:
             out = self.head(seq[:, -1])
             return out.reshape(batch, spec.horizon, spec.n_targets)
 
-        # v_tst / tst_lstm: every decoding step attends to the same encoder
-        # output, so each layer projects its keys and values once here
-        cross_kv = [blk.cross_attn.project_kv(enc_out)
-                    for blk in self.dec_blocks]
-        if training:
-            if teacher is None:
-                raise ValueError(
-                    f"training forward for kind {spec.kind!r} needs teacher "
-                    "inputs (previous target values)"
-                )
-            t = _as_tensor(teacher)
-            if t.data.ndim != 3 or t.shape != (batch, spec.horizon,
-                                               spec.n_targets):
-                raise ShapeError(
-                    f"teacher must have shape ({batch}, {spec.horizon}, "
-                    f"{spec.n_targets}), got {t.shape}"
-                )
-            return self._decode(t, cross_kv)
-
-        if start is None:
+        # v_tst / tst_lstm, teacher forced
+        if teacher is None:
             raise ValueError(
-                f"inference forward for kind {spec.kind!r} needs start values "
-                "(last observed targets) to seed autoregressive decoding"
+                f"training forward for kind {spec.kind!r} needs teacher "
+                "inputs (previous target values)"
             )
-        s = _as_tensor(start)
-        if s.data.ndim != 2 or s.shape != (batch, spec.n_targets):
+        t = _as_tensor(teacher)
+        if t.data.ndim != 3 or t.shape != (batch, spec.horizon,
+                                           spec.n_targets):
             raise ShapeError(
-                f"start must have shape ({batch}, {spec.n_targets}), "
-                f"got {s.shape}"
+                f"teacher must have shape ({batch}, {spec.horizon}, "
+                f"{spec.n_targets}), got {t.shape}"
             )
-        return self._autoregress(cross_kv, s)
+        return self._decode(t, self._project_cross_kv(enc_out))[0]
 
     __call__ = forward
 

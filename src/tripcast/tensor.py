@@ -30,6 +30,7 @@ one formula, ``0.5·tanh(0.5x) + 0.5``.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -216,9 +217,9 @@ class Tensor:
 def _elementwise_shape(sa: tuple, sb: tuple) -> tuple:
     if sa == sb:
         return sa
-    if int(np.prod(sb)) == 1:
+    if math.prod(sb) == 1:
         return sa
-    if int(np.prod(sa)) == 1:
+    if math.prod(sa) == 1:
         return sb
     if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
         return sa
@@ -231,7 +232,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of scalar/suffix broadcast)."""
     if g.shape == shape:
         return g
-    if int(np.prod(shape)) == 1:
+    if math.prod(shape) == 1:
         return g.sum().reshape(shape)
     extra = g.ndim - len(shape)
     return g.sum(axis=tuple(range(extra)))
@@ -524,7 +525,7 @@ def tslice(a: Tensor, idx) -> Tensor:
 
 
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
-         b: Tensor) -> Tensor:
+         b: Tensor, prev: Optional[Tensor] = None) -> Tensor:
     """One LSTM layer over a ``(B, L, d)`` sequence, recorded as one node.
 
     ``w`` is ``(d, 4h)``, ``u`` is ``(h, 4h)`` and ``b`` is ``(4h,)``, with
@@ -538,6 +539,18 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     of ``x``, ``w``, ``u`` and ``b`` as one GEMM or sum over all rows.
     Per-step buffers are time-major, so every step reads and writes
     contiguous ``(B, ·)`` blocks.
+
+    ``prev`` resumes an earlier call on the same input prefix: its
+    ``(B, s, 2h)`` outputs, ``s < L``. The input projection still covers
+    all ``L·B`` rows, so the GEMM keeps its shape and every row its bits;
+    rows ``< s`` are copied from ``prev``, step ``s`` runs from the
+    ``(h, c)`` stored at row ``s - 1`` (from ``h0``, ``c0`` when ``s`` is
+    0), and rows ``> s`` are left zero. Row ``s`` then equals the full
+    call's row ``s`` bit for bit. Autoregressive decoding uses this to run
+    one recurrence step per decoding step. The call cannot be recorded,
+    since its backward would have to reach into the earlier call, so it
+    raises :class:`GraphError` unless it runs under :func:`no_grad` or no
+    input requires a gradient.
     """
     if x.ndim != 3:
         raise ShapeError(f"lstm input must be (B, L, d), got {x.shape}")
@@ -555,14 +568,34 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         raise ShapeError(
             f"lstm states {h0.shape}, {c0.shape} must be ({batch}, {hid})"
         )
+    first, last = 0, length       # the recurrence steps this call runs
+    if prev is not None:
+        if (prev.ndim != 3 or prev.shape[0] != batch
+                or prev.shape[1] >= length or prev.shape[2] != 2 * hid):
+            raise ShapeError(
+                f"lstm earlier outputs {prev.shape} must be ({batch}, s, "
+                f"{2 * hid}) with s < {length}"
+            )
+        if _grad_enabled and any(t.requires_grad
+                                 for t in (x, h0, c0, w, u, b)):
+            raise GraphError(
+                "lstm cannot record a call resuming from earlier outputs; "
+                "run it under no_grad()"
+            )
+        first = prev.shape[1]
+        last = first + 1
     rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(-1, d)
     gates = (rows @ w.data).reshape(length, batch, 4 * hid)
-    gates += b.data
+    gates[first:last] += b.data
     hs = np.empty((length + 1, batch, hid))
     cs = np.empty((length + 1, batch, hid))
     tanh_c = np.empty((length, batch, hid))
-    hs[0], cs[0] = h0.data, c0.data
-    for t in range(length):
+    if first:
+        hs[first] = prev.data[:, first - 1, :hid]
+        cs[first] = prev.data[:, first - 1, hid:]
+    else:
+        hs[0], cs[0] = h0.data, c0.data
+    for t in range(first, last):
         z = gates[t]
         z += hs[t] @ u.data
         _sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
@@ -571,9 +604,11 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         cs[t + 1] += z[:, :hid] * z[:, 3 * hid:]
         np.tanh(cs[t + 1], out=tanh_c[t])
         np.multiply(z[:, 2 * hid:3 * hid], tanh_c[t], out=hs[t + 1])
-    data = np.empty((batch, length, 2 * hid))
-    data[:, :, :hid] = hs[1:].transpose(1, 0, 2)
-    data[:, :, hid:] = cs[1:].transpose(1, 0, 2)
+    data = np.zeros((batch, length, 2 * hid))
+    if first:
+        data[:, :first] = prev.data
+    data[:, first:last, :hid] = hs[first + 1:last + 1].transpose(1, 0, 2)
+    data[:, first:last, hid:] = cs[first + 1:last + 1].transpose(1, 0, 2)
 
     def backward_fn(g):
         g = g.transpose(1, 0, 2)

@@ -186,6 +186,7 @@ def desk_split():
     return split
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", KINDS)
 def test_trains_to_target_r2_at_desk_scale(desk_split, kind):
     """Each architecture reaches a strong pooled test R² within budget.

@@ -223,6 +223,25 @@ class TestValidation:
         assert rc == 1
         assert "data.trips_path" in capsys.readouterr().err
 
+    def test_csv_source_without_csv_files(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "data.source=csv",
+                   "-O", f"data.trips_path={empty}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert (f"{empty}: no .csv trip files found"
+                in capsys.readouterr().err)
+
+    def test_override_into_a_value(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "seed.x=1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("override 'seed.x=1': 'seed' is not a section"
+                in capsys.readouterr().err)
+
     def test_malformed_config_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -400,6 +419,22 @@ class TestPredict:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_checkpoint_with_wrongly_shaped_weight(self, ws, tmp_path,
+                                                   capsys):
+        kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
+        arrays["param.head.weight"] = arrays["param.head.weight"].T
+        path = tmp_path / "shape.ckpt"
+        write_container(path, kind, meta, list(arrays.items()))
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: shape mismatch for head.weight")
         assert not (tmp_path / "f.csv").exists()
 
     def test_checkpoint_with_non_finite_weight(self, ws, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Run configuration: defaults, seed fan-out, validation, round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,11 @@ class TestOverrides:
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             apply_overrides({}, ["data.window"])
+
+    def test_override_into_a_value_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "override 'data.window.x=1': 'window' is not a section")):
+            apply_overrides({"data": {"window": 12}}, ["data.window.x=1"])
 
     def test_top_level_override(self):
         d = apply_overrides({}, ["seed=42"])

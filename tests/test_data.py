@@ -6,6 +6,7 @@ verify them step by step, so they double as documentation of the physics.
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,12 @@ class TestLoadErrors:
         p = self._write(tmp_path, "a,b\n1.0,2.0\n3.0,inf\n")
         with pytest.raises(ValueError):
             load_trips(p, TINY, 1.0)
+
+    def test_directory_without_csv_rejected(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a trip")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path}: no .csv trip files found")):
+            load_trips(tmp_path, TINY, 1.0)
 
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -163,10 +163,11 @@ class TestLinearAndFfn:
     def test_ffn_oracle(self, rng):
         ffn = FeedForward(6, 9, rng)
         x = rng.standard_normal((2, 5, 6))
-        got = ffn(Tensor(x)).data
+        got, carry = ffn(Tensor(x))
+        assert carry is None
         h = np.maximum(x @ ffn.lin1.weight.data + ffn.lin1.bias.data, 0.0)
         want = h @ ffn.lin2.weight.data + ffn.lin2.bias.data
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got.data, want, atol=1e-12)
 
     def test_xavier_bound(self, rng):
         w = xavier_uniform(rng, 30, 20)
@@ -394,6 +395,52 @@ class TestFusedLstmOp:
             T.lstm(x, Tensor(np.zeros((3, 4))), state, w, u,
                    Tensor(np.zeros(16)))
 
+    @staticmethod
+    def _layer(rng, batch, length, zero_state, requires_grad=False):
+        d, hid = 3, 4
+        state = [np.zeros((batch, hid)) if zero_state
+                 else rng.standard_normal((batch, hid)) for _ in "hc"]
+        arrays = [rng.standard_normal((batch, length, d)), *state,
+                  0.5 * rng.standard_normal((d, 4 * hid)),
+                  0.5 * rng.standard_normal((hid, 4 * hid)),
+                  0.5 * rng.standard_normal(4 * hid)]
+        return [Tensor(a, requires_grad=requires_grad) for a in arrays]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("zero_state", [True, False])
+    def test_resumed_calls_match_full_call(self, batch, zero_state, rng):
+        # resume at every s from the previous resumed call, with the input
+        # rows past s replaced as autoregressive decoding replaces them
+        length = 5
+        x, h0, c0, w, u, b = self._layer(rng, batch, length, zero_state)
+        full = T.lstm(x, h0, c0, w, u, b).data
+        prev = Tensor(np.zeros((batch, 0, full.shape[2])))
+        for s in range(length):
+            xs = x.data.copy()
+            xs[:, s + 1:] = rng.standard_normal(xs[:, s + 1:].shape)
+            got = T.lstm(Tensor(xs), h0, c0, w, u, b, prev).data
+            assert got.shape == full.shape
+            assert got[:, :s + 1].tobytes() == full[:, :s + 1].tobytes()
+            assert not got[:, s + 1:].any()
+            prev = Tensor(got[:, :s + 1])
+
+    def test_resumed_call_refuses_to_record(self, rng):
+        inputs = self._layer(rng, 2, 3, False, requires_grad=True)
+        prev = Tensor(np.zeros((2, 1, 8)))
+        with pytest.raises(T.GraphError, match="no_grad"):
+            T.lstm(*inputs, prev)
+        with T.no_grad():
+            out = T.lstm(*inputs, prev)
+        assert out.node is None and not out.requires_grad
+
+    @pytest.mark.parametrize("shape", [(3, 1, 8), (2, 1, 7), (2, 1, 9),
+                                       (2, 3, 8), (2, 4, 8), (2, 8)])
+    def test_resumed_call_rejects_mismatched_outputs(self, shape, rng):
+        # wrong batch, wrong width, no step left to run, or not 3-D
+        inputs = self._layer(rng, 2, 3, True)
+        with pytest.raises(ShapeError, match="earlier outputs"):
+            T.lstm(*inputs, Tensor(np.zeros(shape)))
+
 
 class TestBlocks:
     def test_encoder_block_preserves_shape(self, rng):
@@ -406,7 +453,8 @@ class TestBlocks:
         x = Tensor(rng.standard_normal((2, 4, 8)))
         enc = Tensor(rng.standard_normal((2, 6, 8)))
         kv = blk.cross_attn.project_kv(enc)
-        assert blk(x, kv, causal_mask(4)).shape == (2, 4, 8)
+        out, carry = blk(x, kv, causal_mask(4))
+        assert out.shape == (2, 4, 8) and carry is None
 
     def test_lstm_sublayer_variant(self, rng):
         blk = EncoderBlock(8, 2, 16, rng, sub_layer="lstm")
@@ -422,7 +470,8 @@ class TestBlocks:
         assert any(n.startswith("cross_attn") for n in names)
         x = Tensor(rng.standard_normal((1, 3, 8)))
         enc = Tensor(rng.standard_normal((1, 5, 8)))
-        tsum(blk(x, blk.cross_attn.project_kv(enc), causal_mask(3))).backward()
+        out, _ = blk(x, blk.cross_attn.project_kv(enc), causal_mask(3))
+        tsum(out).backward()
         for name, p in blk.named_params():
             assert p.grad is not None, f"no gradient reached {name}"
 
@@ -430,8 +479,8 @@ class TestBlocks:
         blk = DecoderBlock(8, 2, 16, rng)
         x = rng.standard_normal((1, 5, 8))
         kv = blk.cross_attn.project_kv(Tensor(rng.standard_normal((1, 4, 8))))
-        base = blk(Tensor(x), kv, causal_mask(5)).data
+        base = blk(Tensor(x), kv, causal_mask(5))[0].data
         x2 = x.copy()
         x2[:, 3:, :] += 5.0
-        pert = blk(Tensor(x2), kv, causal_mask(5)).data
+        pert = blk(Tensor(x2), kv, causal_mask(5))[0].data
         np.testing.assert_array_equal(base[:, :3], pert[:, :3])

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from tripcast import tensor as T
 from tripcast.layers import MultiHeadAttention, causal_mask
 from tripcast.models import (
     DECODER_INPUT_KINDS,
@@ -196,6 +197,15 @@ class TestForward:
         with pytest.raises(ValueError, match="start"):
             model.forward(rng.standard_normal((2, 6, 5)))
 
+    @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,), (2, 1, 2)])
+    def test_start_shape_validated(self, kind, shape, rng):
+        model = build(small_spec(kind), seed=0)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"start must have shape (2, 2), got {shape}")):
+            model.forward(rng.standard_normal((2, 6, 5)),
+                          start=np.zeros(shape))
+
     def test_teacher_shape_validated(self, rng):
         model = build(small_spec("v_tst"), seed=0)
         with pytest.raises(ShapeError):
@@ -270,7 +280,7 @@ def per_step_projection_oracle(model, x, start):
             h = blk.ln1(d)
             d = add(d, blk.self_attn(h, h, mask))
             d = add(d, blk.cross_attn(blk.ln2(d), enc_out))
-            d = add(d, blk.sub(blk.ln3(d)))
+            d = add(d, blk.sub(blk.ln3(d))[0])
         preds[:, step] = model.head(model.dec_norm(d)).data[:, step]
         if step + 1 < spec.horizon:
             buf[:, step + 1] = preds[:, step]
@@ -314,7 +324,7 @@ class TestAutoregressiveConsistency:
         assert len(projected) == spec.dec_layers
         assert all(p is c for p, c in zip(projected, cross))
 
-    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("batch", [1, 5, 64])
     @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
     def test_forecast_equals_per_step_projection_oracle(self, kind, batch,
                                                         rng):
@@ -326,6 +336,51 @@ class TestAutoregressiveConsistency:
             got = model.forward(x, start=start).data
             want = per_step_projection_oracle(model, x, start)
         assert got.tobytes() == want.tobytes()
+
+    def test_decoder_lstm_runs_one_recurrence_step_per_decoding_step(
+            self, rng, monkeypatch):
+        # the lstm op applies the gate sigmoid once per recurrence step:
+        # 4 encoder layers x 12 positions, then 4 decoder layers x 6 steps,
+        # not 4 x 6 x 6 for decoder layers rerun at every decoding step
+        spec = ModelSpec(kind="tst_lstm")
+        model = build(spec, seed=0)
+        calls = []
+        original = T._sigmoid
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_sigmoid", spy)
+        with no_grad():
+            model.forward(rng.standard_normal((64, spec.window,
+                                               spec.n_features)),
+                          start=rng.standard_normal((64, spec.n_targets)))
+        assert len(calls) == (spec.enc_layers * spec.window
+                              + spec.dec_layers * spec.horizon) == 72
+
+    @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
+    def test_grad_enabled_forecast_records_nothing(self, kind, rng,
+                                                  monkeypatch):
+        model = build(small_spec(kind), seed=9)
+        x = rng.standard_normal((4, 6, 5))
+        start = rng.standard_normal((4, 2))
+        with no_grad():
+            want = model.forward(x, start=start).data
+        recorded = []
+        original = T._record
+
+        def spy(op, inputs, data, backward_fn):
+            out = original(op, inputs, data, backward_fn)
+            if out.node is not None:
+                recorded.append(op)
+            return out
+
+        monkeypatch.setattr(T, "_record", spy)
+        got = model.forward(x, start=start)
+        assert got.data.tobytes() == want.tobytes()
+        assert recorded == []
+        assert got.node is None and not got.requires_grad
 
     def test_first_step_depends_only_on_start(self, rng):
         # step 0 of the rollout must not change when later teacher
@@ -407,6 +462,18 @@ class TestCheckpoint:
                         {"spec": model.spec.to_dict(), "extra": {}}, arrays)
         with pytest.raises(ValueError, match=re.escape(str(path))
                            + ": checkpoint parameters do not match spec"):
+            load_checkpoint(path)
+
+    def test_wrongly_shaped_parameter_refused(self, tmp_path):
+        model = build(small_spec("lstm"), seed=0)
+        arrays = [(f"param.{name}", t.data.T if name == "head.weight"
+                   else t.data) for name, t in model.named_params()]
+        path = tmp_path / "m.ckpt"
+        write_container(path, "checkpoint",
+                        {"spec": model.spec.to_dict(), "extra": {}}, arrays)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: shape mismatch for head.weight: stored (6, 16), "
+                "expected (16, 6)")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
