@@ -106,12 +106,3 @@ with no_grad():
     hs, outs = lstm(seq)
 print("hidden sequence shape:", hs.shape)
 print("per-layer [hidden, cell] sequences:", [o.shape for o in outs])
-
-# Feeding the same sequence in two halves with carried state matches the
-# single pass: the recurrence is the whole story.
-with no_grad():
-    first, mid = lstm(Tensor(seq.data[:, :4]))
-    second, _ = lstm(Tensor(seq.data[:, 4:]), [o[:, -1] for o in mid])
-joined = np.concatenate([first.data, second.data], axis=1)
-print("split-and-carry equals one pass:",
-      np.max(np.abs(joined - hs.data)) < 1e-12)

@@ -92,11 +92,12 @@ print("5. Windowing: W observed steps in, H future target steps out")
 print(rule)
 
 W, H = 12, 6
-samples = make_windows(rs, DEFAULT_SCHEMA, W, H)
-print(f"one {rs.length}-step trip yields {len(samples)} windows "
-      f"(= {rs.length} - {W} - {H} + 1)")
-s = samples[0]
-print("x_enc", s.x_enc.shape, "teacher", s.teacher.shape, "y", s.y.shape)
+windows = make_windows(rs, DEFAULT_SCHEMA, W, H)
+print(f"one {rs.length}-step trip yields {len(windows)} windows "
+      f"(= {rs.length} - {W} - {H} + 1), held as row-aligned arrays:")
+print("x_enc", windows.x_enc.shape, "teacher", windows.teacher.shape,
+      "y", windows.y.shape)
+s = windows[0]
 print("teacher step 0 is the last observed target; y is shifted one ahead:")
 print("  teacher[0] =", np.round(s.teacher[0], 3))
 print("  y[0]       =", np.round(s.y[0], 3))
@@ -112,7 +113,7 @@ split = prepare_dataset(trips, DEFAULT_SCHEMA, window=W, horizon=H,
                         train_n=300, val_n=50, test_n=50, seed=1)
 print("split sizes:", len(split.train), len(split.validation),
       len(split.test))
-xs = np.stack([t.x_enc for t in split.train])
+xs = split.train.x_enc
 print("train inputs are z-scored: mean ~0, std ~1 per channel")
 print("  worst |mean|:", f"{np.max(np.abs(xs.mean(axis=(0, 1)))):.2e}")
 print("  worst |std-1|:", f"{np.max(np.abs(xs.std(axis=(0, 1)) - 1)):.2e}")

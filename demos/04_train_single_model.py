@@ -76,7 +76,7 @@ print(rule)
 print("4. Checkpoints round-trip bit-exactly")
 print(rule)
 
-xs = np.stack([t.x_enc for t in split.test[:4]])
+xs = split.test[:4].x_enc
 with tempfile.TemporaryDirectory() as td:
     path = Path(td) / "model.ckpt"
     save_checkpoint(model, path)

@@ -110,6 +110,8 @@ class ModelConfig:
             self.compose_spec(data)
         except ValueError as exc:
             return [f"model: {exc}"]
+        except (KeyError, TypeError):
+            return []  # an invalid data.schema; the data section reports it
         return []
 
 

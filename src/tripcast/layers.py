@@ -249,29 +249,24 @@ class Lstm:
             for i in range(num_layers)
         ]
 
-    def __call__(self, x: Tensor, state: Optional[list] = None,
-                 prev: Optional[list] = None):
+    def __call__(self, x: Tensor, prev: Optional[list] = None):
         """Run the stack over a (B, L, d_in) sequence.
 
         Returns ``(seq, outs)``: ``seq`` is the top layer's (B, L, hidden)
         output and ``outs`` holds each layer's (B, L, 2*hidden)
         :func:`~tripcast.tensor.lstm` output, ``h_t`` in the first
         ``hidden`` columns and ``c_t`` in the rest; a caller slices only the
-        states it reads. ``state`` continues an earlier run: one
-        (B, 2*hidden) ``[h, c]`` tensor per layer, such as
-        ``[out[:, -1] for out in outs]`` of that run. Zero initial states
-        are used when none are given. ``prev`` resumes each layer from an
-        earlier call on the same input prefix, one (B, s, 2*hidden)
-        ``outs`` prefix per layer; see :func:`~tripcast.tensor.lstm`.
+        states it reads. Every layer starts from zero states. ``prev``
+        resumes each layer from an earlier call on the same input prefix,
+        one (B, s, 2*hidden) ``outs`` prefix per layer; see
+        :func:`~tripcast.tensor.lstm`.
         """
         hid = self.hidden
         zeros = Tensor(np.zeros((x.shape[0], hid)))
         outs = []
         seq = x
         for li, layer in enumerate(self.layers):
-            h, c = ((zeros, zeros) if state is None
-                    else (state[li][:, :hid], state[li][:, hid:]))
-            outs.append(lstm(seq, h, c, layer.w, layer.u, layer.b,
+            outs.append(lstm(seq, zeros, zeros, layer.w, layer.u, layer.b,
                              None if prev is None else prev[li]))
             seq = outs[-1][:, :, :hid]
         return seq, outs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -107,19 +107,37 @@ DEFAULT_SCHEMA = FeatureSchema(
 )
 
 
-@dataclass
-class WindowedSample:
-    """One supervised example cut from a trip.
+@dataclass(eq=False)
+class Windows:
+    """Supervised windows cut from trips, one row per window.
 
-    ``x_enc`` covers steps t-W+1..t; ``y`` covers t+1..t+H; ``teacher`` is
-    ``y`` shifted back one step, so ``teacher[0]`` is the target value at t.
+    Row ``i`` starts at step ``s = start[i]`` of trip ``trip_id[i]``; with
+    ``t = s + W - 1`` the last observed step, ``x_enc`` covers t-W+1..t,
+    ``y`` covers t+1..t+H, and ``teacher`` is ``y`` shifted back one step,
+    so ``teacher[:, 0]`` is the target value at t. An int index gives one
+    window's arrays without the leading axis, as views; a slice or an index
+    array gives the ``Windows`` of those rows.
     """
 
-    x_enc: np.ndarray   # (W, F)
-    teacher: np.ndarray  # (H, v)
-    y: np.ndarray        # (H, v)
-    trip_id: str
-    start: int
+    x_enc: np.ndarray    # (N, W, F)
+    teacher: np.ndarray  # (N, H, v)
+    y: np.ndarray        # (N, H, v)
+    trip_id: np.ndarray  # (N,) str
+    start: np.ndarray    # (N,) int
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, idx) -> "Windows":
+        return Windows(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def concat(cls, parts: list) -> "Windows":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
 
 
 @dataclass
@@ -143,13 +161,12 @@ class NormStats:
 
 @dataclass
 class DatasetSplit:
-    """Shuffled train/validation/test samples in normalized units."""
+    """Train/validation/test windows in normalized units."""
 
-    train: list
-    validation: list
-    test: list
+    train: Windows
+    validation: Windows
+    test: Windows
     stats: NormStats
-    seed: int
 
 
 # ------------------------------------------------------------------ loading
@@ -178,13 +195,14 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        missing = [c for c in schema.required_raw_channels() if c not in header]
+        required = schema.required_raw_channels()
+        missing = [c for c in required if c not in header]
         if missing:
             raise ValueError(
                 f"{path}: missing required column(s): {', '.join(missing)}"
             )
-        keep = [(i, name) for i, name in enumerate(header) if name in
-                set(schema.required_raw_channels())]
+        required = set(required)
+        keep = [(i, name) for i, name in enumerate(header) if name in required]
         columns = {name: [] for _, name in keep}
         n_cols = len(header)
         for row_num, row in enumerate(reader, start=2):
@@ -280,13 +298,12 @@ def preprocess_trip(trip: TripSeries, schema: FeatureSchema,
 
 
 def make_windows(trip: TripSeries, schema: FeatureSchema,
-                 window: int, horizon: int) -> list:
+                 window: int, horizon: int) -> Windows:
     """Cut stride-1 sliding windows; a too-short trip yields none (warned)."""
     n = trip.length
     if n < window + horizon:
         log.warning("trip %r too short for windowing: length %d < W+H=%d; "
                     "skipped", trip.trip_id, n, window + horizon)
-        return []
     missing = [c for c in (*schema.input_channels, *schema.target_channels)
                if c not in trip.channels]
     if missing:
@@ -296,24 +313,16 @@ def make_windows(trip: TripSeries, schema: FeatureSchema,
         )
     feats = np.stack([trip.channels[c] for c in schema.input_channels], axis=1)
     targs = np.stack([trip.channels[c] for c in schema.target_channels], axis=1)
-    samples = []
-    for s in range(n - window - horizon + 1):
-        t = s + window - 1  # index of the last observed step
-        samples.append(WindowedSample(
-            x_enc=feats[s:s + window].copy(),
-            teacher=targs[t:t + horizon].copy(),
-            y=targs[t + 1:t + 1 + horizon].copy(),
-            trip_id=trip.trip_id,
-            start=s,
-        ))
-    return samples
+    start = np.arange(max(n - window - horizon + 1, 0))
+    t = start[:, None] + window - 1 + np.arange(horizon)  # teacher steps
+    return Windows(x_enc=feats[start[:, None] + np.arange(window)],
+                   teacher=targs[t], y=targs[t + 1],
+                   trip_id=np.full(len(start), trip.trip_id), start=start)
 
 
 # ------------------------------------------------------------ split & norm
 
-def _compute_stats(train: list) -> NormStats:
-    xs = np.stack([s.x_enc for s in train])   # (N, W, F)
-    ys = np.stack([s.y for s in train])       # (N, H, v)
+def _compute_stats(xs: np.ndarray, ys: np.ndarray) -> NormStats:
     in_mean = xs.mean(axis=(0, 1))
     in_std = xs.std(axis=(0, 1))
     t_mean = ys.mean(axis=(0, 1))
@@ -324,25 +333,16 @@ def _compute_stats(train: list) -> NormStats:
     return NormStats(in_mean, in_std, t_mean, t_std)
 
 
-def _normalized(sample: WindowedSample, stats: NormStats) -> WindowedSample:
-    return WindowedSample(
-        x_enc=stats.normalize_inputs(sample.x_enc),
-        teacher=stats.normalize_targets(sample.teacher),
-        y=stats.normalize_targets(sample.y),
-        trip_id=sample.trip_id,
-        start=sample.start,
-    )
+def normalize_and_split(windows: Windows, train_n: int, val_n: int,
+                        test_n: int, seed: int,
+                        mode: str = "shuffle") -> DatasetSplit:
+    """Shuffle, split, and z-score normalize a set of windows.
 
-
-def normalize_and_split(samples: list, train_n: int, val_n: int, test_n: int,
-                        seed: int, mode: str = "shuffle") -> DatasetSplit:
-    """Shuffle, split, and z-score normalize a sample list.
-
-    ``mode="shuffle"`` (default) permutes samples and takes exact split
+    ``mode="shuffle"`` (default) permutes the windows and takes exact split
     sizes. ``mode="trip_holdout"`` keeps whole trips together: trips are
-    assigned (in seeded shuffled order) to test until ``test_n`` samples are
-    reached, then to validation until ``val_n``, and the remainder trains;
-    split sizes are then approximate and ``train_n`` is ignored.
+    assigned (in seeded shuffled order) to test until ``test_n`` windows
+    are reached, then to validation until ``val_n``, and the remainder
+    trains; split sizes are then approximate and ``train_n`` is ignored.
     """
     if mode not in ("shuffle", "trip_holdout"):
         raise ValueError(f"unknown split mode {mode!r}; "
@@ -350,47 +350,39 @@ def normalize_and_split(samples: list, train_n: int, val_n: int, test_n: int,
     rng = np.random.default_rng(seed)
     if mode == "shuffle":
         need = train_n + val_n + test_n
-        if len(samples) < need:
+        if len(windows) < need:
             raise ValueError(
                 f"insufficient samples: need {need} "
                 f"(train {train_n} + val {val_n} + test {test_n}), "
-                f"have {len(samples)}"
+                f"have {len(windows)}"
             )
-        order = rng.permutation(len(samples))
-        picked = [samples[i] for i in order]
-        train = picked[:train_n]
-        val = picked[train_n:train_n + val_n]
-        test = picked[train_n + val_n:train_n + val_n + test_n]
+        order = rng.permutation(len(windows))
+        train, val, test = np.split(order[:need], [train_n, train_n + val_n])
     else:
-        by_trip = {}
-        for s in samples:
-            by_trip.setdefault(s.trip_id, []).append(s)
-        trip_ids = list(by_trip)
+        trip_ids = list(dict.fromkeys(windows.trip_id.tolist()))
         rng.shuffle(trip_ids)
-        test, val, train = [], [], []
+        test = val = train = np.empty(0, dtype=np.intp)
         for tid in trip_ids:
+            rows = np.flatnonzero(windows.trip_id == tid)
             if len(test) < test_n:
-                test.extend(by_trip[tid])
+                test = np.concatenate([test, rows])
             elif len(val) < val_n:
-                val.extend(by_trip[tid])
+                val = np.concatenate([val, rows])
             else:
-                train.extend(by_trip[tid])
-        if not train or not val or not test:
+                train = np.concatenate([train, rows])
+        if not len(train) or not len(val) or not len(test):
             raise ValueError(
                 "trip_holdout split left an empty portion: "
                 f"train {len(train)}, val {len(val)}, test {len(test)} "
                 f"samples across {len(trip_ids)} trips"
             )
-        order = rng.permutation(len(train))
-        train = [train[i] for i in order]
-    stats = _compute_stats(train)
-    return DatasetSplit(
-        train=[_normalized(s, stats) for s in train],
-        validation=[_normalized(s, stats) for s in val],
-        test=[_normalized(s, stats) for s in test],
-        stats=stats,
-        seed=seed,
-    )
+        train = train[rng.permutation(len(train))]
+    stats = _compute_stats(windows.x_enc[train], windows.y[train])
+    normed = Windows(stats.normalize_inputs(windows.x_enc),
+                     stats.normalize_targets(windows.teacher),
+                     stats.normalize_targets(windows.y),
+                     windows.trip_id, windows.start)
+    return DatasetSplit(normed[train], normed[val], normed[test], stats)
 
 
 # ------------------------------------------------------------ full pipeline
@@ -401,10 +393,10 @@ def prepare_dataset(trips: list, schema: FeatureSchema, window: int,
                     test_n: int, seed: int,
                     split_mode: str = "shuffle") -> DatasetSplit:
     """Run the whole pipeline: aggregate, smooth, resample, window, split."""
-    samples = []
-    for trip in trips:
-        t = preprocess_trip(trip, schema, savgol_window, savgol_order,
-                            target_period_s)
-        samples.extend(make_windows(t, schema, window, horizon))
-    return normalize_and_split(samples, train_n, val_n, test_n, seed,
+    windows = Windows.concat([
+        make_windows(preprocess_trip(trip, schema, savgol_window,
+                                     savgol_order, target_period_s),
+                     schema, window, horizon)
+        for trip in trips])
+    return normalize_and_split(windows, train_n, val_n, test_n, seed,
                                mode=split_mode)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import DECODER_INPUT_KINDS, Model, ModelSpec, build
-from .pipeline import DatasetSplit, NormStats
+from .pipeline import DatasetSplit, NormStats, Windows
 from .tensor import ShapeError, Tensor, mul, no_grad, sub, tmean
 
 GRID_REPORT_VERSION = 1
@@ -185,12 +185,6 @@ class TrainLog:
     stop_reason: str = "max epochs reached"
 
 
-def _stack_samples(samples: list):
-    return (np.stack([s.x_enc for s in samples]),
-            np.stack([s.teacher for s in samples]),
-            np.stack([s.y for s in samples]))
-
-
 def _batch_ranges(n: int, batch_size: int):
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
@@ -228,13 +222,13 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
     parameters restored.
     """
     spec = model.spec
-    xs, teach, ys = _stack_samples(split.train)
+    xs, teach, ys = split.train.x_enc, split.train.teacher, split.train.y
     if xs.shape[1:] != (spec.window, spec.n_features):
         raise ShapeError(
             f"dataset windows {xs.shape[1:]} do not match model spec "
             f"(window {spec.window}, features {spec.n_features})"
         )
-    vx, vteach, vy = _stack_samples(split.validation)
+    val = split.validation
     n = len(xs)
     rng = np.random.default_rng(cfg.seed)
     params = model.named_params()
@@ -269,7 +263,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
             opt.step(grads)
             total += loss_val * len(idx)
         train_loss = total / n
-        val_loss = _teacher_forced_loss(model, vx, vteach, vy, cfg.batch_size)
+        val_loss = _teacher_forced_loss(model, val.x_enc, val.teacher, val.y,
+                                        cfg.batch_size)
         entry = EpochLog(epoch, train_loss, val_loss,
                          time.perf_counter() - tic)
         log.entries.append(entry)
@@ -291,8 +286,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
                 break
 
         if cfg.target_val_r2 is not None:
-            preds = _predict_ar(model, vx, vteach, cfg.batch_size)
-            val_r2 = r_squared(preds, vy)
+            preds = _predict_ar(model, val.x_enc, val.teacher, cfg.batch_size)
+            val_r2 = r_squared(preds, val.y)
             if val_r2 >= cfg.target_val_r2:
                 log.stop_reason = (
                     f"target validation R² reached: {val_r2:.4f} ≥ "
@@ -341,7 +336,7 @@ class EvalReport:
         return d
 
 
-def evaluate(model: Model, samples: list, stats: NormStats,
+def evaluate(model: Model, windows: Windows, stats: NormStats,
              target_names=("soc", "batt_temp"), split_name: str = "test",
              batch_size: int = 64) -> EvalReport:
     """Inference-mode metrics; decoder-input kinds decode autoregressively.
@@ -350,12 +345,11 @@ def evaluate(model: Model, samples: list, stats: NormStats,
     is seeded from the last observed target values, and MSE/R² compare the
     resulting predictions against the held-out targets.
     """
-    if not samples:
-        raise ValueError(f"cannot evaluate on an empty {split_name!r} "
-                         "sample list")
+    if not len(windows):
+        raise ValueError(f"cannot evaluate on an empty {split_name!r} split")
     tic = time.perf_counter()
-    xs, teach, ys = _stack_samples(samples)
-    preds = _predict_ar(model, xs, teach, batch_size)
+    ys = windows.y
+    preds = _predict_ar(model, windows.x_enc, windows.teacher, batch_size)
 
     mse = float(np.mean((preds - ys) ** 2))
     mse_per, r2_per, defined = {}, {}, {}
@@ -372,7 +366,7 @@ def evaluate(model: Model, samples: list, stats: NormStats,
         window=model.spec.window,
         horizon=model.spec.horizon,
         param_count=model.count_parameters(),
-        n_samples=len(samples),
+        n_samples=len(windows),
         mse=mse,
         mse_per_target=mse_per,
         r2_per_target=r2_per,
@@ -542,18 +536,16 @@ def run_grid(kinds: list, cases: list, make_dataset, train_cfg: TrainConfig,
     report = GridReport(kinds=list(kinds),
                         cases=[tuple(c) for c in cases],
                         cells=[], annotations=[])
-    datasets = {}
     for ci, case in enumerate(report.cases):
         w, h = case
         try:
-            datasets[case] = make_dataset(w, h)
+            ds = make_dataset(w, h)
         except Exception as exc:          # noqa: BLE001 - isolate cell failures
-            datasets[case] = exc
+            ds = exc
         for ki, kind in enumerate(kinds):
             cell = GridCell(kind=kind, window=w, horizon=h)
             tic = time.perf_counter()
             try:
-                ds = datasets[case]
                 if isinstance(ds, Exception):
                     raise RuntimeError(f"dataset build failed: {ds}") from ds
                 build_seed, train_seed = (

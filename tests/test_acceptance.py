@@ -25,6 +25,7 @@ from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     FeatureSchema,
     TripSeries,
+    Windows,
     make_windows,
     normalize_and_split,
     prepare_dataset,
@@ -340,7 +341,8 @@ def test_normalization_round_trip_and_shuffle_permutation():
     trips = [TripSeries(f"t{i}", 1.0, {"a": rng.normal(size=30),
                                        "b": rng.normal(size=30)})
              for i in range(3)]
-    samples = [s for t in trips for s in make_windows(t, TINY_SCHEMA, 5, 3)]
+    samples = Windows.concat([make_windows(t, TINY_SCHEMA, 5, 3)
+                              for t in trips])
     assert len(samples) == 69
     split = normalize_and_split(samples, 50, 10, 9, seed=1)
 

@@ -216,6 +216,15 @@ class TestValidation:
         assert "transformer" in err
         assert "v_tst" in err  # allowed kinds are listed
 
+    def test_schema_missing_a_key(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path,
+                   "-O", 'data.schema={"input_channels": ["soc"]}',
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("data.schema is not a valid schema: 'target_channels'"
+                in capsys.readouterr().err)
+
     def test_csv_source_requires_trips_path(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", base_config())
         rc = main(["train", "--config", path, "-O", "data.source=csv",

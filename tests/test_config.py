@@ -100,6 +100,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="optimizer"):
             config_from_dict({"train": {"optimizer": "lion"}})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"data": {"schema": {"input_channels": ["a"]}}},
+         "data.schema is not a valid schema"),
+        ({"data": {"train_n": 0}},
+         "data.train_n must be a positive integer, got 0"),
+        ({"data": {"window": -3}},
+         "data.window must be a positive integer, got -3"),
+        ({"data": {"split_mode": "by_day"}},
+         "data.split_mode must be 'shuffle' or 'trip_holdout', "
+         "got 'by_day'"),
+        ({"grid": {"kinds": ["lstm", "gru"]}},
+         "grid.kinds entry 'gru' unknown"),
+        ({"grid": {"cases": [[12, 6], [12]]}},
+         "grid.cases entry [12] must be a [window, horizon] pair"),
+        ({"grid": {"cases": [[12, 0]]}},
+         "grid.cases entry [12, 0] must be a [window, horizon] pair"),
+    ])
+    def test_data_and_grid_errors_reported(self, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(raw)
+
 
 class TestRoundTrip:
     def test_save_load_preserves_everything(self, tmp_path):

@@ -19,12 +19,13 @@ from tripcast.pipeline import (
     FeatureSchema,
     NormStats,
     TripSeries,
-    WindowedSample,
+    Windows,
     aggregate_redundant,
     load_trips,
     make_windows,
     normalize_and_split,
     prepare_dataset,
+    preprocess_trip,
     resample,
     smooth_trip,
     write_trip_csv,
@@ -190,7 +191,7 @@ class TestMakeWindows:
     def test_short_trip_warns_and_yields_nothing(self, caplog):
         with caplog.at_level(logging.WARNING):
             out = make_windows(tiny_trip(6), TINY, 5, 3)
-        assert out == []
+        assert len(out) == 0
         assert "too short" in caplog.text
 
     def test_missing_channel_rejected(self):
@@ -203,9 +204,7 @@ class TestMakeWindows:
             TripSeries("one", 1.0, {"a": np.ones(12), "b": np.ones(12)}),
             TripSeries("two", 1.0, {"a": 2 * np.ones(12), "b": 2 * np.ones(12)}),
         ]
-        samples = []
-        for t in trips:
-            samples.extend(make_windows(t, TINY, 4, 2))
+        samples = Windows.concat([make_windows(t, TINY, 4, 2) for t in trips])
         for s in samples:
             vals = np.unique(np.concatenate([s.x_enc.ravel(), s.y.ravel()]))
             assert vals.size == 1  # all values from a single trip
@@ -232,16 +231,57 @@ def test_window_count_property(length, window, horizon):
 
 def _make_samples(n, w=3, f=2, h=2, v=1, trip_id="t", offset=0.0):
     rng = np.random.default_rng(17)
-    out = []
-    for i in range(n):
-        out.append(WindowedSample(
-            x_enc=rng.standard_normal((w, f)) * 3.0 + offset,
-            teacher=rng.standard_normal((h, v)),
-            y=rng.standard_normal((h, v)) * 2.0 + offset,
-            trip_id=trip_id,
-            start=i,
-        ))
-    return out
+    rows = [(rng.standard_normal((w, f)) * 3.0 + offset,
+             rng.standard_normal((h, v)),
+             rng.standard_normal((h, v)) * 2.0 + offset) for _ in range(n)]
+    xs, teach, ys = (np.stack(a) for a in zip(*rows))
+    return Windows(xs, teach, ys, np.full(n, trip_id), np.arange(n))
+
+
+class TestWindows:
+    def test_int_index_gives_row_views(self):
+        win = make_windows(tiny_trip(20), TINY, 5, 3)
+        row = win[3]
+        assert row.x_enc.shape == (5, 2) and row.y.shape == (3, 1)
+        assert np.shares_memory(row.x_enc, win.x_enc)
+        assert np.shares_memory(row.teacher, win.teacher)
+        np.testing.assert_array_equal(row.y, win.y[3])
+        assert (row.trip_id, row.start) == ("t0", 3)
+
+    def test_slice_and_index_array_give_windows(self):
+        win = make_windows(tiny_trip(20), TINY, 5, 3)
+        head = win[:4]
+        assert isinstance(head, Windows) and len(head) == 4
+        np.testing.assert_array_equal(head.x_enc, win.x_enc[:4])
+        picked = win[np.array([7, 2, 7])]
+        assert isinstance(picked, Windows) and len(picked) == 3
+        assert picked.start.tolist() == [7, 2, 7]
+        np.testing.assert_array_equal(picked.y, win.y[[7, 2, 7]])
+
+    def test_len_and_iteration_follow_rows(self):
+        win = make_windows(tiny_trip(20), TINY, 5, 3)
+        assert len(win) == 13
+        rows = list(win)
+        assert [r.start for r in rows] == list(range(13))
+        for i, r in enumerate(rows):
+            np.testing.assert_array_equal(r.x_enc, win.x_enc[i])
+            np.testing.assert_array_equal(r.teacher, win.teacher[i])
+
+    def test_short_trip_gives_empty_arrays(self):
+        win = make_windows(tiny_trip(6), TINY, 5, 3)
+        assert len(win) == 0 and list(win) == []
+        assert win.x_enc.shape == (0, 5, 2)
+        assert win.teacher.shape == win.y.shape == (0, 3, 1)
+        assert win.trip_id.shape == win.start.shape == (0,)
+
+    def test_concat_keeps_row_order(self):
+        parts = [make_windows(tiny_trip(10, trip_id=name), TINY, 4, 2)
+                 for name in ("a", "bb", "c")]
+        win = Windows.concat([parts[0], make_windows(tiny_trip(3), TINY, 4, 2),
+                              *parts[1:]])
+        assert len(win) == 15
+        assert win.trip_id.tolist() == ["a"] * 5 + ["bb"] * 5 + ["c"] * 5
+        np.testing.assert_array_equal(win.x_enc[5:10], parts[1].x_enc)
 
 
 class TestNormalizeAndSplit:
@@ -255,8 +295,9 @@ class TestNormalizeAndSplit:
         assert len(keys) == len(set(keys)) == 30
 
     def test_stats_come_from_train_portion_only(self):
-        originals = {(s.trip_id, s.start): s for s in _make_samples(24)}
-        split = normalize_and_split(list(originals.values()), 16, 4, 4, seed=5)
+        samples = _make_samples(24)
+        originals = {(s.trip_id, s.start): s for s in samples}
+        split = normalize_and_split(samples, 16, 4, 4, seed=5)
         train_orig = [originals[(s.trip_id, s.start)] for s in split.train]
         xs = np.stack([s.x_enc for s in train_orig])
         ys = np.stack([s.y for s in train_orig])
@@ -267,13 +308,14 @@ class TestNormalizeAndSplit:
 
     def test_train_portion_is_standardized(self):
         split = normalize_and_split(_make_samples(40), 30, 5, 5, seed=2)
-        xs = np.stack([s.x_enc for s in split.train])
+        xs = split.train.x_enc
         np.testing.assert_allclose(xs.mean(axis=(0, 1)), 0.0, atol=1e-10)
         np.testing.assert_allclose(xs.std(axis=(0, 1)), 1.0, atol=1e-10)
 
     def test_round_trip_recovers_originals(self):
-        originals = {(s.trip_id, s.start): s for s in _make_samples(20)}
-        split = normalize_and_split(list(originals.values()), 12, 4, 4, seed=3)
+        samples = _make_samples(20)
+        originals = {(s.trip_id, s.start): s for s in samples}
+        split = normalize_and_split(samples, 12, 4, 4, seed=3)
         for part in (split.train, split.validation, split.test):
             for s in part:
                 orig = originals[(s.trip_id, s.start)]
@@ -304,9 +346,8 @@ class TestNormalizeAndSplit:
                                 mode="stratified")
 
     def test_trip_holdout_keeps_trips_whole(self):
-        samples = []
-        for i in range(6):
-            samples.extend(_make_samples(8, trip_id=f"trip{i}", offset=i))
+        samples = Windows.concat([_make_samples(8, trip_id=f"trip{i}", offset=i)
+                                  for i in range(6)])
         split = normalize_and_split(samples, 0, 8, 8, seed=4,
                                     mode="trip_holdout")
         seen = {}
@@ -322,8 +363,7 @@ class TestNormalizeAndSplit:
 
     def test_flat_channel_keeps_unit_scale(self):
         samples = _make_samples(12)
-        for s in samples:
-            s.x_enc[:, 1] = 7.0  # constant channel
+        samples.x_enc[:, :, 1] = 7.0  # constant channel
         split = normalize_and_split(samples, 8, 2, 2, seed=0)
         assert split.stats.input_std[1] == 1.0
         for s in split.train:
@@ -444,6 +484,58 @@ class TestSynthTrips:
                 assert np.isfinite(seq).all(), name
 
 
+def window_loop_oracle(trip, schema, window, horizon):
+    """One ``(x_enc, teacher, y, trip_id, start)`` tuple per window, cut in
+    a Python loop over window starts."""
+    feats = np.stack([trip.channels[c] for c in schema.input_channels], axis=1)
+    targs = np.stack([trip.channels[c] for c in schema.target_channels], axis=1)
+    rows = []
+    for s in range(trip.length - window - horizon + 1):
+        t = s + window - 1
+        rows.append((feats[s:s + window].copy(), targs[t:t + horizon].copy(),
+                     targs[t + 1:t + 1 + horizon].copy(), trip.trip_id, s))
+    return rows
+
+
+def split_loop_oracle(rows, train_n, val_n, test_n, seed, mode):
+    """Split and normalize window tuples one at a time, grouping trips in a
+    dict of lists; returns ``(train, validation, test)`` stacked portions
+    and the statistics as a tuple of arrays."""
+    rng = np.random.default_rng(seed)
+    if mode == "shuffle":
+        picked = [rows[i] for i in rng.permutation(len(rows))]
+        parts = (picked[:train_n], picked[train_n:train_n + val_n],
+                 picked[train_n + val_n:train_n + val_n + test_n])
+    else:
+        by_trip = {}
+        for r in rows:
+            by_trip.setdefault(r[3], []).append(r)
+        trip_ids = list(by_trip)
+        rng.shuffle(trip_ids)
+        test, val, train = [], [], []
+        for tid in trip_ids:
+            if len(test) < test_n:
+                test.extend(by_trip[tid])
+            elif len(val) < val_n:
+                val.extend(by_trip[tid])
+            else:
+                train.extend(by_trip[tid])
+        parts = ([train[i] for i in rng.permutation(len(train))], val, test)
+    xs = np.stack([r[0] for r in parts[0]])
+    ys = np.stack([r[2] for r in parts[0]])
+    in_mean, t_mean = xs.mean(axis=(0, 1)), ys.mean(axis=(0, 1))
+    in_std, t_std = xs.std(axis=(0, 1)), ys.std(axis=(0, 1))
+    in_std = np.where(in_std < 1e-12, 1.0, in_std)
+    t_std = np.where(t_std < 1e-12, 1.0, t_std)
+    stacked = tuple(
+        (np.stack([(r[0] - in_mean) / in_std for r in part]),
+         np.stack([(r[1] - t_mean) / t_std for r in part]),
+         np.stack([(r[2] - t_mean) / t_std for r in part]),
+         [r[3] for r in part], [r[4] for r in part])
+        for part in parts)
+    return stacked, (in_mean, in_std, t_mean, t_std)
+
+
 class TestPrepareDataset:
     def test_end_to_end_counts_and_shapes(self):
         trips = synthesize_trips(4, 400, seed=6)
@@ -457,3 +549,27 @@ class TestPrepareDataset:
         assert s.x_enc.shape == (12, 15)
         assert s.teacher.shape == (6, 2)
         assert s.y.shape == (6, 2)
+
+    @pytest.mark.parametrize("mode, sizes", [("shuffle", (300, 60, 60)),
+                                             ("trip_holdout", (0, 200, 200))])
+    def test_matches_per_window_loop_oracle_bytes(self, mode, sizes):
+        trips = synthesize_trips(6, 400, seed=11)[::-1]  # ids out of order
+        trips.append(synthesize_trips(1, 30, seed=12)[0])  # too short
+        split = prepare_dataset(trips, DEFAULT_SCHEMA, 12, 6, 21, 2, 1.0,
+                                *sizes, seed=4, split_mode=mode)
+        rows = [r for trip in trips
+                for r in window_loop_oracle(
+                    preprocess_trip(trip, DEFAULT_SCHEMA, 21, 2, 1.0),
+                    DEFAULT_SCHEMA, 12, 6)]
+        parts, stats = split_loop_oracle(rows, *sizes, seed=4, mode=mode)
+        for got, (xs, teach, ys, trip_ids, starts) in zip(
+                (split.train, split.validation, split.test), parts):
+            for arr, want in ((got.x_enc, xs), (got.teacher, teach),
+                              (got.y, ys)):
+                assert arr.shape == want.shape and arr.dtype == want.dtype
+                assert arr.tobytes() == want.tobytes()
+            assert got.trip_id.tolist() == trip_ids
+            assert got.start.tolist() == starts
+        for name, want in zip(("input_mean", "input_std", "target_mean",
+                               "target_std"), stats):
+            assert getattr(split.stats, name).tobytes() == want.tobytes()

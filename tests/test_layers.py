@@ -308,20 +308,6 @@ class TestLstm:
         # the only other nodes carry each layer's h_t to the next layer
         assert sum(counts.values()) == 4 and counts["slice"] == 2
 
-    def test_state_continuity_across_chunks(self, rng):
-        lstm = Lstm(3, 5, 2, rng)
-        x = rng.standard_normal((2, 8, 3))
-        full, outs_full = lstm(Tensor(x))
-        first, outs1 = lstm(Tensor(x[:, :4]))
-        second, outs2 = lstm(Tensor(x[:, 4:]),
-                             state=[o[:, -1] for o in outs1])
-        np.testing.assert_allclose(first.data, full.data[:, :4], atol=1e-10)
-        np.testing.assert_allclose(second.data, full.data[:, 4:], atol=1e-10)
-        # every layer's final hidden and cell state carries over
-        for o2, o_full in zip(outs2, outs_full):
-            np.testing.assert_allclose(o2.data[:, -1], o_full.data[:, -1],
-                                       atol=1e-10)
-
     def test_stacked_output_shape_and_states(self, rng):
         lstm = Lstm(4, 6, 3, rng)
         seq, outs = lstm(Tensor(rng.standard_normal((2, 5, 4))))

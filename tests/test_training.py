@@ -16,7 +16,7 @@ from tripcast.models import ModelSpec, build
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     NormStats,
-    WindowedSample,
+    Windows,
     normalize_and_split,
     prepare_dataset,
 )
@@ -50,10 +50,8 @@ def tiny_split():
                            test_n=30, seed=0)
 
 
-def teacher_forced_loss(model, samples, batch_size=64):
-    xs = np.stack([s.x_enc for s in samples])
-    teach = np.stack([s.teacher for s in samples])
-    ys = np.stack([s.y for s in samples])
+def teacher_forced_loss(model, windows, batch_size=64):
+    xs, teach, ys = windows.x_enc, windows.teacher, windows.y
     total = 0.0
     with no_grad():
         for lo in range(0, len(xs), batch_size):
@@ -246,13 +244,10 @@ class TestTrainLoop:
         # pure-noise targets cannot keep improving, so patience=0 must cut
         # the run at the first epoch whose validation loss fails to improve
         rng = np.random.default_rng(8)
-        samples = [
-            WindowedSample(x_enc=rng.standard_normal((2, 2)),
-                           teacher=rng.standard_normal((1, 1)),
-                           y=rng.standard_normal((1, 1)),
-                           trip_id="noise", start=i)
-            for i in range(50)
-        ]
+        rows = [(rng.standard_normal((2, 2)), rng.standard_normal((1, 1)),
+                 rng.standard_normal((1, 1))) for _ in range(50)]
+        xs, teach, ys = (np.stack(a) for a in zip(*rows))
+        samples = Windows(xs, teach, ys, np.full(50, "noise"), np.arange(50))
         split = normalize_and_split(samples, 36, 7, 7, seed=0)
         spec = ModelSpec(kind="lstm", window=2, horizon=1, n_features=2,
                          n_targets=1, d_model=8, n_heads=2, enc_layers=1,
@@ -328,9 +323,8 @@ class TestEvaluate:
         model = build(spec, seed=6)
         rep = evaluate(model, tiny_split.test, tiny_split.stats,
                        DEFAULT_SCHEMA.target_channels, "test", 16)
-        xs = np.stack([s.x_enc for s in tiny_split.test])
-        teach = np.stack([s.teacher for s in tiny_split.test])
-        ys = np.stack([s.y for s in tiny_split.test])
+        test = tiny_split.test
+        xs, teach, ys = test.x_enc, test.teacher, test.y
         with no_grad():
             preds = np.concatenate([
                 model.forward(xs[lo:lo + 16], start=teach[lo:lo + 16, 0, :],
@@ -362,12 +356,9 @@ class TestEvaluate:
                          n_targets=1, d_model=8, n_heads=2, enc_layers=1,
                          dec_layers=1, ffn_width=8, lstm_layers=1)
         model = build(spec, seed=0)
-        samples = [
-            WindowedSample(x_enc=rng.standard_normal((3, 2)),
-                           teacher=np.zeros((2, 1)), y=np.zeros((2, 1)),
-                           trip_id="flat", start=i)
-            for i in range(6)
-        ]
+        xs = np.stack([rng.standard_normal((3, 2)) for _ in range(6)])
+        samples = Windows(xs, np.zeros((6, 2, 1)), np.zeros((6, 2, 1)),
+                          np.full(6, "flat"), np.arange(6))
         stats = NormStats(np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
         rep = evaluate(model, samples, stats, ("flat",), "test", 4)
         assert rep.r2_defined["flat"] is False
@@ -376,7 +367,7 @@ class TestEvaluate:
     def test_empty_samples_rejected(self, tiny_split):
         model = build(ModelSpec(kind="lstm", **TINY_MODEL), seed=0)
         with pytest.raises(ValueError, match="empty"):
-            evaluate(model, [], tiny_split.stats)
+            evaluate(model, tiny_split.test[:0], tiny_split.stats)
 
     def test_no_future_ground_truth_used(self, tiny_split):
         # zeroing every teacher value after the seed position must leave
@@ -388,8 +379,7 @@ class TestEvaluate:
         rep_a = evaluate(model, tiny_split.test, tiny_split.stats,
                          DEFAULT_SCHEMA.target_channels, "test", 16)
         wiped = copy.deepcopy(tiny_split.test)
-        for s in wiped:
-            s.teacher[1:] = 0.0
+        wiped.teacher[:, 1:] = 0.0
         rep_b = evaluate(model, wiped, tiny_split.stats,
                          DEFAULT_SCHEMA.target_channels, "test", 16)
         assert rep_a.mse == rep_b.mse
