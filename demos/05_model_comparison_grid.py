@@ -11,7 +11,7 @@ command, which also writes grid_report.json and grid_table.txt.
 Run:  python3 demos/05_model_comparison_grid.py
 """
 
-from tripcast.models import KINDS
+from tripcast.models import KINDS, ModelSpec
 from tripcast.pipeline import DEFAULT_SCHEMA, prepare_dataset
 from tripcast.synth import synthesize_trips
 from tripcast.training import TrainConfig, run_grid
@@ -32,8 +32,10 @@ def make_dataset(window, horizon):
                            test_n=40, seed=4)
 
 
-model_fields = dict(n_features=15, n_targets=2, d_model=32, n_heads=4,
-                    enc_layers=1, dec_layers=1, ffn_width=32, lstm_layers=1)
+# every cell trains this spec with its own kind, window and horizon
+spec = ModelSpec(kind="lstm", n_features=15, n_targets=2, d_model=32,
+                 n_heads=4, enc_layers=1, dec_layers=1, ffn_width=32,
+                 lstm_layers=1)
 cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=1e-3, seed=0)
 cases = [(12, 6), (30, 6), (50, 30)]
 
@@ -45,8 +47,7 @@ def on_cell(cell):
           f"{status}  ({cell.seconds:.0f}s)")
 
 
-report = run_grid(list(KINDS), cases, make_dataset, cfg,
-                  model_fields=model_fields, seed=23,
+report = run_grid(list(KINDS), cases, make_dataset, cfg, spec, seed=23,
                   target_names=DEFAULT_SCHEMA.target_channels,
                   on_cell=on_cell)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 import time
@@ -20,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
-from .config import RunConfig, SEED_BUILD, fan_seed
+from .config import RunConfig, SEED_BUILD, fan_seed, load_config, save_config
 from .gradcheck import run_gradcheck
 from .models import build, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -32,7 +30,7 @@ from .pipeline import (
     preprocess_trip,
     write_trip_csv,
 )
-from .serialize import atomic_write
+from .serialize import atomic_write, write_json
 from .synth import synthesize_trips
 from .tensor import RECORDED_OPS, no_grad
 from .training import evaluate, run_grid, train
@@ -57,29 +55,10 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_json(path: Path, obj) -> None:
-    with atomic_write(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _resolve_config(args) -> RunConfig:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: not valid JSON: {exc}") \
-                    from None
-    cfgmod.apply_overrides(raw, args.override or [])
-    return cfgmod.config_from_dict(raw)
-
-
 def _prepare_out(cfg: RunConfig, args) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfgmod.save_config(cfg, out / "config.json")
+    save_config(cfg, out / "config.json")
     return out
 
 
@@ -105,7 +84,7 @@ def _build_split(cfg: RunConfig, trips, window: int, horizon: int):
 def cmd_datagen(args) -> int:
     started = _now_iso()
     tic = time.perf_counter()
-    cfg = _resolve_config(args)
+    cfg = load_config(args.config, args.override)
     out = _prepare_out(cfg, args)
     d = cfg.data
     trips = synthesize_trips(d.n_trips, d.trip_length, d.seed,
@@ -118,7 +97,7 @@ def cmd_datagen(args) -> int:
         write_trip_csv(trip, trips_dir / fname)
         entries.append({"trip_id": trip.trip_id, "file": f"trips/{fname}",
                         "length": trip.length})
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "seed": d.seed,
         "n_trips": d.n_trips,
         "trip_length": d.trip_length,
@@ -127,7 +106,7 @@ def cmd_datagen(args) -> int:
         "velocity_scale": d.velocity_scale,
         "trips": entries,
     })
-    _write_json(out / "meta.json", {
+    write_json(out / "meta.json", {
         "command": "datagen", "started": started, "finished": _now_iso(),
         "seconds": time.perf_counter() - tic,
     })
@@ -138,7 +117,7 @@ def cmd_datagen(args) -> int:
 def cmd_train(args) -> int:
     started = _now_iso()
     tic = time.perf_counter()
-    cfg = _resolve_config(args)
+    cfg = load_config(args.config, args.override)
     out = _prepare_out(cfg, args)
     schema = cfg.data.feature_schema()
     trips = _get_trips(cfg.data)
@@ -171,7 +150,7 @@ def cmd_train(args) -> int:
                           ("test", split.test)):
         rep = evaluate(model, portion, split.stats, schema.target_channels,
                        name, cfg.train.batch_size)
-        reports[name] = rep.to_dict(include_timing=False)
+        reports[name] = rep.to_dict()
         eval_seconds[name] = rep.wall_clock_seconds
 
     save_checkpoint(
@@ -183,7 +162,7 @@ def cmd_train(args) -> int:
         extra_arrays={f"norm.{k}": getattr(split.stats, k)
                       for k in NORM_FIELDS},
     )
-    _write_json(out / "report.json", {
+    write_json(out / "report.json", {
         "model": spec.to_dict(),
         "param_count": model.count_parameters(),
         "splits": reports,
@@ -194,7 +173,7 @@ def cmd_train(args) -> int:
             "stop_reason": tlog.stop_reason,
         },
     })
-    _write_json(out / "meta.json", {
+    write_json(out / "meta.json", {
         "command": "train", "started": started, "finished": _now_iso(),
         "seconds": time.perf_counter() - tic,
         "eval_seconds": eval_seconds,
@@ -209,7 +188,7 @@ def cmd_train(args) -> int:
 def cmd_grid(args) -> int:
     started = _now_iso()
     tic = time.perf_counter()
-    cfg = _resolve_config(args)
+    cfg = load_config(args.config, args.override)
     out = _prepare_out(cfg, args)
     schema = cfg.data.feature_schema()
     trips = _get_trips(cfg.data)
@@ -223,25 +202,14 @@ def cmd_grid(args) -> int:
         log.info("cell %s W=%d H=%d: %s (%.0fs)", cell.kind, cell.window,
                  cell.horizon, status, cell.seconds)
 
-    model_fields = {
-        "n_features": len(schema.input_channels),
-        "n_targets": len(schema.target_channels),
-        "d_model": cfg.model.d_model,
-        "n_heads": cfg.model.n_heads,
-        "enc_layers": cfg.model.enc_layers,
-        "dec_layers": cfg.model.dec_layers,
-        "ffn_width": cfg.model.ffn_width,
-        "lstm_layers": cfg.model.lstm_layers,
-    }
-    report = run_grid(cfg.grid.kinds, [tuple(c) for c in cfg.grid.cases],
-                      make_dataset, cfg.train, model_fields=model_fields,
-                      seed=cfg.seed, target_names=schema.target_channels,
-                      on_cell=on_cell)
-    _write_json(out / "grid_report.json", report.to_dict(include_timing=False))
+    report = run_grid(cfg.grid.kinds, cfg.grid.cases, make_dataset, cfg.train,
+                      cfg.model.compose_spec(cfg.data), seed=cfg.seed,
+                      target_names=schema.target_channels, on_cell=on_cell)
+    write_json(out / "grid_report.json", report.to_dict())
     table = report.format_table()
     with atomic_write(out / "grid_table.txt", "w") as fh:
         fh.write(table + "\n")
-    _write_json(out / "meta.json", {
+    write_json(out / "meta.json", {
         "command": "grid", "started": started, "finished": _now_iso(),
         "seconds": time.perf_counter() - tic,
         "cell_seconds": {

@@ -17,6 +17,7 @@ import numpy as np
 
 from .models import KINDS, ModelSpec
 from .pipeline import DEFAULT_SCHEMA, FeatureSchema
+from .serialize import write_json
 from .training import TrainConfig
 
 # fan-out tags for deriving per-component seeds from the root seed
@@ -91,27 +92,18 @@ class ModelConfig:
 
     def compose_spec(self, data: DataConfig) -> ModelSpec:
         schema = data.feature_schema()
-        return ModelSpec(
-            kind=self.kind,
-            window=data.window,
-            horizon=data.horizon,
-            n_features=len(schema.input_channels),
-            n_targets=len(schema.target_channels),
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            enc_layers=self.enc_layers,
-            dec_layers=self.dec_layers,
-            ffn_width=self.ffn_width,
-            lstm_layers=self.lstm_layers,
-        )
+        return ModelSpec(**asdict(self), window=data.window,
+                         horizon=data.horizon,
+                         n_features=len(schema.input_channels),
+                         n_targets=len(schema.target_channels))
 
-    def problems(self, data: DataConfig) -> list:
+    def problems(self) -> list:
+        # placeholder sizes: the data section reports its own fields
         try:
-            self.compose_spec(data)
+            ModelSpec(**asdict(self), window=1, horizon=1, n_features=1,
+                      n_targets=1)
         except ValueError as exc:
             return [f"model: {exc}"]
-        except (KeyError, TypeError):
-            return []  # an invalid data.schema; the data section reports it
         return []
 
 
@@ -161,8 +153,8 @@ class RunConfig:
         return d
 
     def validate(self) -> None:
-        problems = self.data.problems() + self.model.problems(self.data) \
-            + self.grid.problems()
+        problems = (self.data.problems() + self.model.problems()
+                    + self.grid.problems())
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
 
@@ -218,20 +210,27 @@ def config_from_dict(d: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Read a JSON config file (all defaults when ``path`` is None), apply
+    ``section.key=value`` overrides, and validate the result."""
+    d = {}
+    if path:
         try:
-            d = json.load(fh)
+            with open(path) as fh:
+                d = json.load(fh)
+        except FileNotFoundError:
+            raise ValueError(f"{path}: config file not found") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    return config_from_dict(d)
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: config root must be an object, "
+                             f"got {type(d).__name__}")
+    return config_from_dict(apply_overrides(d, overrides or []))
 
 
 def save_config(cfg: RunConfig, path) -> None:
     """Echo the effective config (all defaults applied) to a file."""
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, cfg.to_dict())
 
 
 def apply_overrides(d: dict, overrides: list) -> dict:

@@ -68,13 +68,11 @@ class ModelSpec:
                 f"unknown model kind {self.kind!r}; expected one of: "
                 + ", ".join(KINDS)
             )
-        for name in ("window", "horizon", "n_features", "n_targets", "d_model",
-                     "n_heads", "enc_layers", "dec_layers", "ffn_width",
-                     "lstm_layers"):
-            value = getattr(self, name)
+        for f in fields(self)[1:]:   # every field after kind is a size
+            value = getattr(self, f.name)
             if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ValueError(f"ModelSpec.{name} must be a positive integer, "
-                                 f"got {value!r}")
+                raise ValueError(f"ModelSpec.{f.name} must be a positive "
+                                 f"integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .savgol import savgol_smooth
+from .serialize import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +60,11 @@ class FeatureSchema:
     input_channels: tuple
     target_channels: tuple
     aggregations: tuple = ()
+
+    def __post_init__(self):
+        for name in ("input_channels", "target_channels"):
+            if not getattr(self, name):
+                raise ValueError(f"FeatureSchema.{name} must not be empty")
 
     def required_raw_channels(self) -> list:
         """Raw CSV columns needed to realize this schema."""
@@ -235,10 +241,10 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
 
 
 def write_trip_csv(trip: TripSeries, path) -> None:
-    """Write a trip as a UTF-8 CSV: header of channel names, one row per sample."""
+    """Atomically write a trip as CSV: channel-name header, one row per sample."""
     names = list(trip.channels)
     cols = [trip.channels[n] for n in names]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in zip(*cols):

@@ -1,9 +1,10 @@
-"""Versioned binary container for checkpoints.
+"""Versioned binary container for checkpoints, and atomic file writes.
 
 Layout: 4-byte magic, u32 format version, u64 header length, UTF-8 JSON
 header, then the named float64 payloads concatenated little-endian in
-header order. Round trips are bit-exact. Files are written through
-:func:`atomic_write`, so a failed write never replaces an existing file.
+header order. Round trips are bit-exact. Containers and JSON outputs are
+written through :func:`atomic_write`, so a failed write never replaces an
+existing file.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def atomic_write(path, mode: str = "wb", newline: str | None = None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON through :func:`atomic_write`."""
+    with atomic_write(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_container(path, kind: str, meta: dict, arrays: list) -> None:

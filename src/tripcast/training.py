@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -254,10 +254,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
             loss.backward()
             grads = {}
             for name, p in params:
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
-                if not g.flags.writeable:
-                    g = g.copy()
-                grads[name] = g
+                grads[name] = (p.grad if p.grad is not None
+                               else np.zeros_like(p.data))
                 p.zero_grad()
             clip_gradients(grads, cfg.grad_clip_norm)
             opt.step(grads)
@@ -317,22 +315,10 @@ class EvalReport:
     r2_pooled: float              # normalized units, all targets pooled
     wall_clock_seconds: float
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "split": self.split,
-            "kind": self.kind,
-            "window": self.window,
-            "horizon": self.horizon,
-            "param_count": self.param_count,
-            "n_samples": self.n_samples,
-            "mse": self.mse,
-            "mse_per_target": dict(self.mse_per_target),
-            "r2_per_target": dict(self.r2_per_target),
-            "r2_defined": dict(self.r2_defined),
-            "r2_pooled": self.r2_pooled,
-        }
-        if include_timing:
-            d["wall_clock_seconds"] = self.wall_clock_seconds
+    def to_dict(self) -> dict:
+        """Every field but the timing, which belongs in ``meta.json``."""
+        d = asdict(self)
+        del d["wall_clock_seconds"]
         return d
 
 
@@ -399,19 +385,10 @@ class GridCell:
     epochs_run: int = 0
     seconds: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "kind": self.kind, "window": self.window, "horizon": self.horizon,
-            "status": self.status, "error": self.error,
-            "param_count": self.param_count,
-            "train_mse": self.train_mse, "val_mse": self.val_mse,
-            "test_mse": self.test_mse,
-            "test_r2_pooled": self.test_r2_pooled,
-            "test_r2_per_target": dict(self.test_r2_per_target),
-            "epochs_run": self.epochs_run,
-        }
-        if include_timing:
-            d["seconds"] = self.seconds
+    def to_dict(self) -> dict:
+        """Every field but the timing, which belongs in ``meta.json``."""
+        d = asdict(self)
+        del d["seconds"]
         return d
 
 
@@ -428,12 +405,12 @@ class GridReport:
                 return c
         raise KeyError(f"no grid cell for {kind} at {case}")
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "version": GRID_REPORT_VERSION,
             "kinds": list(self.kinds),
             "cases": [list(c) for c in self.cases],
-            "cells": [c.to_dict(include_timing) for c in self.cells],
+            "cells": [c.to_dict() for c in self.cells],
             "annotations": list(self.annotations),
         }
 
@@ -523,16 +500,16 @@ def _grid_annotations(report: GridReport) -> list:
 
 
 def run_grid(kinds: list, cases: list, make_dataset, train_cfg: TrainConfig,
-             model_fields: dict | None = None, seed: int = 0,
+             spec: ModelSpec, seed: int = 0,
              target_names=("soc", "batt_temp"), on_cell=None) -> GridReport:
     """Train and evaluate every (kind, case) cell with fresh weights.
 
-    ``make_dataset(window, horizon)`` supplies the DatasetSplit for a case.
+    ``make_dataset(window, horizon)`` supplies the DatasetSplit for a case;
+    each cell's model is ``spec`` with the cell's kind, window and horizon.
     Cell failures are caught and marked; surviving cells still run. Every
     cell's randomness is derived from ``seed`` and the cell coordinates, so
     reruns reproduce the whole grid.
     """
-    model_fields = dict(model_fields or {})
     report = GridReport(kinds=list(kinds),
                         cases=[tuple(c) for c in cases],
                         cells=[], annotations=[])
@@ -552,12 +529,10 @@ def run_grid(kinds: list, cases: list, make_dataset, train_cfg: TrainConfig,
                     int(s) for s in np.random.SeedSequence(
                         (seed, ci, ki)).generate_state(2)
                 )
-                spec = ModelSpec(kind=kind, window=w, horizon=h,
-                                 **model_fields)
-                model = build(spec, seed=build_seed)
-                cfg = TrainConfig(**{**train_cfg.__dict__,
-                                     "seed": train_seed})
-                model, log = train(model, ds, cfg)
+                model = build(replace(spec, kind=kind, window=w, horizon=h),
+                              seed=build_seed)
+                model, log = train(model, ds,
+                                   replace(train_cfg, seed=train_seed))
                 cell.param_count = model.count_parameters()
                 cell.epochs_run = len(log.entries)
                 rep_tr = evaluate(model, ds.train, ds.stats, target_names,

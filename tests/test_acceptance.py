@@ -254,13 +254,13 @@ def test_window_size_grid_completes_and_reports():
                                target_period_s=5.0, train_n=120, val_n=24,
                                test_n=24, seed=13)
 
-    model_fields = dict(n_features=15, n_targets=2, d_model=16, n_heads=2,
-                        enc_layers=1, dec_layers=1, ffn_width=16,
-                        lstm_layers=1)
+    spec = ModelSpec(kind="lstm", n_features=15, n_targets=2, d_model=16,
+                     n_heads=2, enc_layers=1, dec_layers=1, ffn_width=16,
+                     lstm_layers=1)
     cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3, seed=0)
     cases = [(12, 6), (30, 6), (50, 30)]
     report = run_grid(list(KINDS), cases, make_dataset, cfg,
-                      model_fields=model_fields, seed=9,
+                      spec, seed=9,
                       target_names=DEFAULT_SCHEMA.target_channels)
 
     assert len(report.cells) == 15

@@ -17,7 +17,7 @@ import pytest
 
 import tripcast.cli
 import tripcast.training
-from tripcast.cli import _write_json, main
+from tripcast.cli import main
 from tripcast.config import SEED_DATA, fan_seed
 from tripcast.models import ModelSpec, build, save_checkpoint
 from tripcast.serialize import read_container, write_container
@@ -259,6 +259,35 @@ class TestValidation:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_root_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        rc = main(["train", "--config", str(path), "-O", "seed=1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: config root must be an object, "
+                       "got list\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        rc = main(["train", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: config file not found\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_positive_window_reported_once(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "data.window=-3",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: data.window must be a positive integer, "
+            "got -3\n")
+
     def test_malformed_override(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", base_config())
         rc = main(["train", "--config", path, "-O", "data.window",
@@ -461,17 +490,6 @@ class TestPredict:
         assert capsys.readouterr().err.startswith(
             f"error: {path}: parameter {name[len('param.'):]} holds non-finite")
         assert not (tmp_path / "f.csv").exists()
-
-
-def test_failed_json_write_leaves_previous_file(tmp_path):
-    path = tmp_path / "report.json"
-    _write_json(path, {"a": 1})
-    before = path.read_bytes()
-    # json.dump streams: "a" is written before the unserializable value raises
-    with pytest.raises(TypeError):
-        _write_json(path, {"a": 2, "b": object()})
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_interrupted_training_leaves_previous_epochs_csv(ws, tmp_path,

@@ -121,6 +121,29 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"data": {"window": -3}},
+         "data.window must be a positive integer, got -3"),
+        ({"data": {"horizon": 0}},
+         "data.horizon must be a positive integer, got 0"),
+        ({"data": {"schema": {"input_channels": [],
+                              "target_channels": ["soc"],
+                              "aggregations": []}}},
+         "data.schema is not a valid schema: "
+         "FeatureSchema.input_channels must not be empty"),
+        ({"data": {"schema": {"input_channels": ["soc"],
+                              "target_channels": [],
+                              "aggregations": []}}},
+         "data.schema is not a valid schema: "
+         "FeatureSchema.target_channels must not be empty"),
+    ])
+    def test_data_problem_reported_once(self, raw, message):
+        # the model section is checked with placeholder sizes, so a bad
+        # data size or schema is not reported again as a ModelSpec error
+        with pytest.raises(ValueError) as err:
+            config_from_dict(raw)
+        assert str(err.value) == "invalid config: " + message
+
 
 class TestRoundTrip:
     def test_save_load_preserves_everything(self, tmp_path):
@@ -145,6 +168,18 @@ class TestRoundTrip:
     def test_to_dict_is_json_serializable(self):
         json.dumps(RunConfig().to_dict())
 
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        cfg = config_from_dict({})
+        save_config(cfg, path)
+        before = path.read_bytes()
+        # keys are sorted, so most of "data" is written before this raises
+        cfg.data.schema = {"input_channels": object()}
+        with pytest.raises(TypeError):
+            save_config(cfg, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_invalid_json_file_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -153,6 +188,12 @@ class TestRoundTrip:
 
 
 class TestOverrides:
+    def test_load_config_applies_overrides_after_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 3, "data": {"window": 8}}))
+        cfg = load_config(path, ["data.window=30", "model.kind=lstm"])
+        assert (cfg.seed, cfg.data.window, cfg.model.kind) == (3, 30, "lstm")
+
     def test_typed_values_parse_as_json(self):
         d = apply_overrides({}, ["data.window=30", "train.epochs=5",
                                  "model.kind=lstm"])

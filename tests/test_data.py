@@ -61,6 +61,18 @@ class TestCsvRoundTrip:
         assert [t.trip_id for t in trips] == ["synth-000", "synth-001",
                                               "synth-002"]
 
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "trip.csv"
+        write_trip_csv(tiny_trip(5), path)
+        before = path.read_bytes()
+        # the header and two rows are written before the bad cell raises
+        bad = TripSeries("bad", 1.0, {"a": np.array([1.0, 2.0, "x"],
+                                                    dtype=object)})
+        with pytest.raises(ValueError):
+            write_trip_csv(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trip.csv"]
+
 
 class TestLoadErrors:
     def _write(self, tmp_path, text):

@@ -17,6 +17,7 @@ from tripcast.serialize import (
     MAGIC,
     read_container,
     write_container,
+    write_json,
 )
 
 
@@ -83,6 +84,23 @@ class TestAtomicWrite:
                             [("alpha", np.ones(3)), ("beta", unconvertible)])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+    def test_failed_json_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        # json.dump streams: "a" is written before the unserializable value
+        # raises
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"b": [1, 2], "a": 1})
+        assert path.read_text() == (
+            '{\n  "a": 1,\n  "b": [\n    1,\n    2\n  ]\n}\n')
 
 
 class TestFailureModes:

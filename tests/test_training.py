@@ -385,12 +385,12 @@ class TestEvaluate:
         assert rep_a.mse == rep_b.mse
         assert rep_a.r2_pooled == rep_b.r2_pooled
 
-    def test_to_dict_timing_toggle(self, tiny_split):
+    def test_to_dict_leaves_out_timing(self, tiny_split):
         model = build(ModelSpec(kind="lstm", **TINY_MODEL), seed=0)
         rep = evaluate(model, tiny_split.test, tiny_split.stats,
                        DEFAULT_SCHEMA.target_channels, "test", 16)
-        assert "wall_clock_seconds" in rep.to_dict()
-        assert "wall_clock_seconds" not in rep.to_dict(include_timing=False)
+        assert rep.wall_clock_seconds > 0
+        assert "wall_clock_seconds" not in rep.to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -403,37 +403,37 @@ def grid_inputs():
                                target_period_s=1.0, train_n=100,
                                val_n=20, test_n=20, seed=0)
 
-    fields = {k: v for k, v in TINY_MODEL.items()
-              if k not in ("window", "horizon")}
+    # run_grid replaces the kind, window and horizon in every cell
+    spec = ModelSpec(kind="v_tst", **TINY_MODEL)
     cfg = TrainConfig(epochs=1, batch_size=32)
-    return make_dataset, fields, cfg
+    return make_dataset, spec, cfg
 
 
 class TestGrid:
     def test_full_matrix_and_determinism(self, grid_inputs):
-        make_dataset, fields, cfg = grid_inputs
+        make_dataset, spec, cfg = grid_inputs
         kinds = ["lstm", "enc_tst"]
         cases = [(3, 2), (5, 2)]
         rep1 = run_grid(kinds, cases, make_dataset, cfg,
-                        model_fields=fields, seed=3)
+                        spec, seed=3)
         rep2 = run_grid(kinds, cases, make_dataset, cfg,
-                        model_fields=fields, seed=3)
+                        spec, seed=3)
         assert len(rep1.cells) == 4
         assert all(c.status == "ok" for c in rep1.cells)
-        assert rep1.to_dict(include_timing=False) \
-            == rep2.to_dict(include_timing=False)
+        assert rep1.to_dict() == rep2.to_dict()
+        assert all("seconds" not in c for c in rep1.to_dict()["cells"])
 
     def test_single_cell_equals_direct_train(self, grid_inputs):
-        make_dataset, fields, cfg = grid_inputs
+        make_dataset, spec, cfg = grid_inputs
         rep = run_grid(["lstm"], [(3, 2)], make_dataset, cfg,
-                       model_fields=fields, seed=7)
+                       spec, seed=7)
         cell = rep.cell("lstm", (3, 2))
 
         build_seed, train_seed = (
             int(s) for s in np.random.SeedSequence((7, 0, 0)).generate_state(2))
         split = make_dataset(3, 2)
-        spec = ModelSpec(kind="lstm", window=3, horizon=2, **fields)
-        model = build(spec, seed=build_seed)
+        model = build(ModelSpec(**{**TINY_MODEL, "kind": "lstm", "window": 3,
+                                   "horizon": 2}), seed=build_seed)
         model, _ = train(model, split,
                          TrainConfig(**{**cfg.__dict__, "seed": train_seed}))
         direct = evaluate(model, split.test, split.stats,
@@ -443,7 +443,7 @@ class TestGrid:
         assert cell.test_r2_pooled == direct.r2_pooled
 
     def test_cell_failure_is_isolated(self, grid_inputs):
-        make_dataset, fields, cfg = grid_inputs
+        make_dataset, spec, cfg = grid_inputs
 
         def flaky(window, horizon):
             if window == 99:
@@ -451,7 +451,7 @@ class TestGrid:
             return make_dataset(window, horizon)
 
         rep = run_grid(["lstm"], [(3, 2), (99, 2)], flaky, cfg,
-                       model_fields=fields, seed=0)
+                       spec, seed=0)
         ok = rep.cell("lstm", (3, 2))
         bad = rep.cell("lstm", (99, 2))
         assert ok.status == "ok"
@@ -460,9 +460,9 @@ class TestGrid:
         assert "failed" in rep.format_table()
 
     def test_table_layout(self, grid_inputs):
-        make_dataset, fields, cfg = grid_inputs
+        make_dataset, spec, cfg = grid_inputs
         rep = run_grid(["lstm", "enc_tst"], [(3, 2), (5, 2)], make_dataset,
-                       cfg, model_fields=fields, seed=1)
+                       cfg, spec, seed=1)
         table = rep.format_table()
         assert "Case W=3, H=2" in table and "Case W=5, H=2" in table
         for row in ("Params", "Training error", "Validation error",
