@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .models import KINDS, ModelSpec
+from .models import KINDS, ModelSpec, positive_int_problems
 from .pipeline import DEFAULT_SCHEMA, FeatureSchema
 from .serialize import write_json
 from .training import TrainConfig
@@ -66,9 +66,7 @@ class DataConfig:
             out.append("data.trips_path is required when data.source='csv'")
         for name in ("n_trips", "trip_length", "window", "horizon",
                      "train_n", "val_n", "test_n"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                out.append(f"data.{name} must be a positive integer, got {v!r}")
+            out += positive_int_problems(f"data.{name}", getattr(self, name))
         if self.split_mode not in ("shuffle", "trip_holdout"):
             out.append(f"data.split_mode must be 'shuffle' or 'trip_holdout', "
                        f"got {self.split_mode!r}")
@@ -124,7 +122,7 @@ class GridConfig:
                            + ", ".join(KINDS))
         for c in self.cases:
             ok = (isinstance(c, (list, tuple)) and len(c) == 2
-                  and all(isinstance(v, int) and v > 0 for v in c))
+                  and not any(positive_int_problems("", v) for v in c))
             if not ok:
                 out.append(f"grid.cases entry {c!r} must be a [window, horizon] "
                            "pair of positive integers")
@@ -220,6 +218,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 d = json.load(fh)
         except FileNotFoundError:
             raise ValueError(f"{path}: config file not found") from None
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read config file: "
+                             f"{exc.strerror or exc}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(d, dict):

@@ -77,7 +77,7 @@ def corrupted_backward(op_name: str, factor: float = 1.01):
     unrecognized name raises instead of silently corrupting nothing.
     """
     if op_name not in T.RECORDED_OPS:
-        raise KeyError(
+        raise ValueError(
             f"unknown op {op_name!r}; recordable ops: "
             + ", ".join(sorted(T.RECORDED_OPS))
         )
@@ -248,7 +248,7 @@ def _layer_checks(rng: np.random.Generator) -> list:
           [n(size=(2, 3, 6)), 1.0 + 0.2 * n(size=6), 0.1 * n(size=6)])
 
     def load_lstm(net, it):
-        for lay in net.layers:
+        for lay in net.layer:
             lay.w, lay.u, lay.b = next(it), next(it), next(it)
 
     cell = Lstm(3, 4, 1, rng)

@@ -2,10 +2,14 @@
 tables, scaled-dot-product and multi-head attention, feed-forward nets, and
 stacked LSTMs.
 
-All layers are plain parameter containers exposing ``named_params()``;
-forward passes are ordinary functions over :mod:`tripcast.tensor` values, so
-every layer is differentiable end to end and checkable against finite
-differences.
+Every layer, and the model built from them, is a :class:`Module`: a plain
+parameter container whose ``named_params()`` is derived from its
+attributes. A parameter's name is its attribute path (``encoder.0.attn.wq``,
+``lstm.layer.1.u``), and the order in which attributes are first assigned
+is the parameter order: the checkpoint layout, the optimizer's iteration
+order and the gradient-norm summation order. Forward passes are ordinary
+functions over :mod:`tripcast.tensor` values, so every layer is
+differentiable end to end and checkable against finite differences.
 """
 
 from __future__ import annotations
@@ -41,11 +45,26 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
 
 
-def _prefixed(prefix: str, layer) -> list:
-    return [(f"{prefix}.{name}", t) for name, t in layer.named_params()]
+class Module:
+    """Parameter container; names its parameters by attribute path."""
+
+    def named_params(self, prefix: str = "") -> list:
+        """``(name, tensor)`` pairs, walking attributes in assignment order:
+        each :class:`Tensor`, each nested module under ``name.`` and each
+        list of modules under ``name.i.``; anything else is skipped."""
+        params = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                params.append((prefix + name, value))
+            elif isinstance(value, Module):
+                params += value.named_params(f"{prefix}{name}.")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    params += item.named_params(f"{prefix}{name}.{i}.")
+        return params
 
 
-class Linear:
+class Linear(Module):
     """Affine map on the last axis: ``x @ W + b``."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
@@ -59,14 +78,8 @@ class Linear:
             out = add(out, self.bias)
         return out
 
-    def named_params(self):
-        ps = [("weight", self.weight)]
-        if self.bias is not None:
-            ps.append(("bias", self.bias))
-        return ps
 
-
-class LayerNorm:
+class LayerNorm(Module):
     """Standardize the last axis, then apply a learned gain and bias."""
 
     def __init__(self, d: int):
@@ -76,11 +89,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return add(mul(layer_norm_core(x), self.gain), self.bias)
 
-    def named_params(self):
-        return [("gain", self.gain), ("bias", self.bias)]
 
-
-class FeedForward:
+class FeedForward(Module):
     """Position-wise two-layer net: linear, ReLU, linear.
 
     Called like :class:`LstmSubLayer`, as a block's sub-layer: returns
@@ -93,9 +103,6 @@ class FeedForward:
 
     def __call__(self, x: Tensor, prev: Optional[Tensor] = None) -> tuple:
         return self.lin2(relu(self.lin1(x))), None
-
-    def named_params(self):
-        return _prefixed("lin1", self.lin1) + _prefixed("lin2", self.lin2)
 
 
 def positional_encoding(seq_len: int, d_model: int) -> Tensor:
@@ -149,7 +156,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     return out
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Fused q/k/v projections, scaled-dot attention per head, output map.
 
     ``wq``, ``wk`` and ``wv`` are ``(d_model, d_model)``; head ``h`` owns
@@ -204,12 +211,8 @@ class MultiHeadAttention:
                  mask: Optional[Tensor] = None) -> Tensor:
         return self.attend(x_q, *self.project_kv(x_kv), mask)
 
-    def named_params(self):
-        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
-                ("wo", self.wo)]
 
-
-class _LstmLayer:
+class _LstmLayer(Module):
     """Fused gate parameters for one LSTM layer.
 
     ``w`` is ``(d_in, 4h)``, ``u`` is ``(h, 4h)`` and ``b`` is ``(4h,)``, with
@@ -229,11 +232,8 @@ class _LstmLayer:
         b[hidden:2 * hidden] = 1.0  # forget gate
         self.b = Tensor(b, requires_grad=True)
 
-    def named_params(self):
-        return [("w", self.w), ("u", self.u), ("b", self.b)]
 
-
-class Lstm:
+class Lstm(Module):
     """Stacked LSTM; each layer holds its four gates as one fused weight and
     runs as one :func:`tripcast.tensor.lstm` node.
 
@@ -244,7 +244,7 @@ class Lstm:
                  rng: np.random.Generator):
         self.hidden = hidden
         self.num_layers = num_layers
-        self.layers = [
+        self.layer = [
             _LstmLayer(d_in if i == 0 else hidden, hidden, rng)
             for i in range(num_layers)
         ]
@@ -265,20 +265,14 @@ class Lstm:
         zeros = Tensor(np.zeros((x.shape[0], hid)))
         outs = []
         seq = x
-        for li, layer in enumerate(self.layers):
+        for li, layer in enumerate(self.layer):
             outs.append(lstm(seq, zeros, zeros, layer.w, layer.u, layer.b,
                              None if prev is None else prev[li]))
             seq = outs[-1][:, :, :hid]
         return seq, outs
 
-    def named_params(self):
-        ps = []
-        for i, layer in enumerate(self.layers):
-            ps += _prefixed(f"layer.{i}", layer)
-        return ps
 
-
-class LstmSubLayer:
+class LstmSubLayer(Module):
     """Single-layer LSTM drop-in for a block's feed-forward slot.
 
     Processes the block's sequence left to right and projects the hidden
@@ -296,9 +290,6 @@ class LstmSubLayer:
         seq, outs = self.lstm(x, prev=None if prev is None else [prev])
         return self.proj(seq), outs[0]
 
-    def named_params(self):
-        return _prefixed("lstm", self.lstm) + _prefixed("proj", self.proj)
-
 
 def _make_sublayer(kind: str, d_model: int, ffn_width: int,
                    rng: np.random.Generator):
@@ -309,7 +300,7 @@ def _make_sublayer(kind: str, d_model: int, ffn_width: int,
     raise ValueError(f"unknown sub-layer kind {kind!r}")
 
 
-class EncoderBlock:
+class EncoderBlock(Module):
     """Pre-norm block: self-attention then a feed-forward (or LSTM) sub-layer."""
 
     def __init__(self, d_model: int, n_heads: int, ffn_width: int,
@@ -325,12 +316,8 @@ class EncoderBlock:
         x = add(x, self.sub(self.ln2(x))[0])
         return x
 
-    def named_params(self):
-        return (_prefixed("ln1", self.ln1) + _prefixed("attn", self.attn)
-                + _prefixed("ln2", self.ln2) + _prefixed("sub", self.sub))
 
-
-class DecoderBlock:
+class DecoderBlock(Module):
     """Pre-norm block: masked self-attention, cross-attention, sub-layer.
 
     Cross-attention reads keys and values the caller projects once from the
@@ -355,8 +342,3 @@ class DecoderBlock:
         x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv))
         y, out = self.sub(self.ln3(x), prev)
         return add(x, y), out
-
-    def named_params(self):
-        return (_prefixed("ln1", self.ln1) + _prefixed("self_attn", self.self_attn)
-                + _prefixed("ln2", self.ln2) + _prefixed("cross_attn", self.cross_attn)
-                + _prefixed("ln3", self.ln3) + _prefixed("sub", self.sub))

@@ -35,6 +35,7 @@ from .layers import (
     Linear,
     LayerNorm,
     Lstm,
+    Module,
     causal_mask,
     positional_encoding,
 )
@@ -44,6 +45,21 @@ KINDS = ("lstm", "enc_tst", "v_tst", "tst_lstm", "enc_tst_dec_lstm")
 
 # kinds whose decoder consumes previous target values
 DECODER_INPUT_KINDS = ("v_tst", "tst_lstm")
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a real number (an integer if ``integer``). A
+    bool, such as a JSON ``true``, is not."""
+    types = (int, np.integer) if integer else (int, float, np.integer,
+                                               np.floating)
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def positive_int_problems(key: str, value) -> list:
+    """``[message]`` naming ``key`` if ``value`` is no positive integer."""
+    if not is_number(value, integer=True) or value < 1:
+        return [f"{key} must be a positive integer, got {value!r}"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -69,10 +85,9 @@ class ModelSpec:
                 + ", ".join(KINDS)
             )
         for f in fields(self)[1:]:   # every field after kind is a size
-            value = getattr(self, f.name)
-            if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ValueError(f"ModelSpec.{f.name} must be a positive "
-                                 f"integer, got {value!r}")
+            for problem in positive_int_problems(f"ModelSpec.{f.name}",
+                                                 getattr(self, f.name)):
+                raise ValueError(problem)
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -90,54 +105,32 @@ class ModelSpec:
         return cls(**d)
 
 
-class Model:
-    """A built forecaster: parameter container plus the forward pass."""
+class Model(Module):
+    """A built forecaster: parameter container plus the forward pass. Each
+    kind assigns only the parts it has, and the assignment order below is
+    the parameter order (see :class:`~tripcast.layers.Module`)."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
         d, heads, width = spec.d_model, spec.n_heads, spec.ffn_width
         sub = "lstm" if spec.kind == "tst_lstm" else "ffn"
-        parts = []
 
         self.embed = Linear(spec.n_features, d, rng)
-        parts.append(("embed", self.embed))
-
-        self.enc_blocks = []
-        self.enc_norm = None
-        self.pe_enc = None
         if spec.kind != "lstm":
             self.pe_enc = positional_encoding(spec.window, d).data
-            for i in range(spec.enc_layers):
-                blk = EncoderBlock(d, heads, width, rng, sub_layer=sub)
-                self.enc_blocks.append(blk)
-                parts.append((f"encoder.{i}", blk))
-            self.enc_norm = LayerNorm(d)
-            parts.append(("encoder_norm", self.enc_norm))
-
-        self.lstm = None
-        if spec.kind == "lstm":
+            self.encoder = [EncoderBlock(d, heads, width, rng, sub_layer=sub)
+                            for _ in range(spec.enc_layers)]
+            self.encoder_norm = LayerNorm(d)
+        else:
             self.lstm = Lstm(d, d, spec.lstm_layers, rng)
-            parts.append(("lstm", self.lstm))
-
-        self.dec_embed = None
-        self.dec_blocks = []
-        self.dec_norm = None
-        self.pe_dec = None
         if spec.kind in DECODER_INPUT_KINDS:
-            self.dec_embed = Linear(spec.n_targets, d, rng)
-            parts.append(("decoder_embed", self.dec_embed))
+            self.decoder_embed = Linear(spec.n_targets, d, rng)
             self.pe_dec = positional_encoding(spec.horizon, d).data
-            for i in range(spec.dec_layers):
-                blk = DecoderBlock(d, heads, width, rng, sub_layer=sub)
-                self.dec_blocks.append(blk)
-                parts.append((f"decoder.{i}", blk))
-            self.dec_norm = LayerNorm(d)
-            parts.append(("decoder_norm", self.dec_norm))
-
-        self.dec_lstm = None
+            self.decoder = [DecoderBlock(d, heads, width, rng, sub_layer=sub)
+                            for _ in range(spec.dec_layers)]
+            self.decoder_norm = LayerNorm(d)
         if spec.kind == "enc_tst_dec_lstm":
-            self.dec_lstm = Lstm(d, d, spec.lstm_layers, rng)
-            parts.append(("decoder_lstm", self.dec_lstm))
+            self.decoder_lstm = Lstm(d, d, spec.lstm_layers, rng)
 
         # per-position head for decoder-input kinds, whole-horizon head else
         if spec.kind in DECODER_INPUT_KINDS:
@@ -146,47 +139,35 @@ class Model:
             self.head = Linear(spec.window * d, spec.horizon * spec.n_targets, rng)
         else:
             self.head = Linear(d, spec.horizon * spec.n_targets, rng)
-        parts.append(("head", self.head))
-
-        self._params = []
-        for prefix, layer in parts:
-            for name, tensor in layer.named_params():
-                self._params.append((f"{prefix}.{name}", tensor))
-        names = [n for n, _ in self._params]
-        if len(names) != len(set(names)):
-            raise RuntimeError("duplicate parameter names in model assembly")
-
-    def named_params(self) -> list:
-        return list(self._params)
 
     def count_parameters(self) -> int:
-        return int(sum(t.data.size for _, t in self._params))
+        return int(sum(t.data.size for _, t in self.named_params()))
 
     # ------------------------------------------------------------- forward
 
     def _encode(self, x: Tensor) -> Tensor:
         e = add(self.embed(x), Tensor(self.pe_enc))
-        for blk in self.enc_blocks:
+        for blk in self.encoder:
             e = blk(e)
-        return self.enc_norm(e)
+        return self.encoder_norm(e)
 
     def _project_cross_kv(self, enc_out: Tensor) -> list:
         # every decoding step attends to the same encoder output, so each
         # layer projects its keys and values once per forward call
-        return [blk.cross_attn.project_kv(enc_out) for blk in self.dec_blocks]
+        return [blk.cross_attn.project_kv(enc_out) for blk in self.decoder]
 
     def _decode(self, y_in: Tensor, cross_kv: list,
                 prev: list | None = None) -> tuple:
         """Decoder output and, per layer, what its sub-layer carries to the
         next decoding step; ``prev`` passes those carries back in."""
         steps = y_in.shape[1]
-        d = add(self.dec_embed(y_in), Tensor(self.pe_dec[:steps]))
+        d = add(self.decoder_embed(y_in), Tensor(self.pe_dec[:steps]))
         mask = causal_mask(steps)
         outs = []
-        for i, (blk, kv) in enumerate(zip(self.dec_blocks, cross_kv)):
+        for i, (blk, kv) in enumerate(zip(self.decoder, cross_kv)):
             d, out = blk(d, kv, mask, None if prev is None else prev[i])
             outs.append(out)
-        return self.head(self.dec_norm(d)), outs
+        return self.head(self.decoder_norm(d)), outs
 
     def _autoregress(self, x: Tensor, start: Tensor) -> Tensor:
         # Decode at full horizon length every step, with future positions
@@ -205,7 +186,7 @@ class Model:
         buf[:, 0, :] = start.data
         preds = np.zeros_like(buf)
         prev = [Tensor(np.zeros((batch, 0, 2 * spec.d_model)))] * len(
-            self.dec_blocks)
+            self.decoder)
         with no_grad():
             cross_kv = self._project_cross_kv(self._encode(x))
             for step in range(spec.horizon):
@@ -266,7 +247,7 @@ class Model:
             return self.head(flat).reshape(batch, spec.horizon, spec.n_targets)
 
         if spec.kind == "enc_tst_dec_lstm":
-            seq, _ = self.dec_lstm(enc_out)
+            seq, _ = self.decoder_lstm(enc_out)
             out = self.head(seq[:, -1])
             return out.reshape(batch, spec.horizon, spec.n_targets)
 

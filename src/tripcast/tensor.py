@@ -662,14 +662,6 @@ def _attach_methods():
     Tensor.__neg__ = lambda self: scale(self, -1.0)
     Tensor.__matmul__ = matmul
     Tensor.__getitem__ = tslice
-    Tensor.matmul = matmul
-    Tensor.transpose = transpose
-    Tensor.sum = tsum
-    Tensor.mean = tmean
-    Tensor.softmax = softmax
-    Tensor.tanh = tanh
-    Tensor.sigmoid = sigmoid
-    Tensor.relu = relu
 
     def _reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .models import DECODER_INPUT_KINDS, Model, ModelSpec, build
+from .models import (DECODER_INPUT_KINDS, Model, ModelSpec, build,
+                     is_number, positive_int_problems)
 from .pipeline import DatasetSplit, NormStats, Windows
 from .tensor import ShapeError, Tensor, mul, no_grad, sub, tmean
 
@@ -138,25 +139,27 @@ class TrainConfig:
     target_val_r2: float | None = None
 
     def __post_init__(self):
-        problems = []
-        if self.epochs < 1:
-            problems.append(f"epochs must be ≥ 1, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be ≥ 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
+        problems = [p for name in ("epochs", "batch_size")
+                    for p in positive_int_problems(name, getattr(self, name))]
+        if not is_number(self.learning_rate) or not self.learning_rate > 0:
             problems.append(f"learning_rate must be positive, "
-                            f"got {self.learning_rate}")
+                            f"got {self.learning_rate!r}")
+        if not is_number(self.epsilon) or not self.epsilon > 0:
+            problems.append(f"epsilon must be positive, got {self.epsilon!r}")
         if self.optimizer not in ("adam", "sgd"):
             problems.append(f"optimizer must be 'adam' or 'sgd', "
                             f"got {self.optimizer!r}")
-        if self.patience < 0:
-            problems.append(f"patience must be ≥ 0, got {self.patience}")
-        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
+        if not is_number(self.patience, integer=True) or self.patience < 0:
+            problems.append(f"patience must be an integer ≥ 0, "
+                            f"got {self.patience!r}")
+        if self.grad_clip_norm is not None and not (
+                is_number(self.grad_clip_norm) and self.grad_clip_norm > 0):
             problems.append(f"grad_clip_norm must be positive or None, "
-                            f"got {self.grad_clip_norm}")
-        if self.target_val_r2 is not None and self.target_val_r2 > 1.0:
-            problems.append(f"target_val_r2 cannot exceed 1, "
-                            f"got {self.target_val_r2}")
+                            f"got {self.grad_clip_norm!r}")
+        if self.target_val_r2 is not None and not (
+                is_number(self.target_val_r2) and self.target_val_r2 <= 1.0):
+            problems.append(f"target_val_r2 must be a number ≤ 1 or None, "
+                            f"got {self.target_val_r2!r}")
         if problems:
             raise ValueError("invalid TrainConfig: " + "; ".join(problems))
 

@@ -288,6 +288,32 @@ class TestValidation:
             "error: invalid config: data.window must be a positive integer, "
             "got -3\n")
 
+    @pytest.mark.parametrize("override, message", [
+        ("data.n_trips=true", "invalid config: data.n_trips must be a "
+         "positive integer, got True"),
+        ("model.d_model=true", "invalid config: model: ModelSpec.d_model "
+         "must be a positive integer, got True"),
+        ("train.epochs=abc", "invalid TrainConfig: epochs must be a "
+         "positive integer, got 'abc'"),
+        ("grid.cases=[[12,true]]", "invalid config: grid.cases entry "
+         "[12, True] must be a [window, horizon] pair of positive integers"),
+    ])
+    def test_bool_or_non_number_size(self, tmp_path, capsys, override,
+                                     message):
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", override,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        rc = main(["train", "--config", str(tmp_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}: cannot read config file: Is a directory\n")
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_override(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", base_config())
         rc = main(["train", "--config", path, "-O", "data.window",

@@ -86,7 +86,7 @@ class TestCorruptionDetection:
         assert after.passed  # the context manager restored the real rule
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown op 'not_an_op'"):
             with corrupted_backward("not_an_op"):
                 pass
 

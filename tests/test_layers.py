@@ -268,7 +268,7 @@ def lstm_scalar_oracle(xs, w, u, b):
 class TestLstm:
     def test_single_unit_matches_scalar_oracle(self, rng):
         lstm = Lstm(1, 1, 1, rng)
-        layer = lstm.layers[0]
+        layer = lstm.layer[0]
         # one hidden unit: column j of the fused weights is gate j
         w = dict(zip("ifog", map(float, layer.w.data[0])))
         u = dict(zip("ifog", map(float, layer.u.data[0])))
@@ -281,7 +281,7 @@ class TestLstm:
 
     def test_forget_bias_initialized_to_one(self, rng):
         lstm = Lstm(3, 4, 2, rng)
-        for layer in lstm.layers:
+        for layer in lstm.layer:
             np.testing.assert_array_equal(
                 layer.b.data, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
 
@@ -290,7 +290,7 @@ class TestLstm:
         # gates i, f, o, g in turn, layer by layer
         lstm = Lstm(3, 4, 2, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        for layer, d_in in zip(lstm.layers, (3, 4)):
+        for layer, d_in in zip(lstm.layer, (3, 4)):
             gates = [(xavier_uniform(rng, d_in, 4), xavier_uniform(rng, 4, 4))
                      for _ in "ifog"]
             np.testing.assert_array_equal(

@@ -4,6 +4,7 @@ Parameter counts are checked against closed-form arithmetic derived from
 the layer definitions, evaluated at a deliberately small configuration.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -127,6 +128,38 @@ class TestAssembly:
         model = build(small_spec(kind), seed=1)
         names = [n for n, _ in model.named_params()]
         assert len(names) == len(set(names))
+
+    # sha256 of the "name shape" lines from named_params() and of the
+    # save_checkpoint bytes, at a small spec built with seed 3; these fix
+    # the parameter names, their order and the checkpoint layout
+    LAYOUT = {
+        "lstm": (
+            "a0c024af450c8ee2cf5e4c928c92eeed39475d88de1bd8ce8dd8cd3fd61346ad",
+            "e1884c0d61978fe35ddc22ef53344ef6573c57ac0ca195f35dcd31cb16d8fbf0"),
+        "enc_tst": (
+            "b50517419b41019f454a1523b4b9e8a0761da14efeee49a021e7fafa0065a765",
+            "a0824a17feafa63ba3b17b918e94f7b5bbfb6f0a01100e02f7c048f36a2eb7e8"),
+        "v_tst": (
+            "132f770488b9b90e719720c1ca09d7c96c73ad55567b6e8812a06a142708b2c8",
+            "f3fc9078959e380dd9a299184fa75e7155b4de0fd7cbac0f5cc3bfa2f1109dcb"),
+        "tst_lstm": (
+            "db6d86c7ce12716b09c1021d9889ef370ac8e298f622c3438a14584466f0d24a",
+            "819cee0e5cd87799440bb350bac93d4544e5f5d0177d83af44a349e0c6a8b167"),
+        "enc_tst_dec_lstm": (
+            "ceda2854036f574932c0e1142477fbdd905ae7b43039bf7208dfa093fa1abb35",
+            "e5c67bca94ca0924b1b217e7076dda55a41fc8e47dfc00390715a9a1ad2be31d"),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameter_layout_pinned(self, kind, tmp_path):
+        model = build(ModelSpec(kind, d_model=16, n_heads=2, ffn_width=8,
+                                enc_layers=2, dec_layers=2, lstm_layers=2), 3)
+        lines = "\n".join(f"{name} {t.data.shape}"
+                          for name, t in model.named_params())
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        assert (hashlib.sha256(lines.encode()).hexdigest(),
+                hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+                ) == self.LAYOUT[kind]
 
     def test_reference_scale_ordering(self):
         counts = {k: build(ModelSpec(kind=k), seed=0).count_parameters()
@@ -275,13 +308,13 @@ def per_step_projection_oracle(model, x, start):
     buf[:, 0] = start
     preds = np.zeros_like(buf)
     for step in range(spec.horizon):
-        d = add(model.dec_embed(Tensor(buf)), Tensor(model.pe_dec))
-        for blk in model.dec_blocks:
+        d = add(model.decoder_embed(Tensor(buf)), Tensor(model.pe_dec))
+        for blk in model.decoder:
             h = blk.ln1(d)
             d = add(d, blk.self_attn(h, h, mask))
             d = add(d, blk.cross_attn(blk.ln2(d), enc_out))
             d = add(d, blk.sub(blk.ln3(d))[0])
-        preds[:, step] = model.head(model.dec_norm(d)).data[:, step]
+        preds[:, step] = model.head(model.decoder_norm(d)).data[:, step]
         if step + 1 < spec.horizon:
             buf[:, step + 1] = preds[:, step]
     return preds
@@ -306,7 +339,7 @@ class TestAutoregressiveConsistency:
                                                           monkeypatch):
         spec = ModelSpec(kind=kind)
         model = build(spec, seed=0)
-        cross = [blk.cross_attn for blk in model.dec_blocks]
+        cross = [blk.cross_attn for blk in model.decoder]
         projected = []
         original = MultiHeadAttention.project_kv
 
@@ -479,7 +512,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_refused(self, tmp_path, bad):
         model = build(small_spec("lstm"), seed=0)
-        model.lstm.layers[0].u.data[1, 2] = bad
+        model.lstm.layer[0].u.data[1, 2] = bad
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         with pytest.raises(ValueError, match=re.escape(
