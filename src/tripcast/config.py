@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .models import KINDS, ModelSpec, positive_int_problems
+from .models import KINDS, ModelSpec, is_number, positive_int_problems
 from .pipeline import DEFAULT_SCHEMA, FeatureSchema
 from .serialize import write_json
 from .training import TrainConfig
@@ -24,6 +24,10 @@ from .training import TrainConfig
 SEED_DATA = 0
 SEED_TRAIN = 1
 SEED_BUILD = 2
+
+
+def is_seed(value) -> bool:
+    return is_number(value, integer=True) and value >= 0
 
 
 def fan_seed(root: int, tag: int) -> int:
@@ -139,20 +143,21 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
 
     def to_dict(self) -> dict:
-        d = {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "data": asdict(self.data),
-            "model": asdict(self.model),
-            "train": asdict(self.train),
-            "grid": asdict(self.grid),
-        }
-        d["train"]["betas"] = list(self.train.betas)
-        return d
+        return asdict(self)
 
     def validate(self) -> None:
-        problems = (self.data.problems() + self.model.problems()
-                    + self.grid.problems())
+        problems = [f"{key} must be a non-negative integer, got {value!r}"
+                    for key, value in (("seed", self.seed),
+                                       ("data.seed", self.data.seed),
+                                       ("train.seed", self.train.seed))
+                    if not is_seed(value)]
+        betas = self.train.betas
+        if not (isinstance(betas, tuple) and len(betas) == 2
+                and all(is_number(b) and 0 <= b < 1 for b in betas)):
+            problems.append(f"train.betas must be two numbers in [0, 1), "
+                            f"got {betas!r}")
+        problems += (self.data.problems() + self.model.problems()
+                     + self.grid.problems())
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
 
@@ -189,11 +194,11 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ValueError("unknown config key(s): " + ", ".join(unknown))
 
     root_seed = d.get("seed", 0)
-    if "seed" not in sections["data"]:
-        sections["data"]["seed"] = fan_seed(root_seed, SEED_DATA)
-    if "seed" not in sections["train"]:
-        sections["train"]["seed"] = fan_seed(root_seed, SEED_TRAIN)
-    if "betas" in sections["train"]:
+    if is_seed(root_seed):  # else validate() reports it
+        for name, tag in (("data", SEED_DATA), ("train", SEED_TRAIN)):
+            if "seed" not in sections[name]:
+                sections[name]["seed"] = fan_seed(root_seed, tag)
+    if isinstance(sections["train"].get("betas"), list):
         sections["train"]["betas"] = tuple(sections["train"]["betas"])
 
     cfg = RunConfig(

@@ -1,18 +1,21 @@
 """Central finite-difference verification of every backward rule.
 
-Each registered check builds small random inputs, runs a scalar forward,
-and compares the tape's gradients against central differences (step 1e-6,
-float64). The registry covers every tensor primitive exactly once (the fused
-``lstm`` layer op among them) plus the composite layers (attention heads,
-multi-head with output weights, FFN, layer norm, LSTM cell and stack,
-embedding, positional-table path).
+One registry holds every check: a function, its small random inputs and,
+for a layer, the layer itself. The registry turns the function's outputs
+into a fixed weighted-sum objective and compares the tape's gradients
+against central differences (step 1e-6, float64), for the inputs and for
+every tensor of the layer's ``named_params()``. It covers every tensor
+primitive exactly once (the fused ``lstm`` layer op among them) plus the
+composite layers (attention heads, multi-head with output weights, FFN,
+layer norm, LSTM cell and stack, embedding, positional-table path).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,17 +37,21 @@ DEFAULT_TOLERANCE = 1e-4
 
 
 def max_grad_error(forward: Callable[..., Tensor], arrays: list,
-                   step: float = DEFAULT_STEP) -> float:
+                   step: float = DEFAULT_STEP,
+                   params: Sequence[Tensor] = ()) -> float:
     """Worst elementwise relative error of tape grads vs central differences.
 
     ``forward`` maps one Tensor per input array to a scalar Tensor and must
-    be a pure function of its inputs (no randomness inside).
+    be a pure function of its inputs and of ``params``: tensors it reads by
+    itself, such as a layer's weights. Those are checked too; each one's
+    ``data`` is perturbed in place and restored exactly.
     """
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    loss = forward(*tensors)
-    loss.backward()
+    for p in params:
+        p.zero_grad()
+    forward(*tensors).backward()
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                for t in tensors]
+                for t in tensors + list(params)]
 
     work = [np.array(a, dtype=np.float64) for a in arrays]
 
@@ -53,7 +60,7 @@ def max_grad_error(forward: Callable[..., Tensor], arrays: list,
             return forward(*[Tensor(w) for w in work]).item()
 
     worst = 0.0
-    for arr, ana in zip(work, analytic):
+    for arr, ana in zip(work + [p.data for p in params], analytic):
         flat = arr.reshape(-1)
         ana_flat = ana.reshape(-1)
         for j in range(flat.size):
@@ -103,177 +110,85 @@ def _away_from_zero(x: np.ndarray, margin: float = 0.05) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # check registry
-#
-# Every forward closes over weights fixed at registry-build time, so the
-# scalar objective is a pure function of the checked inputs.
 
 
-def _primitive_checks(rng: np.random.Generator) -> list:
+def _as_list(outs) -> list:
+    return list(outs) if isinstance(outs, (tuple, list)) else [outs]
+
+
+def _checks(rng: np.random.Generator) -> list:
+    """``(name, objective, arrays, params)`` for every check, in report order.
+
+    Each entry's function returns one tensor or several; its objective is
+    their sum weighted by random weights fixed here, so it is a pure
+    function of the checked inputs. A layer entry also checks every tensor
+    of the layer's ``named_params()``.
+    """
     n = rng.normal
     checks = []
 
-    def entry(name, forward, arrays):
-        checks.append((name, forward, arrays))
+    def entry(name, fn, arrays, layer=None):
+        with T.no_grad():
+            shapes = [o.shape for o in _as_list(fn(*map(Tensor, arrays)))]
+        weights = [Tensor(n(size=shape)) for shape in shapes]
 
-    def wsum(shape):
-        w = Tensor(n(size=shape))
-        return lambda x: T.tsum(T.mul(x, w))
+        def objective(*xs):
+            return functools.reduce(T.add, [
+                T.tsum(T.mul(o, w)) for o, w in zip(_as_list(fn(*xs)), weights)])
 
-    entry("add", (lambda s=wsum((3, 4)): lambda a, b: s(T.add(a, b)))(),
-          [n(size=(3, 4)), n(size=(4,))])
-    entry("sub", (lambda s=wsum((2, 3, 4)): lambda a, b: s(T.sub(a, b)))(),
-          [n(size=(2, 3, 4)), n(size=(3, 4))])
-    entry("mul", (lambda s=wsum((3, 4)): lambda a, b: s(T.mul(a, b)))(),
-          [n(size=(3, 4)), n(size=(3, 4))])
-    entry("scale", (lambda s=wsum((3, 4)): lambda a: s(T.scale(a, 1.7)))(),
-          [n(size=(3, 4))])
-    entry("tanh", (lambda s=wsum((3, 4)): lambda a: s(T.tanh(a)))(),
-          [n(size=(3, 4))])
-    entry("sigmoid", (lambda s=wsum((3, 4)): lambda a: s(T.sigmoid(a)))(),
-          [n(size=(3, 4))])
-    entry("relu", (lambda s=wsum((4, 5)): lambda a: s(T.relu(a)))(),
-          [_away_from_zero(n(size=(4, 5)))])
+        params = [p for _, p in layer.named_params()] if layer else []
+        checks.append((name, objective, arrays, params))
 
-    w_mm = wsum((2, 3, 5))
+    entry("add", T.add, [n(size=(3, 4)), n(size=(4,))])
+    entry("sub", T.sub, [n(size=(2, 3, 4)), n(size=(3, 4))])
+    entry("mul", T.mul, [n(size=(3, 4)), n(size=(3, 4))])
+    entry("scale", lambda a: T.scale(a, 1.7), [n(size=(3, 4))])
+    entry("tanh", T.tanh, [n(size=(3, 4))])
+    entry("sigmoid", T.sigmoid, [n(size=(3, 4))])
+    entry("relu", T.relu, [_away_from_zero(n(size=(4, 5)))])
     entry("matmul",
-          lambda a, b, c: T.add(w_mm(T.matmul(a, b)),
-                                T.tsum(T.matmul(T.transpose(a), c))),
+          lambda a, b, c: (T.matmul(a, b), T.matmul(T.transpose(a), c)),
           [n(size=(2, 3, 4)), n(size=(4, 5)), n(size=(2, 3, 6))])
-    entry("transpose",
-          (lambda s=wsum((4, 3, 2)): lambda a: s(T.transpose(a, 0, 2)))(),
+    entry("transpose", lambda a: T.transpose(a, 0, 2), [n(size=(2, 3, 4))])
+    entry("reshape", lambda a: T.reshape(a, (4, 6)), [n(size=(2, 3, 4))])
+    entry("sum", lambda a: (T.tsum(a, axis=1), T.tsum(T.tanh(a))),
           [n(size=(2, 3, 4))])
-    entry("reshape", (lambda s=wsum((4, 6)): lambda a: s(T.reshape(a, (4, 6))))(),
+    entry("mean", lambda a: (T.tmean(a, axis=-1, keepdims=True), T.tmean(a)),
           [n(size=(2, 3, 4))])
-
-    w_sum = wsum((2, 4))
-    entry("sum",
-          lambda a: T.add(w_sum(T.tsum(a, axis=1)), T.tsum(T.tanh(a))),
-          [n(size=(2, 3, 4))])
-    w_mean = wsum((2, 3, 1))
-    entry("mean",
-          lambda a: T.add(w_mean(T.tmean(a, axis=-1, keepdims=True)), T.tmean(a)),
-          [n(size=(2, 3, 4))])
-    entry("softmax", (lambda s=wsum((2, 3, 4)): lambda a: s(T.softmax(a, -1)))(),
-          [n(size=(2, 3, 4))])
-    entry("layer_norm", (lambda s=wsum((3, 6)): lambda a: s(T.layer_norm_core(a)))(),
-          [n(size=(3, 6))])
-    entry("concat",
-          (lambda s=wsum((2, 7)): lambda a, b: s(T.concat([a, b], axis=1)))(),
+    entry("softmax", lambda a: T.softmax(a, -1), [n(size=(2, 3, 4))])
+    entry("layer_norm", T.layer_norm_core, [n(size=(3, 6))])
+    entry("concat", lambda a, b: T.concat([a, b], axis=1),
           [n(size=(2, 3)), n(size=(2, 4))])
-
-    w_sl1, w_sl2 = wsum((2, 2, 3)), wsum((2, 3))
-    entry("slice",
-          lambda a: T.add(w_sl1(a[:, 1:3, :]), w_sl2(a[:, 0, :])),
-          [n(size=(2, 4, 3))])
-
-    # B=2, L=3, d=3, h=4; the weights see both the h half and the c half
-    w_lstm = wsum((2, 3, 8))
-    entry("lstm",
-          lambda x, h0, c0, w, u, b: w_lstm(T.lstm(x, h0, c0, w, u, b)),
+    entry("slice", lambda a: (a[:, 1:3, :], a[:, 0, :]), [n(size=(2, 4, 3))])
+    # B=2, L=3, d=3, h=4; the output holds both the h half and the c half
+    entry("lstm", T.lstm,
           [n(size=(2, 3, 3)), n(size=(2, 4)), n(size=(2, 4)),
            0.5 * n(size=(3, 16)), 0.5 * n(size=(4, 16)), 0.5 * n(size=16)])
-    return checks
-
-
-def _layer_checks(rng: np.random.Generator) -> list:
-    checks = []
-    n = rng.normal
-
-    def entry(name, forward, arrays):
-        checks.append((name, forward, arrays))
-
-    def wsum(shape):
-        w = Tensor(n(size=shape))
-        return lambda x: T.tsum(T.mul(x, w))
 
     # embedding: learned linear map applied to a feature window
     emb = Linear(5, 6, rng)
-    s_emb = wsum((2, 4, 6))
-
-    def emb_fwd(x, w, b):
-        emb.weight, emb.bias = w, b
-        return s_emb(emb(x))
-
-    entry("embedding_linear", emb_fwd,
-          [n(size=(2, 4, 5)), emb.weight.data.copy(), 0.1 * n(size=6)])
-
+    entry("embedding_linear", emb, [n(size=(2, 4, 5))], emb)
     # additive position table on top of the embedding
     pe = positional_encoding(4, 6)
-    s_pe = wsum((2, 4, 6))
-
-    def pe_fwd(x, w):
-        return s_pe(T.tanh(T.add(T.matmul(x, w), pe)))
-
-    entry("positional_path", pe_fwd, [n(size=(2, 4, 5)), 0.5 * n(size=(5, 6))])
-
+    entry("positional_path", lambda x, w: T.tanh(T.add(T.matmul(x, w), pe)),
+          [n(size=(2, 4, 5)), 0.5 * n(size=(5, 6))])
     # one attention head, causal-masked
     mask = causal_mask(3)
-    s_head = wsum((2, 3, 5))
-
-    def head_fwd(q, k, v):
-        return s_head(scaled_dot_attention(q, k, v, mask))
-
-    entry("attention_head", head_fwd,
+    entry("attention_head", lambda q, k, v: scaled_dot_attention(q, k, v, mask),
           [n(size=(2, 3, 4)), n(size=(2, 3, 4)), n(size=(2, 3, 5))])
-
     mha = MultiHeadAttention(6, 2, rng)
-    mha_arrays = [n(size=(2, 3, 6))] + [p.data.copy() for _, p in mha.named_params()]
-    s_mha = wsum((2, 3, 6))
-
-    def mha_fwd(x, wq, wk, wv, wo):
-        mha.wq, mha.wk, mha.wv, mha.wo = wq, wk, wv, wo
-        return s_mha(mha(x, x))
-
-    entry("multi_head_attention", mha_fwd, mha_arrays)
-
+    entry("multi_head_attention", lambda x: mha(x, x), [n(size=(2, 3, 6))], mha)
     ffn = FeedForward(6, 4, rng)
-    s_ffn = wsum((2, 3, 6))
-
-    def ffn_fwd(x, w1, b1, w2, b2):
-        ffn.lin1.weight, ffn.lin1.bias = w1, b1
-        ffn.lin2.weight, ffn.lin2.bias = w2, b2
-        return s_ffn(ffn(x)[0])
-
-    entry("feed_forward", ffn_fwd,
-          [n(size=(2, 3, 6))] + [p.data.copy() for _, p in ffn.named_params()])
-
+    entry("feed_forward", lambda x: ffn(x)[0], [n(size=(2, 3, 6))], ffn)
     ln = LayerNorm(6)
-    s_ln = wsum((2, 3, 6))
-
-    def ln_fwd(x, gain, bias):
-        ln.gain, ln.bias = gain, bias
-        return s_ln(ln(x))
-
-    entry("layer_norm_affine", ln_fwd,
-          [n(size=(2, 3, 6)), 1.0 + 0.2 * n(size=6), 0.1 * n(size=6)])
-
-    def load_lstm(net, it):
-        for lay in net.layer:
-            lay.w, lay.u, lay.b = next(it), next(it), next(it)
-
+    ln.gain.data += 0.2 * n(size=6)  # off the identity init
+    ln.bias.data += 0.1 * n(size=6)
+    entry("layer_norm_affine", ln, [n(size=(2, 3, 6))], ln)
+    # the checked output is every layer's h and c at every step
     cell = Lstm(3, 4, 1, rng)
-    s_cell_seq, s_cell_c = wsum((2, 1, 4)), wsum((2, 4))
-
-    def cell_fwd(x, *params):
-        load_lstm(cell, iter(params))
-        seq, (out,) = cell(x)
-        return T.add(s_cell_seq(seq), s_cell_c(out[:, -1, 4:]))
-
-    entry("lstm_cell", cell_fwd,
-          [n(size=(2, 1, 3))] + [p.data.copy() for _, p in cell.named_params()])
-
+    entry("lstm_cell", lambda x: cell(x)[1], [n(size=(2, 1, 3))], cell)
     deep = Lstm(3, 4, 2, rng)
-    s_deep_seq, s_deep_h = wsum((2, 3, 4)), wsum((2, 2, 4))
-
-    def deep_fwd(x, *params):
-        load_lstm(deep, iter(params))
-        seq, outs = deep(x)
-        return T.add(s_deep_seq(seq),
-                     s_deep_h(T.stack([o[:, -1, :4] for o in outs])))
-
-    entry("lstm_stack", deep_fwd,
-          [n(size=(2, 3, 3))] + [p.data.copy() for _, p in deep.named_params()])
-
+    entry("lstm_stack", lambda x: deep(x)[1], [n(size=(2, 3, 3))], deep)
     return checks
 
 
@@ -310,7 +225,7 @@ def run_gradcheck(tolerance: float = DEFAULT_TOLERANCE,
     ctx = corrupted_backward(corrupt_op) if corrupt_op else contextlib.nullcontext()
     with ctx:
         rng = np.random.default_rng(seed)
-        for name, forward, arrays in _primitive_checks(rng) + _layer_checks(rng):
-            err = max_grad_error(forward, arrays, step=step)
-            report.entries.append((name, err))
+        for name, objective, arrays, params in _checks(rng):
+            report.entries.append(
+                (name, max_grad_error(objective, arrays, step, params)))
     return report

@@ -243,7 +243,6 @@ class Lstm(Module):
     def __init__(self, d_in: int, hidden: int, num_layers: int,
                  rng: np.random.Generator):
         self.hidden = hidden
-        self.num_layers = num_layers
         self.layer = [
             _LstmLayer(d_in if i == 0 else hidden, hidden, rng)
             for i in range(num_layers)

@@ -121,10 +121,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only."""
-        return self.data
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, "

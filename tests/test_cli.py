@@ -306,6 +306,28 @@ class TestValidation:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("override, message", [
+        ("train.betas=5", "train.betas must be two numbers in [0, 1), got 5"),
+        ('train.betas=["a",1]', "train.betas must be two numbers in [0, 1), "
+         "got ('a', 1)"),
+        ("train.betas=[0.9]", "train.betas must be two numbers in [0, 1), "
+         "got (0.9,)"),
+        ("data.seed=abc", "data.seed must be a non-negative integer, "
+         "got 'abc'"),
+        ("train.seed=abc", "train.seed must be a non-negative integer, "
+         "got 'abc'"),
+        ("train.seed=-1", "train.seed must be a non-negative integer, got -1"),
+        ("seed=abc", "seed must be a non-negative integer, got 'abc'"),
+        ("seed=true", "seed must be a non-negative integer, got True"),
+    ])
+    def test_bad_seed_or_betas(self, tmp_path, capsys, override, message):
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", override,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path),
                    "--out", str(tmp_path / "o")])

@@ -8,21 +8,29 @@ import numpy as np
 import pytest
 
 from tripcast.gradcheck import (
+    _checks,
     corrupted_backward,
     max_grad_error,
     run_gradcheck,
 )
-from tripcast.tensor import Tensor, matmul, mul, tanh, tsum
+from tripcast.layers import Linear, Lstm
+from tripcast.tensor import RECORDED_OPS, Tensor, matmul, mul, tanh, tsum
 
-PRIMITIVE_NAMES = {
-    "add", "sub", "mul", "scale", "tanh", "sigmoid", "relu", "matmul",
-    "transpose", "reshape", "sum", "mean", "softmax", "layer_norm",
-    "concat", "slice", "lstm",
-}
+PRIMITIVE_NAMES = set(RECORDED_OPS)
 LAYER_NAMES = {
     "embedding_linear", "positional_path", "attention_head",
     "multi_head_attention", "feed_forward", "layer_norm_affine",
     "lstm_cell", "lstm_stack",
+}
+# scalars each entry perturbs (inputs plus layer parameters), in report
+# order; a shrinking audit fails here instead of passing quietly
+SCALARS_CHECKED = {
+    "add": 16, "sub": 36, "mul": 24, "scale": 12, "tanh": 12, "sigmoid": 12,
+    "relu": 20, "matmul": 80, "transpose": 24, "reshape": 24, "sum": 24,
+    "mean": 24, "softmax": 24, "layer_norm": 18, "concat": 14, "slice": 24,
+    "lstm": 162, "embedding_linear": 76, "positional_path": 70,
+    "attention_head": 78, "multi_head_attention": 180, "feed_forward": 94,
+    "layer_norm_affine": 48, "lstm_cell": 134, "lstm_stack": 290,
 }
 
 
@@ -47,6 +55,28 @@ class TestMaxGradError:
             bad = max_grad_error(fwd, [rng.standard_normal(5)])
         assert bad > 1e-2
 
+    def test_params_restored_bit_for_bit(self, rng):
+        net = Lstm(3, 4, 2, rng)
+        before = [p.data.tobytes() for _, p in net.named_params()]
+        err = max_grad_error(lambda x: tsum(net(x)[0]),
+                             [rng.standard_normal((2, 3, 3))],
+                             params=[p for _, p in net.named_params()])
+        assert err < 1e-7
+        assert [p.data.tobytes() for _, p in net.named_params()] == before
+
+    def test_params_are_checked(self, rng):
+        # the loss reaches the checked tensors only through lin.weight
+        lin = Linear(4, 3, rng, bias=False)
+        x = Tensor(rng.standard_normal((2, 4)))
+
+        def fwd():
+            return tsum(tanh(lin(x)))
+
+        assert max_grad_error(fwd, [], params=[lin.weight]) < 1e-7
+        with corrupted_backward("matmul"):
+            bad = max_grad_error(fwd, [], params=[lin.weight])
+        assert bad > 1e-3
+
 
 class TestRegistryCoverage:
     def test_every_primitive_and_layer_checked_once(self):
@@ -55,6 +85,13 @@ class TestRegistryCoverage:
         assert len(names) == len(set(names))
         assert PRIMITIVE_NAMES <= set(names)
         assert LAYER_NAMES <= set(names)
+
+    def test_scalar_count_per_entry_pinned(self, rng):
+        counts = {name: sum(np.size(a) for a in arrays)
+                  + sum(p.size for p in params)
+                  for name, _, arrays, params in _checks(rng)}
+        assert list(counts.items()) == list(SCALARS_CHECKED.items())
+        assert sum(counts.values()) == 1520
 
     def test_fresh_build_passes(self):
         report = run_gradcheck()
@@ -72,8 +109,7 @@ class TestRegistryCoverage:
 
 
 class TestCorruptionDetection:
-    @pytest.mark.parametrize("op", ["matmul", "softmax", "sigmoid", "mul",
-                                    "lstm"])
+    @pytest.mark.parametrize("op", sorted(RECORDED_OPS))
     def test_corrupting_one_op_fails_the_run(self, op):
         report = run_gradcheck(corrupt_op=op)
         assert not report.passed
