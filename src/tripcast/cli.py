@@ -14,12 +14,13 @@ import csv
 import logging
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, SEED_BUILD, fan_seed, load_config, save_config
+from .config import RunConfig, SEED_BUILD, fan_seed, load_config
 from .gradcheck import run_gradcheck
 from .models import build, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -33,7 +34,7 @@ from .pipeline import (
 from .serialize import atomic_write, write_json
 from .synth import synthesize_trips
 from .tensor import no_grad
-from .training import evaluate, run_grid, train
+from .training import evaluate_split, run_grid, train
 
 log = logging.getLogger("tripcast")
 
@@ -58,7 +59,7 @@ def _now_iso() -> str:
 def _prepare_out(cfg: RunConfig, args) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.json")
+    write_json(out / "config.json", asdict(cfg))
     return out
 
 
@@ -143,29 +144,22 @@ def cmd_train(args) -> int:
 
         model, tlog = train(model, split, cfg.train, on_epoch=on_epoch)
 
-    reports = {}
-    eval_seconds = {}
-    for name, portion in (("train", split.train),
-                          ("validation", split.validation),
-                          ("test", split.test)):
-        rep = evaluate(model, portion, split.stats, schema.target_channels,
-                       name, cfg.train.batch_size)
-        reports[name] = rep.to_dict()
-        eval_seconds[name] = rep.wall_clock_seconds
+    reports = evaluate_split(model, split, schema.target_channels,
+                             cfg.train.batch_size)
 
     save_checkpoint(
         model, out / "checkpoint.ckpt",
         extra_meta={
-            "schema": schema.to_dict(),
+            "schema": asdict(schema),
             "pipeline": {k: getattr(cfg.data, k) for k in PIPELINE_FIELDS},
         },
         extra_arrays={f"norm.{k}": getattr(split.stats, k)
                       for k in NORM_FIELDS},
     )
     write_json(out / "report.json", {
-        "model": spec.to_dict(),
+        "model": asdict(spec),
         "param_count": model.count_parameters(),
-        "splits": reports,
+        "splits": {name: rep.to_dict() for name, rep in reports.items()},
         "training": {
             "epochs_run": len(tlog.entries),
             "best_epoch": tlog.best_epoch,
@@ -176,11 +170,12 @@ def cmd_train(args) -> int:
     write_json(out / "meta.json", {
         "command": "train", "started": started, "finished": _now_iso(),
         "seconds": time.perf_counter() - tic,
-        "eval_seconds": eval_seconds,
+        "eval_seconds": {name: rep.wall_clock_seconds
+                         for name, rep in reports.items()},
     })
     test = reports["test"]
-    print(f"{spec.kind}: test mse {test['mse']:.6f}, "
-          f"pooled test R^2 {test['r2_pooled']:.4f} "
+    print(f"{spec.kind}: test mse {test.mse:.6f}, "
+          f"pooled test R^2 {test.r2_pooled:.4f} "
           f"({len(tlog.entries)} epochs, best {tlog.best_epoch})")
     return EXIT_OK
 
@@ -243,7 +238,11 @@ def cmd_predict(args) -> int:
     if not trip_path.is_file():
         raise ValueError(f"{trip_path}: trip CSV not found")
     trip = load_trips(trip_path, schema, sample_period)[0]
-    trip = preprocess_trip(trip, schema, sg_window, sg_order, target_period)
+    try:
+        trip = preprocess_trip(trip, schema, sg_window, sg_order,
+                               target_period)
+    except ValueError as exc:
+        raise ValueError(f"{trip_path}: {exc}") from None
 
     w, h = model.spec.window, model.spec.horizon
     start = args.start

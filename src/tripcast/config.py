@@ -17,7 +17,6 @@ import numpy as np
 
 from .models import KINDS, ModelSpec, is_number, positive_int_problems
 from .pipeline import DEFAULT_SCHEMA, FeatureSchema
-from .serialize import write_json
 from .training import TrainConfig
 
 # fan-out tags for deriving per-component seeds from the root seed
@@ -142,9 +141,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     grid: GridConfig = field(default_factory=GridConfig)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def validate(self) -> None:
         problems = [f"{key} must be a non-negative integer, got {value!r}"
                     for key, value in (("seed", self.seed),
@@ -162,11 +158,8 @@ class RunConfig:
             raise ValueError("invalid config: " + "; ".join(problems))
 
 
-def _section(cls, raw: dict, prefix: str, unknown: list) -> dict:
-    known = {f.name for f in fields(cls)}
-    for k in sorted(set(raw) - known):
-        unknown.append(f"{prefix}.{k}" if prefix else k)
-    return {k: v for k, v in raw.items() if k in known}
+SECTIONS = {"data": DataConfig, "model": ModelConfig, "train": TrainConfig,
+            "grid": GridConfig}
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -178,37 +171,26 @@ def config_from_dict(d: dict) -> RunConfig:
     """
     if not isinstance(d, dict):
         raise ValueError(f"config root must be an object, got {type(d).__name__}")
-    unknown: list = []
-    top_known = {"seed", "output_dir", "data", "model", "train", "grid"}
-    for k in sorted(set(d) - top_known):
-        unknown.append(k)
-
+    unknown = sorted(set(d) - {f.name for f in fields(RunConfig)})
     sections = {}
-    for name, cls in (("data", DataConfig), ("model", ModelConfig),
-                      ("train", TrainConfig), ("grid", GridConfig)):
+    for name, cls in SECTIONS.items():
         raw = d.get(name, {})
         if not isinstance(raw, dict):
             raise ValueError(f"config section {name!r} must be an object")
-        sections[name] = _section(cls, raw, name, unknown)
+        unknown += [f"{name}.{k}"
+                    for k in sorted(set(raw) - {f.name for f in fields(cls)})]
+        sections[name] = dict(raw)
     if unknown:
         raise ValueError("unknown config key(s): " + ", ".join(unknown))
 
-    root_seed = d.get("seed", 0)
-    if is_seed(root_seed):  # else validate() reports it
+    cfg = RunConfig(**{k: v for k, v in d.items() if k not in SECTIONS})
+    if is_seed(cfg.seed):  # else validate() reports it
         for name, tag in (("data", SEED_DATA), ("train", SEED_TRAIN)):
-            if "seed" not in sections[name]:
-                sections[name]["seed"] = fan_seed(root_seed, tag)
+            sections[name].setdefault("seed", fan_seed(cfg.seed, tag))
     if isinstance(sections["train"].get("betas"), list):
         sections["train"]["betas"] = tuple(sections["train"]["betas"])
-
-    cfg = RunConfig(
-        seed=root_seed,
-        output_dir=d.get("output_dir", "runs/out"),
-        data=DataConfig(**sections["data"]),
-        model=ModelConfig(**sections["model"]),
-        train=TrainConfig(**sections["train"]),
-        grid=GridConfig(**sections["grid"]),
-    )
+    for name, cls in SECTIONS.items():
+        setattr(cfg, name, cls(**sections[name]))
     cfg.validate()
     return cfg
 
@@ -232,11 +214,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ValueError(f"{path}: config root must be an object, "
                              f"got {type(d).__name__}")
     return config_from_dict(apply_overrides(d, overrides or []))
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    """Echo the effective config (all defaults applied) to a file."""
-    write_json(path, cfg.to_dict())
 
 
 def apply_overrides(d: dict, overrides: list) -> dict:

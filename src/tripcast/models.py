@@ -24,7 +24,7 @@ differ in how the forecast is produced:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -92,17 +92,6 @@ class ModelSpec:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown ModelSpec fields: {', '.join(unknown)}")
-        return cls(**d)
 
 
 class Model(Module):
@@ -282,7 +271,7 @@ def build(spec: ModelSpec, seed: int) -> Model:
 def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
                     extra_arrays: dict | None = None) -> None:
     """Write spec, weights, and optional extras to a container file."""
-    meta = {"spec": model.spec.to_dict(), "extra": extra_meta or {}}
+    meta = {"spec": asdict(model.spec), "extra": extra_meta or {}}
     arrays = [(f"param.{name}", t.data) for name, t in model.named_params()]
     for name, arr in (extra_arrays or {}).items():
         arrays.append((f"extra.{name}", np.asarray(arr, dtype=np.float64)))
@@ -305,7 +294,7 @@ def load_checkpoint(path):
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: checkpoint holds no model spec")
     try:
-        spec = ModelSpec.from_dict(spec)
+        spec = ModelSpec(**spec)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: bad model spec: {exc}") from None
     model = Model(spec, _NoDraw())

@@ -21,8 +21,6 @@ from .serialize import atomic_write
 
 log = logging.getLogger(__name__)
 
-RAW_SAMPLE_PERIOD_S = 0.1
-
 
 @dataclass
 class TripSeries:
@@ -80,14 +78,6 @@ class FeatureSchema:
                 if m not in needed:
                     needed.append(m)
         return needed
-
-    def to_dict(self) -> dict:
-        return {
-            "input_channels": list(self.input_channels),
-            "target_channels": list(self.target_channels),
-            "aggregations": [[out, list(members)]
-                             for out, members in self.aggregations],
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
@@ -177,8 +167,7 @@ class DatasetSplit:
 
 # ------------------------------------------------------------------ loading
 
-def load_trips(path, schema: FeatureSchema = DEFAULT_SCHEMA,
-               sample_period_s: float = RAW_SAMPLE_PERIOD_S) -> list:
+def load_trips(path, schema: FeatureSchema, sample_period_s: float) -> list:
     """Parse one trip CSV, or every ``*.csv`` in a directory (sorted)."""
     p = Path(path)
     if p.is_dir():
@@ -194,38 +183,42 @@ def load_trips(path, schema: FeatureSchema = DEFAULT_SCHEMA,
 
 def _load_trip_file(path: Path, schema: FeatureSchema,
                     sample_period_s: float) -> TripSeries:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        required = schema.required_raw_channels()
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(
-                f"{path}: missing required column(s): {', '.join(missing)}"
-            )
-        required = set(required)
-        keep = [(i, name) for i, name in enumerate(header) if name in required]
-        columns = {name: [] for _, name in keep}
-        n_cols = len(header)
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            required = schema.required_raw_channels()
+            missing = [c for c in required if c not in header]
+            if missing:
                 raise ValueError(
-                    f"{path}: ragged row {row_num}: expected {n_cols} cells, "
-                    f"got {len(row)}"
+                    f"{path}: missing required column(s): {', '.join(missing)}"
                 )
-            for i, name in keep:
-                cell = row[i].strip()
-                try:
-                    columns[name].append(float(cell))
-                except ValueError:
+            required = set(required)
+            keep = [(i, name) for i, name in enumerate(header)
+                    if name in required]
+            columns = {name: [] for _, name in keep}
+            n_cols = len(header)
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) != n_cols:
                     raise ValueError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_num}, "
-                        f"column {header[i]!r}"
-                    ) from None
+                        f"{path}: ragged row {row_num}: expected {n_cols} "
+                        f"cells, got {len(row)}"
+                    )
+                for i, name in keep:
+                    cell = row[i].strip()
+                    try:
+                        columns[name].append(float(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: non-numeric cell {cell!r} at row "
+                            f"{row_num}, column {header[i]!r}"
+                        ) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not columns or not next(iter(columns.values())):
         raise ValueError(f"{path}: no data rows")
     channels = {name: np.asarray(vals, dtype=np.float64)
@@ -274,8 +267,11 @@ def aggregate_redundant(trip: TripSeries,
 def smooth_trip(trip: TripSeries, window_len: int,
                 poly_order: int) -> TripSeries:
     """Savitzky-Golay filter every channel."""
-    channels = {name: savgol_smooth(seq, window_len, poly_order)
-                for name, seq in trip.channels.items()}
+    try:
+        channels = {name: savgol_smooth(seq, window_len, poly_order)
+                    for name, seq in trip.channels.items()}
+    except ValueError as exc:
+        raise ValueError(f"trip {trip.trip_id!r}: {exc}") from None
     return trip.replace_channels(channels)
 
 
@@ -285,8 +281,9 @@ def resample(trip: TripSeries, target_period_s: float) -> TripSeries:
     stride = int(round(ratio))
     if stride < 1 or abs(ratio - stride) > 1e-9:
         raise ValueError(
-            f"target period {target_period_s} s is not an integer multiple of "
-            f"the source period {trip.sample_period_s} s"
+            f"trip {trip.trip_id!r}: target period {target_period_s} s is "
+            f"not an integer multiple of the source period "
+            f"{trip.sample_period_s} s"
         )
     channels = {name: seq[::stride].copy() for name, seq in trip.channels.items()}
     out = trip.replace_channels(channels)

@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .models import (DECODER_INPUT_KINDS, Model, ModelSpec, build,
-                     is_number, positive_int_problems)
+from .models import Model, ModelSpec, build, is_number, positive_int_problems
 from .pipeline import DatasetSplit, NormStats, Windows
 from .tensor import ShapeError, Tensor, mul, no_grad, sub, tmean
 
@@ -365,6 +364,14 @@ def evaluate(model: Model, windows: Windows, stats: NormStats,
     )
 
 
+def evaluate_split(model: Model, split: DatasetSplit, target_names,
+                   batch_size: int) -> dict:
+    """:func:`evaluate` on each portion, as ``{portion: EvalReport}``."""
+    return {name: evaluate(model, getattr(split, name), split.stats,
+                           target_names, name, batch_size)
+            for name in ("train", "validation", "test")}
+
+
 # ------------------------------------------------------------- grid runner
 
 # the reference ranking reported for the original dataset, best to worst
@@ -388,12 +395,6 @@ class GridCell:
     epochs_run: int = 0
     seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        """Every field but the timing, which belongs in ``meta.json``."""
-        d = asdict(self)
-        del d["seconds"]
-        return d
-
 
 @dataclass
 class GridReport:
@@ -409,13 +410,12 @@ class GridReport:
         raise KeyError(f"no grid cell for {kind} at {case}")
 
     def to_dict(self) -> dict:
-        return {
-            "version": GRID_REPORT_VERSION,
-            "kinds": list(self.kinds),
-            "cases": [list(c) for c in self.cases],
-            "cells": [c.to_dict() for c in self.cells],
-            "annotations": list(self.annotations),
-        }
+        """Every field plus the format version; cell timings belong in
+        ``meta.json``."""
+        d = {"version": GRID_REPORT_VERSION, **asdict(self)}
+        for cell in d["cells"]:
+            del cell["seconds"]
+        return d
 
     def format_table(self) -> str:
         """Aligned text table: per case, error rows and test R² per model."""
@@ -538,18 +538,13 @@ def run_grid(kinds: list, cases: list, make_dataset, train_cfg: TrainConfig,
                                    replace(train_cfg, seed=train_seed))
                 cell.param_count = model.count_parameters()
                 cell.epochs_run = len(log.entries)
-                rep_tr = evaluate(model, ds.train, ds.stats, target_names,
-                                  "train", train_cfg.batch_size)
-                rep_va = evaluate(model, ds.validation, ds.stats,
-                                  target_names, "validation",
-                                  train_cfg.batch_size)
-                rep_te = evaluate(model, ds.test, ds.stats, target_names,
-                                  "test", train_cfg.batch_size)
-                cell.train_mse = rep_tr.mse
-                cell.val_mse = rep_va.mse
-                cell.test_mse = rep_te.mse
-                cell.test_r2_pooled = rep_te.r2_pooled
-                cell.test_r2_per_target = rep_te.r2_per_target
+                reps = evaluate_split(model, ds, target_names,
+                                      train_cfg.batch_size)
+                cell.train_mse = reps["train"].mse
+                cell.val_mse = reps["validation"].mse
+                cell.test_mse = reps["test"].mse
+                cell.test_r2_pooled = reps["test"].r2_pooled
+                cell.test_r2_per_target = reps["test"].r2_per_target
             except Exception as exc:      # noqa: BLE001 - isolate cell failures
                 cell.status = "failed"
                 cell.error = f"{type(exc).__name__}: {exc}"

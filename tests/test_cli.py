@@ -8,8 +8,10 @@ tiny ``train`` once and shares the outputs across the read-only tests.
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +22,9 @@ import tripcast.training
 from tripcast.cli import main
 from tripcast.config import SEED_DATA, fan_seed
 from tripcast.models import ModelSpec, build, save_checkpoint
+from tripcast.pipeline import DEFAULT_SCHEMA
 from tripcast.serialize import read_container, write_container
+from tripcast.training import GridCell
 
 
 def base_config() -> dict:
@@ -138,6 +142,15 @@ class TestTrain:
         assert report["training"]["epochs_run"] == 2
         assert report["training"]["stop_reason"]
 
+    def test_checkpoint_schema_is_json_lists(self, ws):
+        _, meta, _ = read_container(ws["run"] / "checkpoint.ckpt")
+        assert meta["extra"]["schema"] == {
+            "input_channels": list(DEFAULT_SCHEMA.input_channels),
+            "target_channels": list(DEFAULT_SCHEMA.target_channels),
+            "aggregations": [[out, list(members)] for out, members
+                             in DEFAULT_SCHEMA.aggregations],
+        }
+
     def test_epochs_csv_layout(self, ws):
         with open(ws["run"] / "epochs.csv") as fh:
             rows = list(csv.reader(fh))
@@ -242,6 +255,30 @@ class TestValidation:
         assert rc == 1
         assert (f"{empty}: no .csv trip files found"
                 in capsys.readouterr().err)
+
+    def test_csv_trip_not_utf8(self, ws, tmp_path, capsys):
+        trips = shutil.copytree(ws["gen"] / "trips", tmp_path / "trips")
+        bad = trips / "synth-002.csv"
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "data.source=csv",
+                   "-O", f"data.trips_path={trips}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert (f"error: {bad}: not UTF-8 text"
+                in capsys.readouterr().err)
+
+    def test_csv_trip_too_short(self, ws, tmp_path, capsys):
+        trips = shutil.copytree(ws["gen"] / "trips", tmp_path / "trips")
+        lines = (trips / "synth-000.csv").read_bytes().splitlines(True)
+        (trips / "stub.csv").write_bytes(b"".join(lines[:4]))
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "data.source=csv",
+                   "-O", f"data.trips_path={trips}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("error: trip 'stub': savgol window_len 9 exceeds series "
+                "length 3" in capsys.readouterr().err)
 
     def test_override_into_a_value(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", base_config())
@@ -363,7 +400,8 @@ class TestGrid:
         [cell] = report["cells"]
         assert cell["status"] == "ok"
         assert cell["test_mse"] >= 0
-        assert "seconds" not in cell  # timing is meta-only
+        # every GridCell field but the timing, which is meta-only
+        assert set(cell) == {f.name for f in fields(GridCell)} - {"seconds"}
         table = (out / "grid_table.txt").read_text()
         assert "Case W=6, H=3" in table
         assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
@@ -448,6 +486,37 @@ class TestPredict:
         ])
         assert rc == 1
         assert "trip CSV not found" in capsys.readouterr().err
+
+    def test_trip_too_short(self, ws, tmp_path, capsys):
+        lines = (ws["gen"] / "trips" / "synth-000.csv").read_bytes() \
+            .splitlines(True)
+        trip = tmp_path / "stub.csv"
+        trip.write_bytes(b"".join(lines[:4]))
+        rc = main([
+            "predict", "--checkpoint", str(ws["run"] / "checkpoint.ckpt"),
+            "--trip", str(trip), "--start", "20",
+            "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {trip}: trip 'stub': savgol window_len 9 exceeds")
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_checkpoint_with_unknown_spec_key(self, ws, tmp_path, capsys):
+        kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
+        meta["spec"]["dropout"] = 0.5
+        path = tmp_path / "extra.ckpt"
+        write_container(path, kind, meta, list(arrays.items()))
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad model spec: ")
+        assert "dropout" in err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_truncated_checkpoint(self, ws, tmp_path, capsys):
         path = tmp_path / "short.ckpt"

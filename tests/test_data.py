@@ -54,6 +54,14 @@ class TestCsvRoundTrip:
         for name, seq in trip.channels.items():
             np.testing.assert_array_equal(back.channels[name], seq)
 
+    def test_sample_period_is_required(self, tmp_path):
+        # no default period: datagen writes 0.5 s trips, and a guessed
+        # period would resample them at the wrong stride
+        write_trip_csv(synthesize_trips(1, 40, seed=3)[0],
+                       tmp_path / "trip.csv")
+        with pytest.raises(TypeError, match="sample_period_s"):
+            load_trips(tmp_path / "trip.csv", DEFAULT_SCHEMA)
+
     def test_directory_loads_sorted(self, tmp_path):
         for trip in synthesize_trips(3, 40, seed=1):
             write_trip_csv(trip, tmp_path / f"{trip.trip_id}.csv")
@@ -97,6 +105,12 @@ class TestLoadErrors:
             load_trips(p, TINY, 1.0)
         msg = str(err.value)
         assert "oops" in msg and "row 3" in msg and "b" in msg
+
+    def test_non_utf8_file_named(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: not UTF-8")):
+            load_trips(p, TINY, 1.0)
 
     def test_empty_file_rejected(self, tmp_path):
         p = self._write(tmp_path, "")
