@@ -11,12 +11,13 @@ the run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .models import KINDS, ModelSpec, is_number, positive_int_problems
-from .pipeline import DEFAULT_SCHEMA, FeatureSchema
+from .models import KINDS, ModelSpec, number_problems
+from .pipeline import DEFAULT_SCHEMA, FeatureSchema, resample_stride
+from .savgol import check_params
 from .training import TrainConfig
 
 # fan-out tags for deriving per-component seeds from the root seed
@@ -25,13 +26,20 @@ SEED_TRAIN = 1
 SEED_BUILD = 2
 
 
-def is_seed(value) -> bool:
-    return is_number(value, integer=True) and value >= 0
-
-
 def fan_seed(root: int, tag: int) -> int:
     """Deterministically derive a component seed from the root seed."""
     return int(np.random.SeedSequence((root, tag)).generate_state(1)[0])
+
+
+# the kind of number each numeric data field holds (see number_problems)
+DATA_NUMBERS = {
+    **dict.fromkeys(("n_trips", "trip_length", "window", "horizon", "train_n",
+                     "val_n", "test_n"), "positive integer"),
+    **dict.fromkeys(("sample_period_s", "target_period_s"), "positive number"),
+    **dict.fromkeys(("noise_std", "velocity_scale"), "non-negative number"),
+    **dict.fromkeys(("savgol_window", "savgol_order"), "integer"),
+    "seed": "non-negative integer",
+}
 
 
 @dataclass
@@ -60,25 +68,38 @@ class DataConfig:
             return DEFAULT_SCHEMA
         return FeatureSchema.from_dict(self.schema)
 
-    def problems(self) -> list:
-        out = []
+    def __post_init__(self):
+        problems = [p for name, kind in DATA_NUMBERS.items()
+                    for p in number_problems(f"data.{name}",
+                                             getattr(self, name), kind)]
+        if not problems:   # the pipeline's own rules, given numbers
+            for keys, rule in ((("sample_period_s", "target_period_s"),
+                                resample_stride),
+                               (("savgol_window", "savgol_order"),
+                                check_params)):
+                try:
+                    rule(*(getattr(self, k) for k in keys))
+                except ValueError as exc:
+                    problems.append(f"data.{keys[0]}, data.{keys[1]}: {exc}")
         if self.source not in ("synth", "csv"):
-            out.append(f"data.source must be 'synth' or 'csv', "
-                       f"got {self.source!r}")
-        if self.source == "csv" and not self.trips_path:
-            out.append("data.trips_path is required when data.source='csv'")
-        for name in ("n_trips", "trip_length", "window", "horizon",
-                     "train_n", "val_n", "test_n"):
-            out += positive_int_problems(f"data.{name}", getattr(self, name))
+            problems.append(f"data.source must be 'synth' or 'csv', "
+                            f"got {self.source!r}")
+        if not isinstance(self.trips_path, str):
+            problems.append(f"data.trips_path must be a string, "
+                            f"got {self.trips_path!r}")
+        elif self.source == "csv" and not self.trips_path:
+            problems.append("data.trips_path is required when "
+                            "data.source='csv'")
         if self.split_mode not in ("shuffle", "trip_holdout"):
-            out.append(f"data.split_mode must be 'shuffle' or 'trip_holdout', "
-                       f"got {self.split_mode!r}")
+            problems.append(f"data.split_mode must be 'shuffle' or "
+                            f"'trip_holdout', got {self.split_mode!r}")
         if self.schema is not None:
             try:
                 self.feature_schema()
             except Exception as exc:   # noqa: BLE001 - report, don't crash
-                out.append(f"data.schema is not a valid schema: {exc}")
-        return out
+                problems.append(f"data.schema is not a valid schema: {exc}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -98,14 +119,13 @@ class ModelConfig:
                          n_features=len(schema.input_channels),
                          n_targets=len(schema.target_channels))
 
-    def problems(self) -> list:
+    def __post_init__(self):
         # placeholder sizes: the data section reports its own fields
         try:
             ModelSpec(**asdict(self), window=1, horizon=1, n_features=1,
                       n_targets=1)
         except ValueError as exc:
-            return [f"model: {exc}"]
-        return []
+            raise ValueError(f"model: {exc}") from None
 
 
 DEFAULT_GRID_CASES = ((12, 6), (30, 6), (50, 30))
@@ -117,19 +137,22 @@ class GridConfig:
     cases: list = field(default_factory=lambda: [list(c)
                                                  for c in DEFAULT_GRID_CASES])
 
-    def problems(self) -> list:
-        out = []
-        for k in self.kinds:
-            if k not in KINDS:
-                out.append(f"grid.kinds entry {k!r} unknown; expected one of: "
-                           + ", ".join(KINDS))
-        for c in self.cases:
-            ok = (isinstance(c, (list, tuple)) and len(c) == 2
-                  and not any(positive_int_problems("", v) for v in c))
-            if not ok:
-                out.append(f"grid.cases entry {c!r} must be a [window, horizon] "
-                           "pair of positive integers")
-        return out
+    def __post_init__(self):
+        problems = [f"grid.{name} must be a list, got {value!r}"
+                    for name, value in (("kinds", self.kinds),
+                                        ("cases", self.cases))
+                    if not isinstance(value, list)]
+        if not problems:
+            problems += [f"grid.kinds entry {k!r} unknown; expected one of: "
+                         + ", ".join(KINDS) for k in self.kinds
+                         if k not in KINDS]
+            problems += [f"grid.cases entry {c!r} must be a [window, horizon] "
+                         "pair of positive integers" for c in self.cases
+                         if not (isinstance(c, (list, tuple)) and len(c) == 2
+                                 and not any(number_problems("", v)
+                                             for v in c))]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -141,21 +164,13 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     grid: GridConfig = field(default_factory=GridConfig)
 
-    def validate(self) -> None:
-        problems = [f"{key} must be a non-negative integer, got {value!r}"
-                    for key, value in (("seed", self.seed),
-                                       ("data.seed", self.data.seed),
-                                       ("train.seed", self.train.seed))
-                    if not is_seed(value)]
-        betas = self.train.betas
-        if not (isinstance(betas, tuple) and len(betas) == 2
-                and all(is_number(b) and 0 <= b < 1 for b in betas)):
-            problems.append(f"train.betas must be two numbers in [0, 1), "
-                            f"got {betas!r}")
-        problems += (self.data.problems() + self.model.problems()
-                     + self.grid.problems())
+    def __post_init__(self):
+        problems = number_problems("seed", self.seed, "non-negative integer")
+        if not isinstance(self.output_dir, str):
+            problems.append(f"output_dir must be a string, "
+                            f"got {self.output_dir!r}")
         if problems:
-            raise ValueError("invalid config: " + "; ".join(problems))
+            raise ValueError("; ".join(problems))
 
 
 SECTIONS = {"data": DataConfig, "model": ModelConfig, "train": TrainConfig,
@@ -166,33 +181,40 @@ def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig, applying defaults and root-seed fan-out.
 
     Rejects unknown keys anywhere in the tree, reporting every offender in
-    one error. Seeds omitted from the data/train sections are derived from
-    the root ``seed``.
+    one error; then builds every section, each refusing its own bad values,
+    and reports every refusal in one ``invalid config`` error. Seeds
+    omitted from the data/train sections are derived from the root ``seed``.
     """
     if not isinstance(d, dict):
         raise ValueError(f"config root must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(RunConfig)})
-    sections = {}
+    problems, sections = [], {}
     for name, cls in SECTIONS.items():
         raw = d.get(name, {})
         if not isinstance(raw, dict):
-            raise ValueError(f"config section {name!r} must be an object")
+            problems.append(f"config section {name!r} must be an object")
+            raw = {}
         unknown += [f"{name}.{k}"
                     for k in sorted(set(raw) - {f.name for f in fields(cls)})]
         sections[name] = dict(raw)
     if unknown:
         raise ValueError("unknown config key(s): " + ", ".join(unknown))
 
-    cfg = RunConfig(**{k: v for k, v in d.items() if k not in SECTIONS})
-    if is_seed(cfg.seed):  # else validate() reports it
+    def build(cls, values):
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            problems.append(str(exc))
+
+    cfg = build(RunConfig, {k: v for k, v in d.items() if k not in SECTIONS})
+    if cfg is not None:
         for name, tag in (("data", SEED_DATA), ("train", SEED_TRAIN)):
             sections[name].setdefault("seed", fan_seed(cfg.seed, tag))
-    if isinstance(sections["train"].get("betas"), list):
-        sections["train"]["betas"] = tuple(sections["train"]["betas"])
-    for name, cls in SECTIONS.items():
-        setattr(cfg, name, cls(**sections[name]))
-    cfg.validate()
-    return cfg
+    built = {name: build(cls, sections[name])
+             for name, cls in SECTIONS.items()}
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
+    return replace(cfg, **built)
 
 
 def load_config(path=None, overrides=None) -> RunConfig:

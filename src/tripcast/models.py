@@ -24,6 +24,7 @@ differ in how the forecast is produced:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -48,18 +49,23 @@ DECODER_INPUT_KINDS = ("v_tst", "tst_lstm")
 
 
 def is_number(value, integer: bool = False) -> bool:
-    """Whether ``value`` is a real number (an integer if ``integer``). A
-    bool, such as a JSON ``true``, is not."""
+    """Whether ``value`` is a finite real number (an integer if
+    ``integer``). A bool, such as a JSON ``true``, is not."""
     types = (int, np.integer) if integer else (int, float, np.integer,
                                                np.floating)
-    return isinstance(value, types) and not isinstance(value, bool)
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and (isinstance(value, (int, np.integer)) or math.isfinite(value)))
 
 
-def positive_int_problems(key: str, value) -> list:
-    """``[message]`` naming ``key`` if ``value`` is no positive integer."""
-    if not is_number(value, integer=True) or value < 1:
-        return [f"{key} must be a positive integer, got {value!r}"]
-    return []
+def number_problems(key: str, value, kind: str = "positive integer") -> list:
+    """``[message]`` naming ``key`` unless ``value`` is a ``kind``, such as
+    "integer", "positive number" or "non-negative integer"."""
+    sign, _, noun = kind.rpartition(" ")
+    if is_number(value, integer=noun == "integer") and (
+            not sign or value > 0 or sign == "non-negative" and value == 0):
+        return []
+    article = "an" if kind[0] in "aeiou" else "a"
+    return [f"{key} must be {article} {kind}, got {value!r}"]
 
 
 @dataclass(frozen=True)
@@ -80,13 +86,12 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(
-                f"unknown model kind {self.kind!r}; expected one of: "
-                + ", ".join(KINDS)
-            )
+            raise ValueError(f"ModelSpec.kind: unknown model kind "
+                             f"{self.kind!r}; expected one of: "
+                             + ", ".join(KINDS))
         for f in fields(self)[1:]:   # every field after kind is a size
-            for problem in positive_int_problems(f"ModelSpec.{f.name}",
-                                                 getattr(self, f.name)):
+            for problem in number_problems(f"ModelSpec.{f.name}",
+                                           getattr(self, f.name)):
                 raise ValueError(problem)
         if self.d_model % self.n_heads != 0:
             raise ValueError(

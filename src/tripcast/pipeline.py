@@ -275,20 +275,24 @@ def smooth_trip(trip: TripSeries, window_len: int,
     return trip.replace_channels(channels)
 
 
-def resample(trip: TripSeries, target_period_s: float) -> TripSeries:
-    """Stride-decimate to a coarser sampling period."""
-    ratio = target_period_s / trip.sample_period_s
+def resample_stride(sample_period_s: float, target_period_s: float) -> int:
+    """Decimation stride from the source to the target period; raises
+    ``ValueError`` unless the target is a whole multiple of the source."""
+    ratio = target_period_s / sample_period_s
     stride = int(round(ratio))
     if stride < 1 or abs(ratio - stride) > 1e-9:
         raise ValueError(
-            f"trip {trip.trip_id!r}: target period {target_period_s} s is "
-            f"not an integer multiple of the source period "
-            f"{trip.sample_period_s} s"
+            f"target period {target_period_s} s is not an integer multiple "
+            f"of the source period {sample_period_s} s"
         )
-    channels = {name: seq[::stride].copy() for name, seq in trip.channels.items()}
-    out = trip.replace_channels(channels)
-    out.sample_period_s = target_period_s
-    return out
+    return stride
+
+
+def resample(trip: TripSeries, target_period_s: float) -> TripSeries:
+    """Stride-decimate to a coarser sampling period."""
+    stride = resample_stride(trip.sample_period_s, target_period_s)
+    channels = {n: seq[::stride].copy() for n, seq in trip.channels.items()}
+    return TripSeries(trip.trip_id, target_period_s, channels)
 
 
 def preprocess_trip(trip: TripSeries, schema: FeatureSchema,

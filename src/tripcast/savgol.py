@@ -12,12 +12,15 @@ from scipy.signal import savgol_coeffs as _scipy_coeffs
 from scipy.signal import savgol_filter as _scipy_filter
 
 
-def _validate(window_len: int, poly_order: int, series_len: int | None = None):
+def check_params(window_len: int, poly_order: int,
+                 series_len: int | None = None) -> None:
+    """Raise ``ValueError`` unless the settings (and, if given, the series
+    length) admit a filter."""
     if window_len % 2 == 0:
         raise ValueError(f"savgol window_len must be odd, got {window_len}")
-    if poly_order >= window_len:
+    if not 0 <= poly_order < window_len:
         raise ValueError(
-            f"savgol poly_order {poly_order} must be smaller than "
+            f"savgol poly_order {poly_order} must be ≥ 0 and smaller than "
             f"window_len {window_len}"
         )
     if series_len is not None and window_len > series_len:
@@ -28,7 +31,7 @@ def _validate(window_len: int, poly_order: int, series_len: int | None = None):
 
 def savgol_coeffs(window_len: int, poly_order: int) -> np.ndarray:
     """Center-point filter weights in dot-product order (left to right)."""
-    _validate(window_len, poly_order)
+    check_params(window_len, poly_order)
     return _scipy_coeffs(window_len, poly_order, use="dot")
 
 
@@ -37,5 +40,5 @@ def savgol_smooth(series, window_len: int, poly_order: int) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"savgol_smooth expects a 1-d series, got shape {x.shape}")
-    _validate(window_len, poly_order, x.size)
+    check_params(window_len, poly_order, x.size)
     return _scipy_filter(x, window_len, poly_order, mode="interp")

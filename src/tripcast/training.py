@@ -1,11 +1,11 @@
 """Loss, metrics, optimizers, the teacher-forced training loop, evaluation,
 and the W×H experiment-grid runner.
 
-Training minimizes MSE on normalized targets with Adam (optionally SGD),
-global gradient-norm clipping, per-epoch validation, and best-validation
-parameter restore with early stopping. Evaluation decodes autoregressively
-for decoder-input kinds and reports R² per target in physical units plus a
-pooled R² in normalized units.
+Training minimizes MSE on normalized targets with Adam, global gradient-norm
+clipping, per-epoch validation, and best-validation parameter restore with
+early stopping. Evaluation decodes autoregressively for decoder-input kinds
+and reports R² per target in physical units plus a pooled R² in normalized
+units.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .models import Model, ModelSpec, build, is_number, positive_int_problems
+from .models import Model, ModelSpec, build, is_number, number_problems
 from .pipeline import DatasetSplit, NormStats, Windows
 from .tensor import ShapeError, Tensor, mul, no_grad, sub, tmean
 
@@ -57,15 +57,6 @@ def r_squared(pred, target) -> float:
 
 # -------------------------------------------------------------- optimizers
 
-def _check_finite_grads(grads: dict, step: int):
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient for parameter {name!r} at optimizer "
-                f"step {step}"
-            )
-
-
 def clip_gradients(grads: dict, max_norm: float | None) -> float:
     """Scale all gradients in place so their global L2 norm is ≤ max_norm.
 
@@ -80,44 +71,32 @@ def clip_gradients(grads: dict, max_norm: float | None) -> float:
 
 
 class Adam:
-    """Adam with bias-corrected moments (betas 0.9/0.999, epsilon 1e-8)."""
+    """Adam with bias-corrected moments."""
 
-    def __init__(self, params: list, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params}
         self.v = {name: np.zeros_like(p.data) for name, p in params}
 
     def step(self, grads: dict) -> None:
         self.step_count += 1
-        _check_finite_grads(grads, self.step_count)
-        b1, b2, t = self.beta1, self.beta2, self.step_count
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(
+                    f"non-finite gradient for parameter {name!r} at "
+                    f"optimizer step {self.step_count}")
+        b1, b2, t = self.BETA1, self.BETA2, self.step_count
         for name, p in self.params:
             g = grads[name]
             m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class Sgd:
-    """Plain gradient descent, kept for comparison runs."""
-
-    def __init__(self, params: list, lr: float):
-        self.params = params
-        self.lr = lr
-        self.step_count = 0
-
-    def step(self, grads: dict) -> None:
-        self.step_count += 1
-        _check_finite_grads(grads, self.step_count)
-        for name, p in self.params:
-            p.data = p.data - self.lr * grads[name]
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ------------------------------------------------------------------ config
@@ -127,9 +106,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # or "sgd"
-    betas: tuple = (0.9, 0.999)
-    epsilon: float = 1e-8
     grad_clip_norm: float | None = 1.0
     patience: int = 20
     seed: int = 0
@@ -138,35 +114,22 @@ class TrainConfig:
     target_val_r2: float | None = None
 
     def __post_init__(self):
-        problems = [p for name in ("epochs", "batch_size")
-                    for p in positive_int_problems(name, getattr(self, name))]
-        if not is_number(self.learning_rate) or not self.learning_rate > 0:
-            problems.append(f"learning_rate must be positive, "
-                            f"got {self.learning_rate!r}")
-        if not is_number(self.epsilon) or not self.epsilon > 0:
-            problems.append(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            problems.append(f"optimizer must be 'adam' or 'sgd', "
-                            f"got {self.optimizer!r}")
-        if not is_number(self.patience, integer=True) or self.patience < 0:
-            problems.append(f"patience must be an integer ≥ 0, "
-                            f"got {self.patience!r}")
-        if self.grad_clip_norm is not None and not (
-                is_number(self.grad_clip_norm) and self.grad_clip_norm > 0):
-            problems.append(f"grad_clip_norm must be positive or None, "
-                            f"got {self.grad_clip_norm!r}")
+        kinds = {"epochs": "positive integer", "batch_size": "positive integer",
+                 "learning_rate": "positive number",
+                 "patience": "non-negative integer",
+                 "seed": "non-negative integer"}
+        problems = [p for name, kind in kinds.items()
+                    for p in number_problems(f"train.{name}",
+                                             getattr(self, name), kind)]
+        if self.grad_clip_norm is not None:
+            problems += number_problems("train.grad_clip_norm",
+                                        self.grad_clip_norm, "positive number")
         if self.target_val_r2 is not None and not (
                 is_number(self.target_val_r2) and self.target_val_r2 <= 1.0):
-            problems.append(f"target_val_r2 must be a number ≤ 1 or None, "
-                            f"got {self.target_val_r2!r}")
+            problems.append(f"train.target_val_r2 must be a number ≤ 1 or "
+                            f"None, got {self.target_val_r2!r}")
         if problems:
-            raise ValueError("invalid TrainConfig: " + "; ".join(problems))
-
-
-def make_optimizer(cfg: TrainConfig, params: list):
-    if cfg.optimizer == "adam":
-        return Adam(params, cfg.learning_rate, cfg.betas, cfg.epsilon)
-    return Sgd(params, cfg.learning_rate)
+            raise ValueError("; ".join(problems))
 
 
 # ----------------------------------------------------------- training loop
@@ -234,7 +197,7 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
     n = len(xs)
     rng = np.random.default_rng(cfg.seed)
     params = model.named_params()
-    opt = make_optimizer(cfg, params)
+    opt = Adam(params, cfg.learning_rate)
     log = TrainLog()
     best_params = {name: p.data.copy() for name, p in params}
     bad_epochs = 0

@@ -98,8 +98,9 @@ class TestValidation:
             config_from_dict({"data": {"source": "csv"}})
 
     def test_train_section_validated(self):
-        with pytest.raises(ValueError, match="optimizer"):
-            config_from_dict({"train": {"optimizer": "lion"}})
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid config: train.epochs must be a positive integer")):
+            config_from_dict({"train": {"epochs": 0}})
 
     @pytest.mark.parametrize("raw, message", [
         ({"data": {"schema": {"input_channels": ["a"]}}},
@@ -117,6 +118,14 @@ class TestValidation:
          "grid.cases entry [12] must be a [window, horizon] pair"),
         ({"grid": {"cases": [[12, 0]]}},
          "grid.cases entry [12, 0] must be a [window, horizon] pair"),
+        ({"grid": {"kinds": 5}}, "grid.kinds must be a list, got 5"),
+        ({"grid": {"cases": 5}}, "grid.cases must be a list, got 5"),
+        ({"data": {"trips_path": 5}}, "data.trips_path must be a string"),
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
+        ({"data": {"velocity_scale": -1}},
+         "data.velocity_scale must be a non-negative number, got -1"),
+        ({"data": {"target_period_s": float("inf")}},
+         "data.target_period_s must be a positive number, got inf"),
     ])
     def test_data_and_grid_errors_reported(self, raw, message):
         with pytest.raises(ValueError, match=re.escape(message)):

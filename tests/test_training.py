@@ -26,7 +26,6 @@ from tripcast.training import (
     Adam,
     GridCell,
     GridReport,
-    Sgd,
     TrainConfig,
     clip_gradients,
     evaluate,
@@ -167,13 +166,6 @@ class TestOptimizers:
             results.append(p.data.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
-    def test_sgd_step_is_exact(self, rng):
-        p = self._param(rng)
-        before = p.data.copy()
-        g = rng.standard_normal(p.data.shape)
-        Sgd([("p", p)], lr=0.5).step({"p": g})
-        np.testing.assert_allclose(p.data, before - 0.5 * g, atol=1e-15)
-
     def test_non_finite_gradient_names_parameter(self, rng):
         p = self._param(rng)
         g = np.full(p.data.shape, np.nan)
@@ -203,15 +195,17 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.epochs, cfg.batch_size, cfg.patience) == (200, 64, 20)
-        assert cfg.optimizer == "adam"
         assert cfg.learning_rate == pytest.approx(1e-3)
         assert cfg.grad_clip_norm == pytest.approx(1.0)
 
     def test_all_problems_reported_together(self):
         with pytest.raises(ValueError) as err:
-            TrainConfig(epochs=0, optimizer="rmsprop", patience=-1)
+            TrainConfig(epochs=0, learning_rate="fast", patience=-1)
         msg = str(err.value)
-        assert "epochs" in msg and "rmsprop" in msg and "patience" in msg
+        assert msg == ("train.epochs must be a positive integer, got 0; "
+                       "train.learning_rate must be a positive number, got "
+                       "'fast'; train.patience must be a non-negative integer, "
+                       "got -1")
 
     def test_target_r2_cannot_exceed_one(self):
         with pytest.raises(ValueError):
