@@ -1,10 +1,10 @@
 """Command-line entry point: datagen, train, grid, predict, gradcheck.
 
-Every command reads an optional JSON config (defaults fill the gaps),
-applies ``-O section.key=value`` overrides, and writes deterministic
-primary outputs plus a separate ``meta.json`` holding timestamps and
-durations. Exit codes: 0 success, 1 validation error, 2 runtime failure,
-3 when every grid cell failed.
+The config-driven commands (datagen, train, grid) read an optional JSON
+config (defaults fill the gaps), apply ``-O section.key=value``
+overrides, and write deterministic primary outputs plus a separate
+``meta.json`` holding timestamps and durations. Exit codes: 0 success,
+1 validation error, 2 runtime failure, 3 when every grid cell failed.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, SEED_BUILD, fan_seed, load_config
+from .config import DataConfig, RunConfig, SEED_BUILD, fan_seed, load_config
 from .gradcheck import run_gradcheck
 from .models import build, load_checkpoint, save_checkpoint
 from .pipeline import (
-    FeatureSchema,
     NormStats,
     load_trips,
     prepare_dataset,
@@ -51,25 +50,25 @@ PIPELINE_FIELDS = ("sample_period_s", "savgol_window", "savgol_order",
                    "target_period_s")
 NORM_FIELDS = ("input_mean", "input_std", "target_mean", "target_std")
 
+# the data settings ``synthesize_trips`` reads, in its argument order; they
+# are what ``datagen`` echoes in manifest.json
+SYNTH_FIELDS = ("n_trips", "trip_length", "seed", "sample_period_s",
+                "noise_std", "velocity_scale")
+
 
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _prepare_out(cfg: RunConfig, args) -> Path:
-    out = Path(args.out) if getattr(args, "out", None) else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.json", asdict(cfg))
-    return out
+def _synthesize(data: DataConfig) -> list:
+    return synthesize_trips(*(getattr(data, k) for k in SYNTH_FIELDS))
 
 
-def _get_trips(data) -> list:
+def _get_trips(data: DataConfig) -> list:
     if data.source == "csv":
         return load_trips(data.trips_path, data.feature_schema(),
                           data.sample_period_s)
-    return synthesize_trips(data.n_trips, data.trip_length, data.seed,
-                            data.sample_period_s, data.noise_std,
-                            data.velocity_scale)
+    return _synthesize(data)
 
 
 def _build_split(cfg: RunConfig, trips, window: int, horizon: int):
@@ -82,14 +81,31 @@ def _build_split(cfg: RunConfig, trips, window: int, horizon: int):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_datagen(args) -> int:
+def run_recorded(args) -> int:
+    """Run a config-driven command and keep its run record.
+
+    Loads the config, makes the output directory and echoes the config
+    into it as ``config.json``, then runs ``args.body(cfg, out)``, which
+    returns its exit code and any extra ``meta.json`` fields. ``meta.json``
+    (command, start and finish times, seconds) is written only when the
+    body returns, so a failed run leaves ``config.json`` and no record.
+    """
     started = _now_iso()
     tic = time.perf_counter()
     cfg = load_config(args.config, args.override)
-    out = _prepare_out(cfg, args)
-    d = cfg.data
-    trips = synthesize_trips(d.n_trips, d.trip_length, d.seed,
-                             d.sample_period_s, d.noise_std, d.velocity_scale)
+    out = Path(args.out or cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "config.json", asdict(cfg))
+    code, extra = args.body(cfg, out)
+    write_json(out / "meta.json", {
+        "command": args.command, "started": started, "finished": _now_iso(),
+        "seconds": time.perf_counter() - tic, **extra,
+    })
+    return code
+
+
+def cmd_datagen(cfg: RunConfig, out: Path) -> tuple:
+    trips = _synthesize(cfg.data)
     trips_dir = out / "trips"
     trips_dir.mkdir(exist_ok=True)
     entries = []
@@ -99,27 +115,12 @@ def cmd_datagen(args) -> int:
         entries.append({"trip_id": trip.trip_id, "file": f"trips/{fname}",
                         "length": trip.length})
     write_json(out / "manifest.json", {
-        "seed": d.seed,
-        "n_trips": d.n_trips,
-        "trip_length": d.trip_length,
-        "sample_period_s": d.sample_period_s,
-        "noise_std": d.noise_std,
-        "velocity_scale": d.velocity_scale,
-        "trips": entries,
-    })
-    write_json(out / "meta.json", {
-        "command": "datagen", "started": started, "finished": _now_iso(),
-        "seconds": time.perf_counter() - tic,
-    })
+        **{k: getattr(cfg.data, k) for k in SYNTH_FIELDS}, "trips": entries})
     print(f"wrote {len(trips)} trips to {trips_dir}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_train(args) -> int:
-    started = _now_iso()
-    tic = time.perf_counter()
-    cfg = load_config(args.config, args.override)
-    out = _prepare_out(cfg, args)
+def cmd_train(cfg: RunConfig, out: Path) -> tuple:
     schema = cfg.data.feature_schema()
     trips = _get_trips(cfg.data)
     split = _build_split(cfg, trips, cfg.data.window, cfg.data.horizon)
@@ -167,24 +168,15 @@ def cmd_train(args) -> int:
             "stop_reason": tlog.stop_reason,
         },
     })
-    write_json(out / "meta.json", {
-        "command": "train", "started": started, "finished": _now_iso(),
-        "seconds": time.perf_counter() - tic,
-        "eval_seconds": {name: rep.wall_clock_seconds
-                         for name, rep in reports.items()},
-    })
     test = reports["test"]
     print(f"{spec.kind}: test mse {test.mse:.6f}, "
           f"pooled test R^2 {test.r2_pooled:.4f} "
           f"({len(tlog.entries)} epochs, best {tlog.best_epoch})")
-    return EXIT_OK
+    return EXIT_OK, {"eval_seconds": {name: rep.wall_clock_seconds
+                                      for name, rep in reports.items()}}
 
 
-def cmd_grid(args) -> int:
-    started = _now_iso()
-    tic = time.perf_counter()
-    cfg = load_config(args.config, args.override)
-    out = _prepare_out(cfg, args)
+def cmd_grid(cfg: RunConfig, out: Path) -> tuple:
     schema = cfg.data.feature_schema()
     trips = _get_trips(cfg.data)
 
@@ -204,18 +196,11 @@ def cmd_grid(args) -> int:
     table = report.format_table()
     with atomic_write(out / "grid_table.txt", "w") as fh:
         fh.write(table + "\n")
-    write_json(out / "meta.json", {
-        "command": "grid", "started": started, "finished": _now_iso(),
-        "seconds": time.perf_counter() - tic,
-        "cell_seconds": {
-            f"{c.kind}@W{c.window}H{c.horizon}": c.seconds
-            for c in report.cells
-        },
-    })
     print(table)
-    if all(c.status == "failed" for c in report.cells):
-        return EXIT_ALL_CELLS_FAILED
-    return EXIT_OK
+    failed = all(c.status == "failed" for c in report.cells)
+    return (EXIT_ALL_CELLS_FAILED if failed else EXIT_OK,
+            {"cell_seconds": {f"{c.kind}@W{c.window}H{c.horizon}": c.seconds
+                              for c in report.cells}})
 
 
 def cmd_predict(args) -> int:
@@ -224,23 +209,26 @@ def cmd_predict(args) -> int:
         raise ValueError(f"{ckpt_path}: checkpoint not found")
     model, extra_meta, extra_arrays = load_checkpoint(ckpt_path)
     try:
-        schema = FeatureSchema.from_dict(extra_meta["schema"])
-        sample_period, sg_window, sg_order, target_period = (
-            extra_meta["pipeline"][k] for k in PIPELINE_FIELDS)
         stats = NormStats(**{k: extra_arrays[f"norm.{k}"]
                              for k in NORM_FIELDS})
+        # the stored recipe must pass the rules a config's recipe does
+        data = DataConfig(schema=extra_meta["schema"], **{
+            k: extra_meta["pipeline"][k] for k in PIPELINE_FIELDS})
     except (KeyError, TypeError) as exc:
         raise ValueError(
             f"{ckpt_path}: checkpoint lacks the training-run data predict "
             f"needs ({exc!r}); use one written by `tripcast train`"
         ) from None
+    except ValueError as exc:
+        raise ValueError(f"{ckpt_path}: {exc}") from None
+    schema, target_period = data.feature_schema(), data.target_period_s
     trip_path = Path(args.trip)
     if not trip_path.is_file():
         raise ValueError(f"{trip_path}: trip CSV not found")
-    trip = load_trips(trip_path, schema, sample_period)[0]
+    trip = load_trips(trip_path, schema, data.sample_period_s)[0]
     try:
-        trip = preprocess_trip(trip, schema, sg_window, sg_order,
-                               target_period)
+        trip = preprocess_trip(trip, schema, data.savgol_window,
+                               data.savgol_order, target_period)
     except ValueError as exc:
         raise ValueError(f"{trip_path}: {exc}") from None
 
@@ -293,13 +281,6 @@ def cmd_gradcheck(args) -> int:
 
 # -------------------------------------------------------------- arg wiring
 
-def _add_config_args(p):
-    p.add_argument("--config", help="JSON config file (defaults when omitted)")
-    p.add_argument("-O", "--override", action="append", metavar="KEY=VALUE",
-                   help="override a config key, e.g. -O data.window=30")
-    p.add_argument("--out", help="output directory (overrides output_dir)")
-
-
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tripcast",
@@ -308,17 +289,18 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("datagen", help="write synthetic trip CSVs")
-    _add_config_args(sp)
-    sp.set_defaults(handler=cmd_datagen)
-
-    sp = sub.add_parser("train", help="train one model and evaluate it")
-    _add_config_args(sp)
-    sp.set_defaults(handler=cmd_train)
-
-    sp = sub.add_parser("grid", help="run the W x H experiment grid")
-    _add_config_args(sp)
-    sp.set_defaults(handler=cmd_grid)
+    for name, body, text in (
+            ("datagen", cmd_datagen, "write synthetic trip CSVs"),
+            ("train", cmd_train, "train one model and evaluate it"),
+            ("grid", cmd_grid, "run the W x H experiment grid")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config",
+                        help="JSON config file (defaults when omitted)")
+        sp.add_argument("-O", "--override", action="append",
+                        metavar="KEY=VALUE",
+                        help="override a config key, e.g. -O data.window=30")
+        sp.add_argument("--out", help="output directory (overrides output_dir)")
+        sp.set_defaults(handler=run_recorded, body=body)
 
     sp = sub.add_parser("predict", help="forecast from a checkpoint and trip")
     sp.add_argument("--checkpoint", required=True)

@@ -54,8 +54,8 @@ class DataConfig:
     savgol_window: int = 21
     savgol_order: int = 2
     target_period_s: float = 5.0
-    window: int = 12
-    horizon: int = 6
+    window: int = ModelSpec.window
+    horizon: int = ModelSpec.horizon
     train_n: int = 4000
     val_n: int = 500
     test_n: int = 500
@@ -105,12 +105,12 @@ class DataConfig:
 @dataclass
 class ModelConfig:
     kind: str = "v_tst"
-    d_model: int = 128
-    n_heads: int = 8
-    enc_layers: int = 4
-    dec_layers: int = 4
-    ffn_width: int = 128
-    lstm_layers: int = 4
+    d_model: int = ModelSpec.d_model
+    n_heads: int = ModelSpec.n_heads
+    enc_layers: int = ModelSpec.enc_layers
+    dec_layers: int = ModelSpec.dec_layers
+    ffn_width: int = ModelSpec.ffn_width
+    lstm_layers: int = ModelSpec.lstm_layers
 
     def compose_spec(self, data: DataConfig) -> ModelSpec:
         schema = data.feature_schema()

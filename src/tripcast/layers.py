@@ -39,10 +39,10 @@ from .tensor import (
 MASK_VALUE = -1e30
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: Optional[tuple] = None) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, fan_in: int,
+                   fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class Module:
@@ -67,16 +67,12 @@ class Module:
 class Linear(Module):
     """Affine map on the last axis: ``x @ W + b``."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = Tensor(xavier_uniform(rng, d_in, d_out), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = add(out, self.bias)
-        return out
+        return add(matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):

@@ -97,6 +97,10 @@ class ModelSpec:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
+        if self.kind != "lstm" and self.d_model % 2:
+            raise ValueError(f"ModelSpec.d_model must be even for the sin/cos "
+                             f"position tables of kind {self.kind!r}, got "
+                             f"{self.d_model}")
 
 
 class Model(Module):
@@ -192,6 +196,20 @@ class Model(Module):
                             for o in outs]
         return Tensor(preds)
 
+    def _input(self, name: str, value, shape: tuple, mode: str) -> Tensor:
+        """``value`` as a Tensor of ``shape``, in which ``None`` stands for
+        any batch size. A missing input is a ``ValueError`` and a misshapen
+        one a ``ShapeError``; each names the input."""
+        if value is None:
+            raise ValueError(f"{mode} forward for kind {self.spec.kind!r} "
+                             f"needs {name}")
+        t = _as_tensor(value)
+        if len(t.shape) != len(shape) or any(
+                want not in (None, got) for want, got in zip(shape, t.shape)):
+            want = ", ".join("batch" if n is None else str(n) for n in shape)
+            raise ShapeError(f"{name} must have shape ({want}), got {t.shape}")
+        return t
+
     def forward(self, x_enc, teacher=None, start=None,
                 training: bool = False) -> Tensor:
         """Forecast ``(batch, horizon, n_targets)`` from an input window.
@@ -206,59 +224,27 @@ class Model(Module):
         ignore both.
         """
         spec = self.spec
-        x = _as_tensor(x_enc)
-        if x.data.ndim != 3 or x.shape[1:] != (spec.window, spec.n_features):
-            raise ShapeError(
-                f"x_enc must have shape (batch, {spec.window}, "
-                f"{spec.n_features}), got {x.shape}"
-            )
+        mode = "training" if training else "inference"
+        x = self._input("x_enc", x_enc, (None, spec.window, spec.n_features),
+                        mode)
         batch = x.shape[0]
+        if spec.kind in DECODER_INPUT_KINDS:
+            if not training:
+                return self._autoregress(x, self._input(
+                    "start", start, (batch, spec.n_targets), mode))
+            teacher = self._input("teacher", teacher,
+                                  (batch, spec.horizon, spec.n_targets), mode)
+            return self._decode(teacher,
+                                self._project_cross_kv(self._encode(x)))[0]
 
         if spec.kind == "lstm":
-            seq, _ = self.lstm(self.embed(x))
-            out = self.head(seq[:, -1])
-            return out.reshape(batch, spec.horizon, spec.n_targets)
-
-        if spec.kind in DECODER_INPUT_KINDS and not training:
-            if start is None:
-                raise ValueError(
-                    f"inference forward for kind {spec.kind!r} needs start "
-                    "values (last observed targets) to seed autoregressive "
-                    "decoding"
-                )
-            s = _as_tensor(start)
-            if s.data.ndim != 2 or s.shape != (batch, spec.n_targets):
-                raise ShapeError(
-                    f"start must have shape ({batch}, {spec.n_targets}), "
-                    f"got {s.shape}"
-                )
-            return self._autoregress(x, s)
-
-        enc_out = self._encode(x)
-
-        if spec.kind == "enc_tst":
-            flat = enc_out.reshape(batch, spec.window * spec.d_model)
-            return self.head(flat).reshape(batch, spec.horizon, spec.n_targets)
-
-        if spec.kind == "enc_tst_dec_lstm":
-            seq, _ = self.decoder_lstm(enc_out)
-            out = self.head(seq[:, -1])
-            return out.reshape(batch, spec.horizon, spec.n_targets)
-
-        # v_tst / tst_lstm, teacher forced
-        if teacher is None:
-            raise ValueError(
-                f"training forward for kind {spec.kind!r} needs teacher "
-                "inputs (previous target values)"
-            )
-        t = _as_tensor(teacher)
-        if t.data.ndim != 3 or t.shape != (batch, spec.horizon,
-                                           spec.n_targets):
-            raise ShapeError(
-                f"teacher must have shape ({batch}, {spec.horizon}, "
-                f"{spec.n_targets}), got {t.shape}"
-            )
-        return self._decode(t, self._project_cross_kv(enc_out))[0]
+            features = self.lstm(self.embed(x))[0][:, -1]
+        elif spec.kind == "enc_tst":
+            features = self._encode(x).reshape(batch,
+                                               spec.window * spec.d_model)
+        else:   # enc_tst_dec_lstm
+            features = self.decoder_lstm(self._encode(x))[0][:, -1]
+        return self.head(features).reshape(batch, spec.horizon, spec.n_targets)
 
     __call__ = forward
 

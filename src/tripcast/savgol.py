@@ -8,7 +8,6 @@ first (last) full window is evaluated at the edge offsets.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import savgol_coeffs as _scipy_coeffs
 from scipy.signal import savgol_filter as _scipy_filter
 
 
@@ -27,12 +26,6 @@ def check_params(window_len: int, poly_order: int,
         raise ValueError(
             f"savgol window_len {window_len} exceeds series length {series_len}"
         )
-
-
-def savgol_coeffs(window_len: int, poly_order: int) -> np.ndarray:
-    """Center-point filter weights in dot-product order (left to right)."""
-    check_params(window_len, poly_order)
-    return _scipy_coeffs(window_len, poly_order, use="dot")
 
 
 def savgol_smooth(series, window_len: int, poly_order: int) -> np.ndarray:

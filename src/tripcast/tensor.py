@@ -645,18 +645,10 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
 
 
 # ----------------------------------------------------------------------
-# operator sugar on Tensor
+# indexing and reshaping sugar on Tensor
 
 
 def _attach_methods():
-    Tensor.__add__ = add
-    Tensor.__radd__ = lambda self, other: add(self, other)
-    Tensor.__sub__ = sub
-    Tensor.__rsub__ = lambda self, other: add(scale(self, -1.0), other)
-    Tensor.__mul__ = mul
-    Tensor.__rmul__ = lambda self, other: mul(self, other)
-    Tensor.__neg__ = lambda self: scale(self, -1.0)
-    Tensor.__matmul__ = matmul
     Tensor.__getitem__ = tslice
 
     def _reshape(self, *shape):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .models import Model, ModelSpec, build, is_number, number_problems
-from .pipeline import DatasetSplit, NormStats, Windows
+from .pipeline import DEFAULT_SCHEMA, DatasetSplit, NormStats, Windows
 from .tensor import ShapeError, Tensor, mul, no_grad, sub, tmean
 
 GRID_REPORT_VERSION = 1
@@ -186,13 +186,7 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
     validation. Returns ``(model, TrainLog)`` with the best-validation
     parameters restored.
     """
-    spec = model.spec
     xs, teach, ys = split.train.x_enc, split.train.teacher, split.train.y
-    if xs.shape[1:] != (spec.window, spec.n_features):
-        raise ShapeError(
-            f"dataset windows {xs.shape[1:]} do not match model spec "
-            f"(window {spec.window}, features {spec.n_features})"
-        )
     val = split.validation
     n = len(xs)
     rng = np.random.default_rng(cfg.seed)
@@ -288,7 +282,8 @@ class EvalReport:
 
 
 def evaluate(model: Model, windows: Windows, stats: NormStats,
-             target_names=("soc", "batt_temp"), split_name: str = "test",
+             target_names=DEFAULT_SCHEMA.target_channels,
+             split_name: str = "test",
              batch_size: int = 64) -> EvalReport:
     """Inference-mode metrics; decoder-input kinds decode autoregressively.
 
@@ -467,7 +462,8 @@ def _grid_annotations(report: GridReport) -> list:
 
 def run_grid(kinds: list, cases: list, make_dataset, train_cfg: TrainConfig,
              spec: ModelSpec, seed: int = 0,
-             target_names=("soc", "batt_temp"), on_cell=None) -> GridReport:
+             target_names=DEFAULT_SCHEMA.target_channels,
+             on_cell=None) -> GridReport:
     """Train and evaluate every (kind, case) cell with fresh weights.
 
     ``make_dataset(window, horizon)`` supplies the DatasetSplit for a case;

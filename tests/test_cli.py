@@ -420,6 +420,22 @@ class TestValidation:
         assert capsys.readouterr().err == f"error: invalid config: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_odd_d_model_refused_before_data_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_data_work(*args, **kwargs):
+            raise AssertionError("synthesize_trips called")
+
+        monkeypatch.setattr(tripcast.cli, "synthesize_trips", no_data_work)
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "model.kind=v_tst",
+                   "-O", "model.d_model=9", "-O", "model.n_heads=1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: model: ModelSpec.d_model must be even "
+            "for the sin/cos position tables of kind 'v_tst', got 9\n")
+        assert not (tmp_path / "o").exists()
+
     def test_removed_optimizer_keys_refused(self, tmp_path, capsys):
         cfg = base_config()
         cfg["train"].update(optimizer="adam", betas=[0.9, 0.999],
@@ -491,6 +507,10 @@ class TestGrid:
             (tmp_path / "grid" / "grid_report.json").read_text())
         assert report["cells"][0]["status"] == "failed"
         assert "boom" in report["cells"][0]["error"]
+        meta = json.loads((tmp_path / "grid" / "meta.json").read_text())
+        assert set(meta) == {"command", "started", "finished", "seconds",
+                             "cell_seconds"}
+        assert set(meta["cell_seconds"]) == {"lstm@W6H3"}
 
 
 # ----------------------------------------------------------------- predict
@@ -642,6 +662,30 @@ class TestPredict:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_period_s", 0,
+         "data.sample_period_s must be a positive number, got 0"),
+        ("sample_period_s", "x",
+         "data.sample_period_s must be a positive number, got 'x'"),
+        ("savgol_window", 8,
+         "data.savgol_window, data.savgol_order: savgol window_len must be "
+         "odd, got 8"),
+    ])
+    def test_checkpoint_with_bad_pipeline_setting(self, ws, tmp_path, capsys,
+                                                  key, value, message):
+        kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
+        meta["extra"]["pipeline"][key] = value
+        path = tmp_path / "recipe.ckpt"
+        write_container(path, kind, meta, list(arrays.items()))
+        rc = main([
+            "predict", "--checkpoint", str(path),
+            "--trip", str(ws["gen"] / "trips" / "synth-000.csv"),
+            "--start", "20", "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+
     def test_checkpoint_with_wrongly_shaped_weight(self, ws, tmp_path,
                                                    capsys):
         kind, meta, arrays = read_container(ws["run"] / "checkpoint.ckpt")
@@ -673,6 +717,30 @@ class TestPredict:
         assert capsys.readouterr().err.startswith(
             f"error: {path}: parameter {name[len('param.'):]} holds non-finite")
         assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("datagen", set()),
+    ("train", {"eval_seconds"}),
+    ("grid", {"cell_seconds"}),
+])
+def test_run_record(ws, tmp_path, monkeypatch, command, extra):
+    argv = [command, "--config", ws["config"], "-O", "train.epochs=1",
+            "-O", 'grid.kinds=["lstm"]', "-O", "grid.cases=[[6,3]]"]
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+    meta = json.loads((tmp_path / "ok" / "meta.json").read_text())
+    assert set(meta) == {"command", "started", "finished", "seconds"} | extra
+    assert meta["command"] == command
+    assert meta["started"] <= meta["finished"] and meta["seconds"] > 0
+
+    # a run that fails after loading its config leaves only the echo
+    def no_trips(*args, **kwargs):
+        raise RuntimeError("no trips")
+
+    monkeypatch.setattr(tripcast.cli, "synthesize_trips", no_trips)
+    assert main([*argv, "--out", str(tmp_path / "failed")]) == 2
+    assert [p.name for p in (tmp_path / "failed").iterdir()] == [
+        "config.json"]
 
 
 def test_interrupted_training_leaves_previous_epochs_csv(ws, tmp_path,

@@ -12,13 +12,15 @@ from tripcast.config import (
     SEED_BUILD,
     SEED_DATA,
     SEED_TRAIN,
+    DataConfig,
+    ModelConfig,
     RunConfig,
     apply_overrides,
     config_from_dict,
     fan_seed,
     load_config,
 )
-from tripcast.models import KINDS
+from tripcast.models import KINDS, ModelSpec
 from tripcast.serialize import write_json
 
 
@@ -42,6 +44,10 @@ class TestDefaults:
         assert spec.n_features == 15
         assert spec.n_targets == 2
         assert (spec.window, spec.horizon) == (12, 6)
+
+    def test_default_sections_compose_the_standard_spec(self):
+        assert ModelConfig().compose_spec(DataConfig()) == ModelSpec(
+            kind="v_tst")
 
 
 class TestSeedFanOut:

@@ -65,8 +65,8 @@ class TestMaxGradError:
         assert [p.data.tobytes() for _, p in net.named_params()] == before
 
     def test_params_are_checked(self, rng):
-        # the loss reaches the checked tensors only through lin.weight
-        lin = Linear(4, 3, rng, bias=False)
+        # fwd takes no inputs: the audit perturbs lin.weight as a parameter
+        lin = Linear(4, 3, rng)
         x = Tensor(rng.standard_normal((2, 4)))
 
         def fwd():

@@ -101,6 +101,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="v_tst", d_model=10, n_heads=3)
 
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "lstm"])
+    def test_odd_d_model_refused_where_positions_are_encoded(self, kind):
+        with pytest.raises(ValueError,
+                           match="ModelSpec.d_model must be even"):
+            ModelSpec(kind=kind, d_model=9, n_heads=1)
+        # the lstm kind has no position table
+        assert ModelSpec(kind="lstm", d_model=9, n_heads=1).d_model == 9
+
     def test_positive_fields_enforced(self):
         with pytest.raises(ValueError):
             ModelSpec(kind="lstm", window=0)
@@ -210,7 +218,8 @@ class TestForward:
 
     def test_wrong_window_shape_rejected(self, rng):
         model = build(small_spec("lstm"), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=re.escape(
+                "x_enc must have shape (batch, 6, 5), got (2, 5, 5)")):
             model.forward(rng.standard_normal((2, 5, 5)))
 
     @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
@@ -236,7 +245,8 @@ class TestForward:
 
     def test_teacher_shape_validated(self, rng):
         model = build(small_spec("v_tst"), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=re.escape(
+                "teacher must have shape (2, 3, 2), got (2, 4, 2)")):
             model.forward(rng.standard_normal((2, 6, 5)),
                           teacher=rng.standard_normal((2, 4, 2)),
                           training=True)

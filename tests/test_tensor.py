@@ -88,13 +88,6 @@ class TestForward:
         out = matmul(Tensor(a), Tensor(b))
         np.testing.assert_array_equal(out.data, a @ b)
 
-    def test_operator_sugar(self, rng):
-        a, b = rng.standard_normal((3,)), rng.standard_normal((3,))
-        ta, tb = Tensor(a), Tensor(b)
-        np.testing.assert_array_equal((ta + tb).data, a + b)
-        np.testing.assert_array_equal((ta - tb).data, a - b)
-        np.testing.assert_array_equal((ta * tb).data, a * b)
-
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.standard_normal((6, 9)) * 5
         s = softmax(Tensor(x)).data
