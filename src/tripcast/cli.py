@@ -14,7 +14,7 @@ import csv
 import logging
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -178,6 +178,15 @@ def cmd_train(cfg: RunConfig, out: Path) -> tuple:
 
 def cmd_grid(cfg: RunConfig, out: Path) -> tuple:
     schema = cfg.data.feature_schema()
+    spec = cfg.model.compose_spec(cfg.data)
+    # every kind is built from the one model section; refuse a kind that
+    # section cannot build before any data work
+    for kind in cfg.grid.kinds:
+        try:
+            replace(spec, kind=kind)
+        except ValueError as exc:
+            raise ValueError(f"invalid config: grid.kinds entry {kind!r}: "
+                             f"{exc}") from None
     trips = _get_trips(cfg.data)
 
     def make_dataset(window, horizon):
@@ -190,7 +199,7 @@ def cmd_grid(cfg: RunConfig, out: Path) -> tuple:
                  cell.horizon, status, cell.seconds)
 
     report = run_grid(cfg.grid.kinds, cfg.grid.cases, make_dataset, cfg.train,
-                      cfg.model.compose_spec(cfg.data), seed=cfg.seed,
+                      spec, seed=cfg.seed,
                       target_names=schema.target_channels, on_cell=on_cell)
     write_json(out / "grid_report.json", report.to_dict())
     table = report.format_table()

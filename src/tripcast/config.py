@@ -223,7 +223,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     d = {}
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
         except FileNotFoundError:
             raise ValueError(f"{path}: config file not found") from None
@@ -232,6 +232,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
                              f"{exc.strerror or exc}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         if not isinstance(d, dict):
             raise ValueError(f"{path}: config root must be an object, "
                              f"got {type(d).__name__}")

@@ -21,6 +21,10 @@ from .serialize import atomic_write
 
 log = logging.getLogger(__name__)
 
+# largest cell magnitude a trip CSV may hold, so that squares and sums of
+# squares (z-score statistics, traction power) stay finite
+MAX_ABS = 1e150
+
 
 @dataclass
 class TripSeries:
@@ -67,17 +71,10 @@ class FeatureSchema:
     def required_raw_channels(self) -> list:
         """Raw CSV columns needed to realize this schema."""
         produced = {out for out, _ in self.aggregations}
-        needed = []
-        for name in (*self.input_channels, *self.target_channels):
-            if name in produced:
-                continue
-            if name not in needed:
-                needed.append(name)
-        for _, members in self.aggregations:
-            for m in members:
-                if m not in needed:
-                    needed.append(m)
-        return needed
+        needed = [n for n in (*self.input_channels, *self.target_channels)
+                  if n not in produced]
+        needed += [m for _, members in self.aggregations for m in members]
+        return list(dict.fromkeys(needed))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
@@ -184,64 +181,76 @@ def load_trips(path, schema: FeatureSchema, sample_period_s: float) -> list:
 def _load_trip_file(path: Path, schema: FeatureSchema,
                     sample_period_s: float) -> TripSeries:
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            required = schema.required_raw_channels()
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ValueError(
-                    f"{path}: missing required column(s): {', '.join(missing)}"
-                )
-            required = set(required)
-            keep = [(i, name) for i, name in enumerate(header)
-                    if name in required]
-            columns = {name: [] for _, name in keep}
-            n_cols = len(header)
-            for row_num, row in enumerate(reader, start=2):
-                if len(row) != n_cols:
-                    raise ValueError(
-                        f"{path}: ragged row {row_num}: expected {n_cols} "
-                        f"cells, got {len(row)}"
-                    )
-                for i, name in keep:
-                    cell = row[i].strip()
-                    try:
-                        columns[name].append(float(cell))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: non-numeric cell {cell!r} at row "
-                            f"{row_num}, column {header[i]!r}"
-                        ) from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    if not columns or not next(iter(columns.values())):
+    except csv.Error as exc:
+        raise ValueError(f"{path}: unreadable CSV: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    required = schema.required_raw_channels()
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValueError(
+            f"{path}: missing required column(s): {', '.join(missing)}"
+        )
+    twice = [c for c in required if header.count(c) > 1]
+    if twice:
+        raise ValueError(f"{path}: duplicate column(s): {', '.join(twice)}")
+    data = rows[1:]
+    if not data:
         raise ValueError(f"{path}: no data rows")
-    channels = {name: np.asarray(vals, dtype=np.float64)
-                for name, vals in columns.items()}
+    keep = [(i, name) for i, name in enumerate(header) if name in required]
+    if set(map(len, data)) != {len(header)}:
+        raise ValueError(_first_fault(path, header, keep, data))
+    cells = list(zip(*data))
+    try:
+        channels = {name: np.fromiter(map(float, map(str.strip, cells[i])),
+                                      np.float64, len(data))
+                    for i, name in keep}
+    except ValueError:
+        raise ValueError(_first_fault(path, header, keep, data)) from None
     for name, arr in channels.items():
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        ok = np.abs(arr) <= MAX_ABS  # False for NaN and ±inf too
+        if not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            value = float(arr[bad])
+            what = ("non-finite value" if not np.isfinite(value) else
+                    f"out-of-range value {value!r} (|v| > {MAX_ABS:g})")
             raise ValueError(
-                f"{path}: non-finite value in column {name!r} at data row "
-                f"{bad + 2}"
+                f"{path}: {what} in column {name!r} at data row {bad + 2}"
             )
     return TripSeries(path.stem, sample_period_s, channels)
 
 
+def _first_fault(path: Path, header: list, keep: list, data: list) -> str:
+    """The first ragged row or non-numeric kept cell, rows numbered as lines."""
+    for row_num, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            return (f"{path}: ragged row {row_num}: expected {len(header)} "
+                    f"cells, got {len(row)}")
+        for i, _ in keep:
+            cell = row[i].strip()
+            try:
+                float(cell)
+            except ValueError:
+                return (f"{path}: non-numeric cell {cell!r} at row "
+                        f"{row_num}, column {header[i]!r}")
+    raise AssertionError(f"{path}: no fault to report")
+
+
 def write_trip_csv(trip: TripSeries, path) -> None:
-    """Atomically write a trip as CSV: channel-name header, one row per sample."""
+    """Atomically write a trip as CSV: a header of channel names, then one
+    CRLF-ended row of ``%.17g`` cells per sample."""
     names = list(trip.channels)
-    cols = [trip.channels[n] for n in names]
+    row = ",".join(["%.17g"] * len(names)) + "\r\n"
     with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*cols):
-            writer.writerow([format(v, ".17g") for v in row])
+        csv.writer(fh).writerow(names)
+        block = np.column_stack([trip.channels[n] for n in names])
+        fh.write(row * len(block)
+                 % tuple(block.astype(np.float64).ravel().tolist()))
 
 
 # -------------------------------------------------------------- transforms

@@ -29,15 +29,16 @@ def atomic_write(path, mode: str = "wb", newline: str | None = None):
     """Open a temporary file beside ``path``; replace ``path`` with it on
     success.
 
-    ``newline`` is passed to :func:`open` (``""`` for the csv module).
-    If the block raises, the temporary file is removed and whatever was at
-    ``path`` before is left as it was.
+    ``newline`` is passed to :func:`open` (``""`` for the csv module); a
+    text mode writes UTF-8. If the block raises, the temporary file is
+    removed and whatever was at ``path`` before is left as it was.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, newline=newline) as fh:
+        with open(tmp, mode, newline=newline,
+                  encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

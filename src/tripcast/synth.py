@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pipeline import TripSeries
+from .pipeline import VENT_CHANNELS, TripSeries
 
 CAPACITY_KWH = 18.0     # usable pack energy
 NOMINAL_VOLTS = 360.0
@@ -35,12 +35,13 @@ def _smooth_profile(rng, t, n_components, amp_range, period_range):
 def _slow_walk(rng, n, dt, scale, tau_s=60.0):
     """Exponentially smoothed white noise: a slow walk around zero."""
     alpha = dt / (tau_s + dt)
-    out = np.empty(n)
+    root = max(alpha, 1e-9) ** 0.5
+    out = []
     state = 0.0
-    for k, eps in enumerate(rng.normal(size=n)):
-        state += alpha * (eps * scale / max(alpha, 1e-9) ** 0.5 - state)
-        out[k] = state
-    return out
+    for eps in rng.normal(size=n).tolist():
+        state += alpha * (eps * scale / root - state)
+        out.append(state)
+    return np.array(out)
 
 
 def _synthesize_one(rng: np.random.Generator, trip_id: str, length: int,
@@ -69,42 +70,38 @@ def _synthesize_one(rng: np.random.Generator, trip_id: str, length: int,
     ac_power = np.clip(ac_set + _slow_walk(rng, n, dt, 0.05), 0.0, None)
     hvac = heater_power + ac_power
 
-    cabin_setpoint = np.full(n, 21.0 + rng.uniform(-1.5, 1.5))
-    cabin_temp = np.empty(n)
-    cabin_temp[0] = ambient
+    setpoint = 21.0 + rng.uniform(-1.5, 1.5)
+    cabin_setpoint = np.full(n, setpoint)
+    cabin = [ambient]
     tau_cabin = 180.0
-    for k in range(1, n):
-        cabin_temp[k] = cabin_temp[k - 1] + dt / tau_cabin * (
-            cabin_setpoint[k - 1] - cabin_temp[k - 1])
+    for _ in range(1, n):
+        cabin.append(cabin[-1] + dt / tau_cabin * (setpoint - cabin[-1]))
+    cabin_temp = np.array(cabin)
     vent_base = cabin_setpoint + 2.0 * np.tanh(cabin_setpoint - cabin_temp)
-    vents = {}
-    for name in ("vent_temp_fl", "vent_temp_fr", "vent_temp_rl",
-                 "vent_temp_rr"):
-        vents[name] = vent_base * (1.0 + rng.uniform(-5e-5, 5e-5))
+    vents = {name: vent_base * (1.0 + rng.uniform(-5e-5, 5e-5))
+             for name in VENT_CHANNELS}
 
     # traction power in kW: drag, acceleration, and grade terms
     p_traction = 0.008 * vel ** 2 + 0.3 * acc * vel + 1.3 * grade * vel
     regen_power = REGEN_EFFICIENCY * np.maximum(-p_traction, 0.0)
     p_batt = np.where(p_traction >= 0.0, p_traction, -regen_power) + hvac
 
-    soc = np.empty(n)
-    batt_temp = np.empty(n)
-    batt_voltage = np.empty(n)
-    batt_current = np.empty(n)
-    soc[0] = rng.uniform(85.0, 98.0)
-    batt_temp[0] = ambient + 5.0
+    # Python floats: the same IEEE arithmetic as numpy scalars, unboxed
+    soc = [rng.uniform(85.0, 98.0)]
+    batt_temp = [ambient + 5.0]
+    batt_voltage, batt_current = [], []
     tau_batt = 120.0
-    for k in range(n):
-        i0 = p_batt[k] * 1000.0 / NOMINAL_VOLTS
-        batt_voltage[k] = (NOMINAL_VOLTS + 0.3 * (soc[k] - 50.0)
-                           - PACK_RESISTANCE * i0)
-        batt_current[k] = p_batt[k] * 1000.0 / batt_voltage[k]
+    for k, p in enumerate(p_batt.tolist()):
+        i0 = p * 1000.0 / NOMINAL_VOLTS
+        volts = NOMINAL_VOLTS + 0.3 * (soc[k] - 50.0) - PACK_RESISTANCE * i0
+        batt_voltage.append(volts)
+        batt_current.append(p * 1000.0 / volts)
         if k + 1 < n:
             # percent drained: kW * s over kWh capacity (1 kWh = 36 kJ per %)
-            soc[k + 1] = soc[k] - p_batt[k] * dt / (CAPACITY_KWH * 36.0)
-            t_eq = ambient + 0.8 * abs(p_batt[k])
-            batt_temp[k + 1] = batt_temp[k] + dt / tau_batt * (
-                t_eq - batt_temp[k])
+            soc.append(soc[k] - p * dt / (CAPACITY_KWH * 36.0))
+            t_eq = ambient + 0.8 * abs(p)
+            batt_temp.append(batt_temp[k] + dt / tau_batt * (
+                t_eq - batt_temp[k]))
 
     channels = {
         "velocity": vel,
@@ -112,10 +109,10 @@ def _synthesize_one(rng: np.random.Generator, trip_id: str, length: int,
         "throttle": throttle,
         "elevation": elevation,
         "ambient_temp": ambient_temp,
-        "batt_voltage": batt_voltage,
-        "batt_current": batt_current,
-        "batt_temp": batt_temp,
-        "soc": soc,
+        "batt_voltage": np.array(batt_voltage),
+        "batt_current": np.array(batt_current),
+        "batt_temp": np.array(batt_temp),
+        "soc": np.array(soc),
         "heater_power": heater_power,
         "ac_power": ac_power,
         **vents,

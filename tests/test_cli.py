@@ -20,7 +20,8 @@ import pytest
 import tripcast.cli
 import tripcast.training
 from tripcast.cli import main
-from tripcast.config import SECTIONS, SEED_DATA, RunConfig, fan_seed
+from tripcast.config import (SECTIONS, SEED_DATA, RunConfig, fan_seed,
+                             load_config)
 from tripcast.models import ModelSpec, build, save_checkpoint
 from tripcast.pipeline import DEFAULT_SCHEMA
 from tripcast.serialize import read_container, write_container
@@ -285,6 +286,30 @@ class TestValidation:
         assert (f"error: {bad}: not UTF-8 text"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["train", "grid", "predict"])
+    def test_csv_cell_beyond_magnitude_bound(self, ws, tmp_path, capsys,
+                                             command):
+        trips = shutil.copytree(ws["gen"] / "trips", tmp_path / "trips")
+        bad = trips / "synth-002.csv"
+        rows = bad.read_bytes().decode("utf-8").split("\r\n")
+        cells = rows[2].split(",")
+        cells[rows[0].split(",").index("velocity")] = "1e308"
+        rows[2] = ",".join(cells)
+        bad.write_bytes("\r\n".join(rows).encode("utf-8"))
+        if command == "predict":
+            argv = ["predict", "--checkpoint",
+                    str(ws["run"] / "checkpoint.ckpt"), "--trip", str(bad),
+                    "--start", "20"]
+        else:
+            argv = [command, "--config", write_config(tmp_path / "c.json",
+                                                      base_config()),
+                    "-O", "data.source=csv", "-O", f"data.trips_path={trips}",
+                    "-O", 'grid.kinds=["lstm"]', "-O", "grid.cases=[[6,3]]"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: out-of-range value 1e+308 (|v| > 1e+150) in "
+            "column 'velocity' at data row 3\n")
+
     def test_csv_trip_too_short(self, ws, tmp_path, capsys):
         trips = shutil.copytree(ws["gen"] / "trips", tmp_path / "trips")
         lines = (trips / "synth-000.csv").read_bytes().splitlines(True)
@@ -305,13 +330,17 @@ class TestValidation:
         assert ("override 'seed.x=1': 'seed' is not a section"
                 in capsys.readouterr().err)
 
-    def test_malformed_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", "not valid JSON"),
+        (b'{"seed": "\xff"}', "not UTF-8 text"),
+    ])
+    def test_malformed_config_file(self, tmp_path, capsys, content, message):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         rc = main(["train", "--config", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_config_root_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -435,6 +464,27 @@ class TestValidation:
             "error: invalid config: model: ModelSpec.d_model must be even "
             "for the sin/cos position tables of kind 'v_tst', got 9\n")
         assert not (tmp_path / "o").exists()
+
+    def test_grid_kind_refused_before_data_work(self, tmp_path, capsys,
+                                                monkeypatch):
+        def no_data_work(*args, **kwargs):
+            raise AssertionError("synthesize_trips called")
+
+        monkeypatch.setattr(tripcast.cli, "synthesize_trips", no_data_work)
+        overrides = ["-O", "model.d_model=9", "-O", "model.n_heads=1",
+                     "-O", 'grid.kinds=["lstm","v_tst"]']
+        path = write_config(tmp_path / "c.json", base_config())
+        # train runs no grid, so the config itself may name the kind
+        assert load_config(path, overrides[1::2]).grid.kinds == [
+            "lstm", "v_tst"]
+        rc = main(["grid", "--config", path, *overrides,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: grid.kinds entry 'v_tst': ModelSpec."
+            "d_model must be even for the sin/cos position tables of kind "
+            "'v_tst', got 9\n")
+        assert not (tmp_path / "o" / "grid_report.json").exists()
 
     def test_removed_optimizer_keys_refused(self, tmp_path, capsys):
         cfg = base_config()

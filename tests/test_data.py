@@ -5,6 +5,7 @@ The synthetic-trip tests reconstruct the generator's causal recurrences
 verify them step by step, so they double as documentation of the physics.
 """
 
+import hashlib
 import logging
 import re
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
+    MAX_ABS,
     VENT_CHANNELS,
     FeatureSchema,
     NormStats,
@@ -54,6 +56,16 @@ class TestCsvRoundTrip:
         for name, seq in trip.channels.items():
             np.testing.assert_array_equal(back.channels[name], seq)
 
+    def test_file_format(self, tmp_path):
+        # a header of channel names, %.17g cells, CRLF line ends, UTF-8
+        trip = TripSeries("t", 1.0, {"cabin_°C": np.array([0.1, -0.0]),
+                                     "b": np.array([1 / 3, 5e15])})
+        write_trip_csv(trip, tmp_path / "trip.csv")
+        assert (tmp_path / "trip.csv").read_bytes() == (
+            "cabin_°C,b\r\n"
+            "0.10000000000000001,0.33333333333333331\r\n"
+            "-0,5000000000000000\r\n").encode("utf-8")
+
     def test_sample_period_is_required(self, tmp_path):
         # no default period: datagen writes 0.5 s trips, and a guessed
         # period would resample them at the wrong stride
@@ -69,11 +81,28 @@ class TestCsvRoundTrip:
         assert [t.trip_id for t in trips] == ["synth-000", "synth-001",
                                               "synth-002"]
 
+    @pytest.mark.parametrize("text, a, b", [
+        ("a,b\n 1.5 ,\t2\n", [1.5], [2.0]),             # whitespace
+        ('a,b\n1.0,"2.5"\n', [1.0], [2.5]),               # quoted cell
+        ("a,note,b\n1,fine,2\n3,ok,4\n", [1.0, 3.0], [2.0, 4.0]),
+        ("a,b\n1,2\n3,4\n", [1.0, 3.0], [2.0, 4.0]),     # LF
+        ("a,b\r\n1,2\r\n3,4\r\n", [1.0, 3.0], [2.0, 4.0]),
+        (f"a,b\n{MAX_ABS!r},-{MAX_ABS!r}\n", [MAX_ABS], [-MAX_ABS]),
+    ])
+    def test_loads_csv_text(self, tmp_path, text, a, b):
+        # a column outside the schema may hold anything
+        p = tmp_path / "trip.csv"
+        p.write_bytes(text.encode())
+        trip = load_trips(p, TINY, 1.0)[0]
+        assert list(trip.channels) == ["a", "b"]
+        assert trip.channels["a"].tolist() == a
+        assert trip.channels["b"].tolist() == b
+
     def test_failed_write_leaves_previous_file(self, tmp_path):
         path = tmp_path / "trip.csv"
         write_trip_csv(tiny_trip(5), path)
         before = path.read_bytes()
-        # the header and two rows are written before the bad cell raises
+        # the header is written before the bad cell raises
         bad = TripSeries("bad", 1.0, {"a": np.array([1.0, 2.0, "x"],
                                                     dtype=object)})
         with pytest.raises(ValueError):
@@ -93,23 +122,46 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="b"):
             load_trips(p, TINY, 1.0)
 
-    def test_ragged_row_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("text, got", [
+        ("a,b\n1.0,2.0\n3.0\n4.0,5.0\n", 1),
+        ("a,b\n1.0,2.0\n\n4.0,5.0\n", 0),   # a blank line is a ragged row
+    ])
+    def test_ragged_row_reports_line_number(self, tmp_path, text, got):
         # rows are numbered as physical lines, header included
-        p = self._write(tmp_path, "a,b\n1.0,2.0\n3.0\n4.0,5.0\n")
-        with pytest.raises(ValueError, match="row 3"):
+        p = self._write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: ragged row 3: expected 2 cells, got {got}")):
             load_trips(p, TINY, 1.0)
 
-    def test_non_numeric_cell_reports_position(self, tmp_path):
-        p = self._write(tmp_path, "a,b\n1.0,2.0\n3.0,oops\n")
+    @pytest.mark.parametrize("text, cell", [
+        ("a,b\n1.0,2.0\n3.0,oops\n", "oops"),
+        # the first fault in row order wins over a later ragged row
+        ("a,b\n1.0,2.0\n3.0,oops\n4.0,5.0\n6.0\n", "oops"),
+        ('a,b\n1.0,2.0\n3.0, "2.5"\n', '"2.5"'),  # a space opens no quote
+    ])
+    def test_non_numeric_cell_reports_position(self, tmp_path, text, cell):
+        p = self._write(tmp_path, text)
         with pytest.raises(ValueError) as err:
             load_trips(p, TINY, 1.0)
-        msg = str(err.value)
-        assert "oops" in msg and "row 3" in msg and "b" in msg
+        assert str(err.value) == (
+            f"{p}: non-numeric cell {cell!r} at row 3, column 'b'")
+
+    def test_duplicate_schema_column_rejected(self, tmp_path):
+        p = self._write(tmp_path, "a,b,a\n1,2,3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: duplicate column(s): a")):
+            load_trips(p, TINY, 1.0)
 
     def test_non_utf8_file_named(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: not UTF-8")):
+            load_trips(p, TINY, 1.0)
+
+    def test_unreadable_csv_named(self, tmp_path):
+        p = self._write(tmp_path, "a,b\n1.0," + "2" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: unreadable CSV: field larger than field limit")):
             load_trips(p, TINY, 1.0)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -122,9 +174,18 @@ class TestLoadErrors:
         with pytest.raises(ValueError):
             load_trips(p, TINY, 1.0)
 
-    def test_non_finite_value_rejected(self, tmp_path):
-        p = self._write(tmp_path, "a,b\n1.0,2.0\n3.0,inf\n")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("cell, what", [
+        ("inf", "non-finite value"),
+        ("nan", "non-finite value"),
+        ("-inf", "non-finite value"),
+        # squares and sums of squares of a larger cell overflow
+        ("1e308", "out-of-range value 1e+308 (|v| > 1e+150)"),
+        ("-2e150", "out-of-range value -2e+150 (|v| > 1e+150)"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, cell, what):
+        p = self._write(tmp_path, f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: {what} in column 'b' at data row 3")):
             load_trips(p, TINY, 1.0)
 
     def test_directory_without_csv_rejected(self, tmp_path):
@@ -419,6 +480,37 @@ def test_normalization_round_trip_property(seed):
 
 
 # ------------------------------------------------------------ synthesizer
+
+
+# sha256 of the channel names and float64 bytes of ``synthesize_trips(2, 300,
+# seed=7, **kwargs)``, and of the CSV bytes ``write_trip_csv`` writes for
+# those trips; any change to the generator's arithmetic or to the file format
+# shows here. A numpy build whose sin, tanh or std rounds differently also
+# moves them; re-pin only after checking the bytes changed for that reason.
+PINNED = [
+    ({"noise_std": 0.0},
+     "3a61236a43936a5693afbc11c5bf4fe515b5dd198682a4042199cc072544163f",
+     "7c25bb0dd1f47eeecf542e48430884d549d120962f6f8af917a5b24647c92a18"),
+    ({"noise_std": 0.01},
+     "931de39d047583d8003e3f347635e878e1939935bd065f5779f908932b194ab6",
+     "58b08d47baa80fb13d817aee7a9a975e4fc00380dd6a6142fd69a7c5e876ed8d"),
+    ({"velocity_scale": 0.0},
+     "5dcb26076084a27008c362c268870801b11f296baf85ff10c23b2c270fdd39d0",
+     "82ea286afbd2c3746fdb522bea25eb5d659eb01e4ea9b2a53cdabab324702084"),
+]
+
+
+@pytest.mark.parametrize("kwargs, arrays_sha, csv_sha", PINNED,
+                         ids=["clean", "noisy", "parked"])
+def test_synth_and_csv_bytes_pinned(tmp_path, kwargs, arrays_sha, csv_sha):
+    arrays, csvs = hashlib.sha256(), hashlib.sha256()
+    for trip in synthesize_trips(2, 300, seed=7, **kwargs):
+        for name, seq in trip.channels.items():
+            arrays.update(name.encode() + seq.astype("<f8").tobytes())
+        write_trip_csv(trip, tmp_path / "trip.csv")
+        csvs.update((tmp_path / "trip.csv").read_bytes())
+    assert arrays.hexdigest() == arrays_sha
+    assert csvs.hexdigest() == csv_sha
 
 
 class TestSynthTrips:

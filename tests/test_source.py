@@ -10,9 +10,30 @@ import tripcast.cli
 SOURCES = sorted(Path(tripcast.cli.__file__).parent.glob("*.py"))
 
 
+def _open_calls():
+    """Yield ``(file name, enclosing function, mode node, call)`` for every
+    ``open(...)`` call in the package; ``mode`` is None when defaulted."""
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, path, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "open"):
+                mode = (child.args[1] if len(child.args) > 1 else
+                        next((k.value for k in child.keywords
+                              if k.arg == "mode"), None))
+                yield path.name, func, mode, child
+            yield from visit(child, path, func)
+
+    for path in SOURCES:
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path,
+                         None)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text())
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -26,3 +47,28 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported.items()
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def test_text_files_opened_as_utf8():
+    # the locale's encoding differs between machines; the files do not
+    unnamed = [f"{name}:{call.lineno}" for name, _, mode, call in _open_calls()
+               if not (isinstance(mode, ast.Constant) and "b" in mode.value)
+               and not any(k.arg == "encoding" for k in call.keywords)]
+    assert not unnamed, f"text open() without encoding=: {unnamed}"
+
+
+def test_only_atomic_write_opens_for_writing():
+    # every output goes through serialize.atomic_write, so a failed write
+    # never leaves a half-written file behind
+    writers = [
+        f"{name}:{call.lineno}" for name, func, mode, call in _open_calls()
+        if not (mode is None or (isinstance(mode, ast.Constant)
+                                 and set(mode.value) <= set("rbt")))
+        and (name, func) != ("serialize.py", "atomic_write")]
+    writers += [
+        f"{path.name}:{node.lineno}" for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("open", "write_text", "write_bytes")]
+    assert not writers, f"files opened for writing outside atomic_write: " \
+        f"{writers}"
