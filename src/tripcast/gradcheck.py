@@ -5,9 +5,10 @@ for a layer, the layer itself. The registry turns the function's outputs
 into a fixed weighted-sum objective and compares the tape's gradients
 against central differences (step 1e-6, float64), for the inputs and for
 every tensor of the layer's ``named_params()``. It covers every tensor
-primitive exactly once (the fused ``lstm`` layer op among them) plus the
-composite layers (attention heads, multi-head with output weights, FFN,
-layer norm, LSTM cell and stack, embedding, positional-table path).
+primitive exactly once (the fused ``heads``, ``attention`` and ``lstm`` ops
+among them) plus the composite layers (multi-head attention with its
+projections, FFN, layer norm, LSTM cell and stack, embedding,
+positional-table path).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .layers import (
     MultiHeadAttention,
     causal_mask,
     positional_encoding,
-    scaled_dot_attention,
 )
 
 DEFAULT_STEP = 1e-6
@@ -142,7 +142,6 @@ def _checks(rng: np.random.Generator) -> list:
     entry("add", T.add, [n(size=(3, 4)), n(size=(4,))])
     entry("sub", T.sub, [n(size=(2, 3, 4)), n(size=(3, 4))])
     entry("mul", T.mul, [n(size=(3, 4)), n(size=(3, 4))])
-    entry("scale", lambda a: T.scale(a, 1.7), [n(size=(3, 4))])
     entry("tanh", T.tanh, [n(size=(3, 4))])
     entry("sigmoid", T.sigmoid, [n(size=(3, 4))])
     entry("relu", T.relu, [_away_from_zero(n(size=(4, 5)))])
@@ -160,6 +159,11 @@ def _checks(rng: np.random.Generator) -> list:
     entry("concat", lambda a, b: T.concat([a, b], axis=1),
           [n(size=(2, 3)), n(size=(2, 4))])
     entry("slice", lambda a: (a[:, 1:3, :], a[:, 0, :]), [n(size=(2, 4, 3))])
+    entry("heads", lambda a: T.heads(a, 2), [n(size=(2, 3, 4))])
+    # two causal-masked heads, values wider than keys
+    mask = causal_mask(3)
+    entry("attention", lambda q, k, v: T.attention(q, k, v, 2, mask),
+          [n(size=(2, 3, 4)), n(size=(2, 2, 3, 2)), n(size=(2, 2, 3, 3))])
     # B=2, L=3, d=3, h=4; the output holds both the h half and the c half
     entry("lstm", T.lstm,
           [n(size=(2, 3, 3)), n(size=(2, 4)), n(size=(2, 4)),
@@ -172,10 +176,6 @@ def _checks(rng: np.random.Generator) -> list:
     pe = positional_encoding(4, 6)
     entry("positional_path", lambda x, w: T.tanh(T.add(T.matmul(x, w), pe)),
           [n(size=(2, 4, 5)), 0.5 * n(size=(5, 6))])
-    # one attention head, causal-masked
-    mask = causal_mask(3)
-    entry("attention_head", lambda q, k, v: scaled_dot_attention(q, k, v, mask),
-          [n(size=(2, 3, 4)), n(size=(2, 3, 4)), n(size=(2, 3, 5))])
     mha = MultiHeadAttention(6, 2, rng)
     entry("multi_head_attention", lambda x: mha(x, x), [n(size=(2, 3, 6))], mha)
     ffn = FeedForward(6, 4, rng)
@@ -200,10 +200,6 @@ class GradcheckReport:
     @property
     def passed(self) -> bool:
         return all(err < self.tolerance for _, err in self.entries)
-
-    def failures(self) -> list:
-        return [(name, err) for name, err in self.entries
-                if not err < self.tolerance]
 
     def format(self) -> str:
         width = max(len(name) for name, _ in self.entries)

@@ -1,6 +1,5 @@
 """Trainable building blocks: linear maps, layer norm, sinusoidal position
-tables, scaled-dot-product and multi-head attention, feed-forward nets, and
-stacked LSTMs.
+tables, multi-head attention, feed-forward nets, and stacked LSTMs.
 
 Every layer, and the model built from them, is a :class:`Module`: a plain
 parameter container whose ``named_params()`` is derived from its
@@ -20,17 +19,15 @@ from typing import Optional
 import numpy as np
 
 from .tensor import (
-    ShapeError,
     Tensor,
     add,
+    attention,
+    heads,
     layer_norm_core,
     lstm,
     matmul,
     mul,
     relu,
-    scale,
-    softmax,
-    transpose,
 )
 
 # Additive mask value for blocked attention positions. Large enough that
@@ -124,36 +121,9 @@ def causal_mask(size: int) -> Tensor:
     return Tensor(m)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: Optional[Tensor] = None,
-                         return_weights: bool = False):
-    """Softmax(q kᵀ / sqrt(d_k) + mask) v over the last two axes.
-
-    ``mask`` is an additive (Lq, Lk) tensor; blocked positions receive
-    exactly zero attention weight.
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key dims disagree: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value lengths disagree: {k.shape} vs {v.shape}")
-    d_k = q.shape[-1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        if mask.shape != (q.shape[-2], k.shape[-2]):
-            raise ShapeError(
-                f"mask shape {mask.shape} does not match (Lq, Lk)="
-                f"({q.shape[-2]}, {k.shape[-2]})"
-            )
-        scores = add(scores, mask)
-    weights = softmax(scores, axis=-1)
-    out = matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
-
-
 class MultiHeadAttention(Module):
-    """Fused q/k/v projections, scaled-dot attention per head, output map.
+    """Fused q/k/v projections, the :func:`~tripcast.tensor.attention` op
+    over all heads, output map.
 
     ``wq``, ``wk`` and ``wv`` are ``(d_model, d_model)``; head ``h`` owns
     columns ``h*d_head:(h+1)*d_head`` of each. Self-attention when the same
@@ -178,11 +148,6 @@ class MultiHeadAttention(Module):
             for cols in zip(*draws))
         self.wo = Tensor(xavier_uniform(rng, d_model, d_model), requires_grad=True)
 
-    def _split_heads(self, t: Tensor) -> Tensor:
-        # (*lead, L, d_model) -> (*lead, n_heads, L, d_head)
-        return transpose(t.reshape(*t.shape[:-1], self.n_heads, self.d_head),
-                         -3, -2)
-
     def project_kv(self, x_kv: Tensor) -> tuple:
         """Keys and values of ``x_kv``, projected and split into heads.
 
@@ -190,18 +155,14 @@ class MultiHeadAttention(Module):
         :meth:`attend`. Cross-attention over a fixed encoder output computes
         them once and reuses them for every query.
         """
-        return (self._split_heads(matmul(x_kv, self.wk)),
-                self._split_heads(matmul(x_kv, self.wv)))
+        return (heads(matmul(x_kv, self.wk), self.n_heads),
+                heads(matmul(x_kv, self.wv), self.n_heads))
 
     def attend(self, x_q: Tensor, k: Tensor, v: Tensor,
                mask: Optional[Tensor] = None) -> Tensor:
         """Attend from ``x_q`` to keys and values from :meth:`project_kv`."""
-        # all heads in one pass: one projection, then a head axis
-        q = self._split_heads(matmul(x_q, self.wq))
-        out = scaled_dot_attention(q, k, v, mask)
-        merged = transpose(out, -3, -2).reshape(*x_q.shape[:-1],
-                                                self.n_heads * self.d_head)
-        return matmul(merged, self.wo)
+        return matmul(attention(matmul(x_q, self.wq), k, v, self.n_heads,
+                                mask), self.wo)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor,
                  mask: Optional[Tensor] = None) -> Tensor:

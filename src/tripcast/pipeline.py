@@ -185,6 +185,9 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read trip file: "
+                         f"{exc.strerror or exc}") from None
     except csv.Error as exc:
         raise ValueError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:

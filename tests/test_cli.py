@@ -286,6 +286,18 @@ class TestValidation:
         assert (f"error: {bad}: not UTF-8 text"
                 in capsys.readouterr().err)
 
+    def test_csv_trip_file_cannot_be_read(self, ws, tmp_path, capsys):
+        trips = shutil.copytree(ws["gen"] / "trips", tmp_path / "trips")
+        bad = trips / "x.csv"
+        bad.mkdir()
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["train", "--config", path, "-O", "data.source=csv",
+                   "-O", f"data.trips_path={trips}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: cannot read trip file: Is a directory\n")
+
     @pytest.mark.parametrize("command", ["train", "grid", "predict"])
     def test_csv_cell_beyond_magnitude_bound(self, ws, tmp_path, capsys,
                                              command):

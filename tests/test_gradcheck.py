@@ -18,18 +18,17 @@ from tripcast.tensor import RECORDED_OPS, Tensor, matmul, mul, tanh, tsum
 
 PRIMITIVE_NAMES = set(RECORDED_OPS)
 LAYER_NAMES = {
-    "embedding_linear", "positional_path", "attention_head",
-    "multi_head_attention", "feed_forward", "layer_norm_affine",
-    "lstm_cell", "lstm_stack",
+    "embedding_linear", "positional_path", "multi_head_attention",
+    "feed_forward", "layer_norm_affine", "lstm_cell", "lstm_stack",
 }
 # scalars each entry perturbs (inputs plus layer parameters), in report
 # order; a shrinking audit fails here instead of passing quietly
 SCALARS_CHECKED = {
-    "add": 16, "sub": 36, "mul": 24, "scale": 12, "tanh": 12, "sigmoid": 12,
-    "relu": 20, "matmul": 80, "transpose": 24, "reshape": 24, "sum": 24,
-    "mean": 24, "softmax": 24, "layer_norm": 18, "concat": 14, "slice": 24,
-    "lstm": 162, "embedding_linear": 76, "positional_path": 70,
-    "attention_head": 78, "multi_head_attention": 180, "feed_forward": 94,
+    "add": 16, "sub": 36, "mul": 24, "tanh": 12, "sigmoid": 12, "relu": 20,
+    "matmul": 80, "transpose": 24, "reshape": 24, "sum": 24, "mean": 24,
+    "softmax": 24, "layer_norm": 18, "concat": 14, "slice": 24, "heads": 24,
+    "attention": 84, "lstm": 162, "embedding_linear": 76,
+    "positional_path": 70, "multi_head_attention": 180, "feed_forward": 94,
     "layer_norm_affine": 48, "lstm_cell": 134, "lstm_stack": 290,
 }
 
@@ -91,12 +90,12 @@ class TestRegistryCoverage:
                   + sum(p.size for p in params)
                   for name, _, arrays, params in _checks(rng)}
         assert list(counts.items()) == list(SCALARS_CHECKED.items())
-        assert sum(counts.values()) == 1520
+        assert sum(counts.values()) == 1538
 
     def test_fresh_build_passes(self):
         report = run_gradcheck()
         assert report.passed
-        assert report.failures() == []
+        assert all(err < report.tolerance for _, err in report.entries)
         worst = max(err for _, err in report.entries)
         assert worst < 1e-4
 
@@ -113,7 +112,7 @@ class TestCorruptionDetection:
     def test_corrupting_one_op_fails_the_run(self, op):
         report = run_gradcheck(corrupt_op=op)
         assert not report.passed
-        assert len(report.failures()) >= 1
+        assert any(not err < report.tolerance for _, err in report.entries)
         assert "FAIL" in report.format()
 
     def test_corruption_is_scoped(self):

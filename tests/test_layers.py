@@ -2,9 +2,10 @@
 
 The attention tests compare the vectorized implementation to an explicit
 per-query-position loop; the LSTM tests compare to a python-float gate
-recurrence. Both oracles share no code with the library. The fused ``lstm``
-op is also checked, forward and backward, against the per-timestep chain of
-tape ops it replaced.
+recurrence. Both oracles share no code with the library. The fused
+``attention`` and ``lstm`` ops are also checked, forward and backward,
+against the chains of tape ops they replaced: attention bit for bit, the
+LSTM per timestep.
 """
 
 import math
@@ -24,10 +25,11 @@ from tripcast.layers import (
     MultiHeadAttention,
     causal_mask,
     positional_encoding,
-    scaled_dot_attention,
     xavier_uniform,
 )
 from tripcast.tensor import ShapeError, Tensor, layer_norm_core, tsum
+
+from attention_oracles import composed_attention, one_head
 
 
 def attention_oracle(q, k, v, causal=False):
@@ -49,7 +51,7 @@ def attention_oracle(q, k, v, causal=False):
     return out, weights
 
 
-class TestScaledDotAttention:
+class TestAttentionOp:
     def test_matches_per_position_oracle_100_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -60,8 +62,7 @@ class TestScaledDotAttention:
             q = rng.standard_normal((lq, d))
             k = rng.standard_normal((lk, d))
             v = rng.standard_normal((lk, dv))
-            got, w = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v),
-                                          return_weights=True)
+            got, w = one_head(q, k, v)
             want, want_w = attention_oracle(q, k, v)
             np.testing.assert_allclose(got.data, want, atol=1e-12)
             np.testing.assert_allclose(w.data, want_w, atol=1e-12)
@@ -72,8 +73,7 @@ class TestScaledDotAttention:
         q = rng.standard_normal((5, 4))
         k = rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 3))
-        got = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v),
-                                   mask=causal_mask(5))
+        got, _ = one_head(q, k, v, mask=causal_mask(5))
         want, _ = attention_oracle(q, k, v, causal=True)
         np.testing.assert_allclose(got.data, want, atol=1e-12)
 
@@ -81,38 +81,89 @@ class TestScaledDotAttention:
         q = rng.standard_normal((4, 8))
         k = rng.standard_normal((4, 8))
         v = rng.standard_normal((4, 8))
-        _, w = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v),
-                                    mask=causal_mask(4), return_weights=True)
+        _, w = one_head(q, k, v, mask=causal_mask(4))
         above = np.triu_indices(4, k=1)
         assert (w.data[above] == 0.0).all()
+
+    def test_masked_keys_get_exactly_zero_gradient(self, rng):
+        # only queries 0 and 1 carry gradient, and the causal mask gives
+        # keys and values 2 and 3 exactly zero weight for them
+        q, k, v = (Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+                   for _ in "qkv")
+        out = T.attention(q, T.heads(k, 2), T.heads(v, 2), 2, causal_mask(4))
+        tsum(out[:2]).backward()
+        assert (v.grad[2:] == 0.0).all() and (k.grad[2:] == 0.0).all()
+        assert v.grad[:2].all()
 
     def test_future_perturbation_cannot_leak_backward(self, rng):
         # with a causal mask, position t must ignore keys/values after t
         q = rng.standard_normal((6, 4))
         k = rng.standard_normal((6, 4))
         v = rng.standard_normal((6, 4))
-        base = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v),
-                                    mask=causal_mask(6)).data
+        base = one_head(q, k, v, mask=causal_mask(6))[0].data
         k2, v2 = k.copy(), v.copy()
         k2[3:] += 100.0
         v2[3:] -= 50.0
-        pert = scaled_dot_attention(Tensor(q), Tensor(k2), Tensor(v2),
-                                    mask=causal_mask(6)).data
+        pert = one_head(q, k2, v2, mask=causal_mask(6))[0].data
         np.testing.assert_array_equal(base[:3], pert[:3])
         assert not np.allclose(base[3:], pert[3:])
 
     def test_shape_validation(self, rng):
+        def split(*shape):
+            return T.heads(Tensor(rng.standard_normal(shape)), 1)
+
         q = Tensor(rng.standard_normal((3, 4)))
-        k_bad = Tensor(rng.standard_normal((3, 5)))
+        k_bad = split(3, 5)
         with pytest.raises(ShapeError):
-            scaled_dot_attention(q, k_bad, k_bad)
-        k = Tensor(rng.standard_normal((3, 4)))
-        v_bad = Tensor(rng.standard_normal((2, 4)))
+            T.attention(q, k_bad, k_bad, 1)
+        k = split(3, 4)
+        v_bad = split(2, 4)
         with pytest.raises(ShapeError):
-            scaled_dot_attention(q, k, v_bad)
-        v = Tensor(rng.standard_normal((3, 4)))
+            T.attention(q, k, v_bad, 1)
+        v = split(3, 4)
         with pytest.raises(ShapeError):
-            scaled_dot_attention(q, k, v, mask=causal_mask(2))
+            T.attention(q, k, v, 1, mask=causal_mask(2))
+        # 4 columns do not split into 3 heads, nor fit keys of one head
+        for n_heads in (3, 2):
+            with pytest.raises(ShapeError):
+                T.attention(q, k, v, n_heads)
+        with pytest.raises(ShapeError):
+            T.heads(Tensor(rng.standard_normal((3, 5))), 2)
+
+
+def _fused_attention(q, k, v, n_heads, mask=None):
+    return T.attention(q, T.heads(k, n_heads), T.heads(v, n_heads), n_heads,
+                       mask)
+
+
+class TestAttentionOpMatchesComposition:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("lq, lk, d_v", [(5, 5, 6), (3, 6, 6), (4, 4, 9)])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_output_and_gradients_bit_for_bit(self, batch, lq, lk, d_v,
+                                              masked, rng):
+        # three heads of width 2; values 2 or 3 wide per head
+        arrays = [rng.standard_normal((batch, lq, 6)),
+                  rng.standard_normal((batch, lk, 6)),
+                  rng.standard_normal((batch, lk, d_v))]
+        mask = (Tensor(np.triu(np.full((lq, lk), MASK_VALUE), k=1))
+                if masked else None)
+        weight = Tensor(rng.standard_normal((batch, lq, d_v)))
+        results = []
+        for fn in (_fused_attention, lambda *a: composed_attention(*a)[0]):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*inputs, 3, mask)
+            tsum(T.mul(out, weight)).backward()
+            results.append([out.data.tobytes()]
+                           + [t.grad.tobytes() for t in inputs])
+        assert results[0] == results[1]
+
+    def test_self_attention_records_seven_nodes(self, rng, tape_ops):
+        mha = MultiHeadAttention(8, 2, rng)
+        x = Tensor(rng.standard_normal((2, 5, 8)))
+        counts = tape_ops(mha(x, x, causal_mask(5)))
+        assert counts == {"attention": 1, "heads": 2, "matmul": 4}
+        assert counts["softmax"] == counts["transpose"] == 0
 
 
 class TestCausalMask:
@@ -340,7 +391,7 @@ def lstm_step_oracle(x, h, c, w, u, b):
         c = T.add(T.mul(f_g, c), T.mul(i_g, g_g))
         h = T.mul(o_g, T.tanh(c))
         outs.append(T.concat([h, c], axis=-1))
-    return T.stack(outs, axis=1)
+    return T.concat([o.reshape(o.shape[0], 1, 2 * hid) for o in outs], axis=1)
 
 
 class TestFusedLstmOp:

@@ -284,10 +284,10 @@ class TestForward:
     # teacher-forced step at the default spec: (all nodes, matmul nodes)
     @pytest.mark.parametrize("kind, nodes, matmuls", [
         ("lstm", 17, 2),
-        ("enc_tst", 133, 34),
-        ("v_tst", 345, 91),
-        ("tst_lstm", 337, 83),
-        ("enc_tst_dec_lstm", 141, 34),
+        ("enc_tst", 93, 26),
+        ("v_tst", 221, 67),
+        ("tst_lstm", 213, 59),
+        ("enc_tst_dec_lstm", 101, 26),
     ])
     def test_training_step_tape_size(self, kind, nodes, matmuls, rng,
                                      tape_ops):

@@ -23,10 +23,8 @@ from tripcast.tensor import (
     no_grad,
     relu,
     reshape,
-    scale,
     sigmoid,
     softmax,
-    stack,
     sub,
     tanh,
     tmean,
@@ -237,9 +235,9 @@ class TestBackward:
         tsum(relu(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
 
-    def test_scale_grad(self, rng):
+    def test_mul_by_python_scalar_grad(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
-        tsum(scale(x, 3.5)).backward()
+        tsum(mul(x, 3.5)).backward()
         np.testing.assert_allclose(x.grad, np.full(4, 3.5), atol=1e-15)
 
     def test_mean_grad_divides_by_count(self, rng):
@@ -296,15 +294,6 @@ class TestBackward:
         tsum(mul(cat, Tensor(gsig))).backward()
         np.testing.assert_array_equal(a.grad, gsig[:, :3])
         np.testing.assert_array_equal(b.grad, gsig[:, 3:])
-
-    def test_stack_splits_gradient(self, rng):
-        a = Tensor(rng.standard_normal(4), requires_grad=True)
-        b = Tensor(rng.standard_normal(4), requires_grad=True)
-        s = stack([a, b], axis=0)
-        gsig = np.arange(8.0).reshape(2, 4)
-        tsum(mul(s, Tensor(gsig))).backward()
-        np.testing.assert_array_equal(a.grad, gsig[0])
-        np.testing.assert_array_equal(b.grad, gsig[1])
 
     def test_softmax_jacobian_row(self, rng):
         # closed form: J = diag(s) - s s^T, contracted with upstream g
