@@ -10,22 +10,23 @@ Run:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from tripcast.gradcheck import run_gradcheck
-from tripcast.tensor import Tensor, matmul, mul, softmax, tanh, tmean
+from tripcast.tensor import Tensor, layer_norm, matmul, mul, tmean
 
 rule = "-" * 64
 
 # ----------------------------------------------------------------------
 print(rule)
-print("1. A scalar chain: y = tmean(tanh(a * b))")
+print("1. A scalar chain: y = tmean(p * p) with p = a * b")
 print(rule)
 
 a = Tensor(np.array([0.3, -1.2, 0.8]), requires_grad=True)
 b = Tensor(np.array([1.5, 0.4, -0.7]), requires_grad=True)
-y = tmean(tanh(mul(a, b)))
+p = mul(a, b)
+y = tmean(mul(p, p))
 y.backward()
 
-# d/da tmean(tanh(a*b)) = (1 - tanh(a*b)^2) * b / n
-manual = (1.0 - np.tanh(a.data * b.data) ** 2) * b.data / a.data.size
+# d/da tmean((a*b)^2) = 2 * (a*b) * b / n
+manual = 2.0 * a.data * b.data * b.data / a.data.size
 print("y           =", float(y.data))
 print("a.grad      =", a.grad)
 print("closed form =", manual)
@@ -45,7 +46,8 @@ fd = np.zeros_like(a.data)
 for sign in (+1.0, -1.0):
     bumped = a.data.copy()
     bumped[i] += sign * step
-    out = tmean(tanh(mul(Tensor(bumped), Tensor(b.data))))
+    pb = mul(Tensor(bumped), Tensor(b.data))
+    out = tmean(mul(pb, pb))
     fd[i] += sign * float(out.data)
 fd[i] /= 2.0 * step
 print(f"finite difference for a[{i}] = {fd[i]:.10f}")
@@ -68,16 +70,24 @@ print(w.grad)
 # ----------------------------------------------------------------------
 print()
 print(rule)
-print("4. Softmax rows always sum to one, and gradients flow through")
+print("4. Layer norm rows have zero mean and unit variance, and gradients")
+print("   reach the input and the learned gain")
 print(rule)
 
-logits = Tensor(np.array([[2.0, -1.0, 0.5], [0.0, 0.0, 0.0]]),
-                requires_grad=True)
-probs = softmax(logits, axis=-1)
-print("row sums:", probs.data.sum(axis=-1))
-tmean(mul(probs, probs)).backward()
-print("logits.grad rows sum to ~0 (softmax is shift-invariant):",
-      logits.grad.sum(axis=-1))
+x = Tensor(np.array([[2.0, -1.0, 0.5, 3.0], [0.0, 1.0, 0.0, 1.0]]),
+           requires_grad=True)
+gain = Tensor(np.array([1.0, 0.5, 2.0, 1.5]), requires_grad=True)
+bias = Tensor(np.zeros(4))
+unit = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))).data
+print("row means:    ", unit.mean(axis=-1))
+print("row variances:", unit.var(axis=-1), "(just under 1: eps is 1e-5)")
+c = np.array([[1.0, -2.0, 0.5, 0.0], [0.3, 0.3, -1.0, 2.0]])
+tmean(mul(layer_norm(x, gain, bias), Tensor(c))).backward()
+# d/dgain tmean(norm(x) * gain * c) = sum over rows of norm(x) * c / n
+print("gain.grad   =", gain.grad)
+print("closed form =", (unit * c).sum(axis=0) / c.size)
+print("x.grad rows sum to ~0 (layer norm is shift-invariant):",
+      x.grad.sum(axis=-1))
 
 # ----------------------------------------------------------------------
 print()

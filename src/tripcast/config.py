@@ -81,6 +81,15 @@ class DataConfig:
                     rule(*(getattr(self, k) for k in keys))
                 except ValueError as exc:
                     problems.append(f"data.{keys[0]}, data.{keys[1]}: {exc}")
+            # R² is scored per target over windows × horizon points, and
+            # needs two; trip_holdout ignores train_n (the split checks it)
+            sized = (("val_n", "test_n") if self.split_mode == "trip_holdout"
+                     else ("train_n", "val_n", "test_n"))
+            single = [f"data.{k}" for k in sized if getattr(self, k) == 1]
+            if self.horizon == 1 and single:
+                problems.append(f"{', '.join(single)} = 1 with data.horizon "
+                                "= 1 leaves one point per target, and R² "
+                                "needs at least 2")
         if self.source not in ("synth", "csv"):
             problems.append(f"data.source must be 'synth' or 'csv', "
                             f"got {self.source!r}")

@@ -23,10 +23,9 @@ from .tensor import (
     add,
     attention,
     heads,
-    layer_norm_core,
+    layer_norm,
     lstm,
     matmul,
-    mul,
     relu,
 )
 
@@ -62,25 +61,26 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map on the last axis: ``x @ W + b``."""
+    """Affine map on the last axis, ``x @ W + b``, as one ``matmul`` node."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = Tensor(xavier_uniform(rng, d_in, d_out), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+        return matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    """Standardize the last axis, then apply a learned gain and bias."""
+    """Standardize the last axis, then apply a learned gain and bias, as
+    one ``layer_norm`` node."""
 
     def __init__(self, d: int):
         self.gain = Tensor(np.ones(d), requires_grad=True)
         self.bias = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(mul(layer_norm_core(x), self.gain), self.bias)
+        return layer_norm(x, self.gain, self.bias)
 
 
 class FeedForward(Module):

@@ -389,9 +389,12 @@ def normalize_and_split(windows: Windows, train_n: int, val_n: int,
                 val = np.concatenate([val, rows])
             else:
                 train = np.concatenate([train, rows])
-        if not len(train) or not len(val) or not len(test):
+        # R² needs two points per target: one window is too few at H = 1
+        least = 2 if windows.y.shape[1] == 1 else 1
+        if min(len(train), len(val), len(test)) < least:
             raise ValueError(
-                "trip_holdout split left an empty portion: "
+                "trip_holdout split left an empty portion (or, at horizon 1, "
+                "a one-window portion that R² cannot score): "
                 f"train {len(train)}, val {len(val)}, test {len(test)} "
                 f"samples across {len(trip_ids)} trips"
             )

@@ -12,13 +12,13 @@ Broadcasting is deliberately restricted to two cases: a size-1 operand
 the trailing dimensions of the larger (bias vectors, positional tables).
 Anything else requires an explicit reshape.
 
-``matmul`` against a 2-D right operand (a weight) folds every leading axis of
-the left operand into rows: the forward, the input gradient and the weight
-gradient are one GEMM each. The weight gradient is therefore summed over all
-rows inside one GEMM rather than per batch entry and then over the batch, so
-it can differ from the per-batch order in the last bits; it is the same on
-every run. Only a batched right operand takes numpy's per-batch path; no
-model does, so that path serves the test oracles and the gradient audit.
+``matmul`` takes a 2-D right operand (a weight) and an optional bias, so a
+linear layer is one node. It folds every leading axis of the left operand
+into rows: the forward, the input gradient and the weight gradient are one
+GEMM each. The weight gradient is therefore summed over all rows inside one
+GEMM rather than per batch entry and then over the batch, so it can differ
+from the per-batch order in the last bits; it is the same on every run.
+``layer_norm`` applies its gain and bias inside the same node.
 
 ``heads`` splits attention heads off the last axis, and ``attention`` runs
 multi-head attention from query split to head merge as one node with a
@@ -28,8 +28,8 @@ composed ops in order, so their outputs and gradients keep the same bits.
 ``lstm`` runs a whole LSTM layer as one primitive with a hand-written
 backward through time (BPTT): one input-projection GEMM over the sequence,
 one recurrent GEMM per step forward and backward, and one GEMM or sum each
-for the input and weight gradients. ``sigmoid`` and the LSTM gates share
-one formula, ``0.5·tanh(0.5x) + 0.5``.
+for the input and weight gradients. The gate sigmoid is
+``0.5·tanh(0.5x) + 0.5``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ Scalar = Union[int, float]
 
 # every op name that can appear on the tape
 RECORDED_OPS = frozenset({
-    "add", "sub", "mul", "tanh", "sigmoid", "relu", "matmul", "transpose",
-    "reshape", "sum", "mean", "softmax", "layer_norm", "concat", "slice",
-    "heads", "attention", "lstm",
+    "add", "sub", "mul", "relu", "matmul", "reshape", "sum", "mean",
+    "layer_norm", "slice", "heads", "attention", "lstm",
 })
 
 
@@ -305,16 +304,6 @@ def mul(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
     return _record("mul", (a, b), data, backward_fn)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out * out))
-
-    return _record("tanh", (a,), out, backward_fn)
-
-
 def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic function as ``0.5·tanh(0.5x) + 0.5``, written into ``out``.
 
@@ -326,16 +315,6 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * out * (1.0 - out))
-
-    return _record("sigmoid", (a,), out, backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -353,55 +332,37 @@ def relu(a: Tensor) -> Tensor:
 # linear algebra and reductions
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
+def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``a @ w``, plus ``bias`` when given, for a 2-D weight ``w``."""
+    if a.ndim < 2 or w.ndim != 2:
         raise ShapeError(
-            f"matmul needs at least 2-d operands, got {a.shape} and {b.shape}"
+            f"matmul needs an at least 2-d left operand and a 2-d weight, "
+            f"got {a.shape} and {w.shape}"
         )
-    if a.shape[-1] != b.shape[-2]:
+    d, h = w.shape
+    if a.shape[-1] != d:
         raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} vs {b.shape}"
+            f"matmul inner dimensions disagree: {a.shape} vs {w.shape}"
         )
-    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(
-            f"matmul batch dimensions disagree: {a.shape} vs {b.shape}"
-        )
-    if b.ndim == 2:
-        # a weight: fold every leading axis of ``a`` into rows, one GEMM each
-        d, h = b.shape
-        data = (a.data.reshape(-1, d) @ b.data).reshape(a.shape[:-1] + (h,))
-
-        def backward_fn(g):
-            g2 = g.reshape(-1, h)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, d).T @ g2)
-
-        return _record("matmul", (a, b), data, backward_fn)
-
-    data = np.matmul(a.data, b.data)
+    if bias is not None and bias.shape != (h,):
+        raise ShapeError(f"matmul bias {bias.shape} does not fit weight "
+                         f"{w.shape}")
+    # fold every leading axis of ``a`` into rows, one GEMM each
+    data = (a.data.reshape(-1, d) @ w.data).reshape(a.shape[:-1] + (h,))
+    if bias is not None:
+        data = data + bias.data
 
     def backward_fn(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        g2 = g.reshape(-1, h)
         if a.requires_grad:
-            da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if da.shape != a.shape:      # a 2-D ``a`` against a batched ``b``
-                da = da.sum(axis=tuple(range(da.ndim - a.ndim)))
-            a._accumulate(da)
-        if b.requires_grad:
-            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
+            a._accumulate((g2 @ w.data.T).reshape(a.shape))
+        if w.requires_grad:
+            w._accumulate(a.data.reshape(-1, d).T @ g2)
 
-    return _record("matmul", (a, b), data, backward_fn)
-
-
-def transpose(a: Tensor, ax1: int = -2, ax2: int = -1) -> Tensor:
-    data = np.ascontiguousarray(np.swapaxes(a.data, ax1, ax2))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, ax1, ax2))
-
-    return _record("transpose", (a,), data, backward_fn)
+    return _record("matmul", (a, w) if bias is None else (a, w, bias), data,
+                   backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -448,54 +409,35 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, computed with max-subtraction for stability."""
-    out = _softmax(a.data, axis)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            a._accumulate(out * (g - dot))
-
-    return _record("softmax", (a,), out, backward_fn)
-
-
-def layer_norm_core(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize the last axis: zero mean, unit variance (plus eps)."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Standardize the last axis to zero mean and unit variance (plus
+    1e-5), then scale by ``gain`` and shift by ``bias``."""
+    if gain.shape != (a.shape[-1],) or bias.shape != gain.shape:
+        raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} "
+                         f"do not fit input {a.shape}")
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     out = xc * inv
 
     def backward_fn(g):
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * out, gain.shape))
         if a.requires_grad:
+            g = g * gain.data
             gm = g.mean(axis=-1, keepdims=True)
             gym = (g * out).mean(axis=-1, keepdims=True)
             a._accumulate(inv * (g - gm - out * gym))
 
-    return _record("layer_norm", (a,), out, backward_fn)
+    return _record("layer_norm", (a, gain, bias), out * gain.data + bias.data,
+                   backward_fn)
 
 
 # ----------------------------------------------------------------------
 # structural primitives
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward_fn(g):
-        offset = 0
-        for t, sz in zip(tensors, sizes):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + sz)
-                t._accumulate(g[tuple(idx)])
-            offset += sz
-
-    return _record("concat", tuple(tensors), data, backward_fn)
 
 
 def tslice(a: Tensor, idx) -> Tensor:

@@ -13,6 +13,8 @@ import numpy as np
 from tripcast import tensor as T
 from tripcast.tensor import Tensor
 
+from oracle_ops import bmatmul, softmax, transpose
+
 
 def composed_attention(q, k, v, n_heads, mask=None):
     """Split ``q``, ``k`` and ``v`` (``(*lead, L, D)`` tensors) into heads,
@@ -20,14 +22,14 @@ def composed_attention(q, k, v, n_heads, mask=None):
     tape op each. Returns ``(out, weights)``."""
     def split(t):
         t = t.reshape(*t.shape[:-1], n_heads, t.shape[-1] // n_heads)
-        return T.transpose(t, -3, -2)
+        return transpose(t, -3, -2)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(qh.shape[-1]))
+    scores = T.mul(bmatmul(qh, transpose(kh)), 1.0 / math.sqrt(qh.shape[-1]))
     if mask is not None:
         scores = T.add(scores, mask)
-    weights = T.softmax(scores, axis=-1)
-    merged = T.transpose(T.matmul(weights, vh), -3, -2)
+    weights = softmax(scores, axis=-1)
+    merged = transpose(bmatmul(weights, vh), -3, -2)
     return merged.reshape(*q.shape[:-1], -1), weights
 
 

@@ -247,6 +247,17 @@ class TestValidation:
         assert "transformer" in err
         assert "v_tst" in err  # allowed kinds are listed
 
+    def test_unscorable_split_refused_before_training(self, tmp_path, capsys):
+        # one test window at horizon 1 is one point per target; R² needs two
+        path = write_config(tmp_path / "c.json", base_config())
+        out = tmp_path / "o"
+        rc = main(["train", "--config", path, "-O", "data.horizon=1",
+                   "-O", "data.test_n=1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "data.test_n" in err and "data.horizon" in err
+        assert not (out / "epochs.csv").exists()
+
     def test_schema_missing_a_key(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", base_config())
         rc = main(["train", "--config", path,
@@ -869,10 +880,12 @@ class TestGradcheck:
         assert rc == 2
         assert "FAIL" in out
 
-    def test_unknown_corrupt_op_exit_1(self, capsys):
-        rc = main(["gradcheck", "--corrupt-op", "mull"])
+    # tanh lives only in the test oracles, so the audit has no rule for it
+    @pytest.mark.parametrize("op", ["mull", "tanh"])
+    def test_unknown_corrupt_op_exit_1(self, op, capsys):
+        rc = main(["gradcheck", "--corrupt-op", op])
         assert rc == 1
-        assert "unknown op 'mull'" in capsys.readouterr().err
+        assert f"unknown op '{op}'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ entry points

@@ -132,10 +132,20 @@ class TestValidation:
          "data.velocity_scale must be a non-negative number, got -1"),
         ({"data": {"target_period_s": float("inf")}},
          "data.target_period_s must be a positive number, got inf"),
+        ({"data": {"horizon": 1, "train_n": 1, "test_n": 1}},
+         "data.train_n, data.test_n = 1 with data.horizon = 1 leaves one "
+         "point per target"),
     ])
     def test_data_and_grid_errors_reported(self, raw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(raw)
+
+    def test_single_window_portions_scoreable_beyond_horizon_1(self):
+        # two horizon steps are two points per target; trip_holdout ignores
+        # train_n and checks the portions it builds
+        config_from_dict({"data": {"horizon": 2, "val_n": 1, "test_n": 1}})
+        config_from_dict({"data": {"horizon": 1, "train_n": 1,
+                                   "split_mode": "trip_holdout"}})
 
     @pytest.mark.parametrize("raw, message", [
         ({"data": {"window": -3}},

@@ -448,6 +448,20 @@ class TestNormalizeAndSplit:
         with pytest.raises(ValueError, match="empty"):
             normalize_and_split(samples, 0, 5, 5, seed=0, mode="trip_holdout")
 
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_trip_holdout_one_window_portion_needs_two_steps(self, h):
+        # one window at horizon 1 is a single point per target: no R²
+        samples = Windows.concat([_make_samples(1, h=h, trip_id=f"trip{i}")
+                                  for i in range(6)])
+        if h == 1:
+            with pytest.raises(ValueError, match="one-window portion"):
+                normalize_and_split(samples, 0, 1, 1, seed=0,
+                                    mode="trip_holdout")
+        else:
+            split = normalize_and_split(samples, 0, 1, 1, seed=0,
+                                        mode="trip_holdout")
+            assert (len(split.validation), len(split.test)) == (1, 1)
+
     def test_flat_channel_keeps_unit_scale(self):
         samples = _make_samples(12)
         samples.x_enc[:, :, 1] = 7.0  # constant channel

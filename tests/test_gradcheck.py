@@ -14,7 +14,7 @@ from tripcast.gradcheck import (
     run_gradcheck,
 )
 from tripcast.layers import Linear, Lstm
-from tripcast.tensor import RECORDED_OPS, Tensor, matmul, mul, tanh, tsum
+from tripcast.tensor import RECORDED_OPS, Tensor, matmul, mul, tsum
 
 PRIMITIVE_NAMES = set(RECORDED_OPS)
 LAYER_NAMES = {
@@ -24,9 +24,8 @@ LAYER_NAMES = {
 # scalars each entry perturbs (inputs plus layer parameters), in report
 # order; a shrinking audit fails here instead of passing quietly
 SCALARS_CHECKED = {
-    "add": 16, "sub": 36, "mul": 24, "tanh": 12, "sigmoid": 12, "relu": 20,
-    "matmul": 80, "transpose": 24, "reshape": 24, "sum": 24, "mean": 24,
-    "softmax": 24, "layer_norm": 18, "concat": 14, "slice": 24, "heads": 24,
+    "add": 16, "sub": 36, "mul": 24, "relu": 20, "matmul": 49, "reshape": 24,
+    "sum": 24, "mean": 24, "layer_norm": 30, "slice": 24, "heads": 24,
     "attention": 84, "lstm": 162, "embedding_linear": 76,
     "positional_path": 70, "multi_head_attention": 180, "feed_forward": 94,
     "layer_norm_affine": 48, "lstm_cell": 134, "lstm_stack": 290,
@@ -38,7 +37,8 @@ class TestMaxGradError:
         w = rng.standard_normal((4, 3))
 
         def fwd(x):
-            return tsum(tanh(matmul(x, Tensor(w))))
+            h = matmul(x, Tensor(w))
+            return tsum(mul(h, h))
 
         err = max_grad_error(fwd, [rng.standard_normal((2, 4))])
         assert err < 1e-7
@@ -69,7 +69,8 @@ class TestMaxGradError:
         x = Tensor(rng.standard_normal((2, 4)))
 
         def fwd():
-            return tsum(tanh(lin(x)))
+            h = lin(x)
+            return tsum(mul(h, h))
 
         assert max_grad_error(fwd, [], params=[lin.weight]) < 1e-7
         with corrupted_backward("matmul"):
@@ -90,7 +91,7 @@ class TestRegistryCoverage:
                   + sum(p.size for p in params)
                   for name, _, arrays, params in _checks(rng)}
         assert list(counts.items()) == list(SCALARS_CHECKED.items())
-        assert sum(counts.values()) == 1538
+        assert sum(counts.values()) == 1433
 
     def test_fresh_build_passes(self):
         report = run_gradcheck()

@@ -4,8 +4,8 @@ The attention tests compare the vectorized implementation to an explicit
 per-query-position loop; the LSTM tests compare to a python-float gate
 recurrence. Both oracles share no code with the library. The fused
 ``attention`` and ``lstm`` ops are also checked, forward and backward,
-against the chains of tape ops they replaced: attention bit for bit, the
-LSTM per timestep.
+against the chains of tape ops they replaced (built from ``oracle_ops``):
+attention bit for bit, the LSTM per timestep.
 """
 
 import math
@@ -27,9 +27,10 @@ from tripcast.layers import (
     positional_encoding,
     xavier_uniform,
 )
-from tripcast.tensor import ShapeError, Tensor, layer_norm_core, tsum
+from tripcast.tensor import ShapeError, Tensor, layer_norm, tsum
 
 from attention_oracles import composed_attention, one_head
+from oracle_ops import concat, sigmoid, tanh
 
 
 def attention_oracle(q, k, v, causal=False):
@@ -163,7 +164,6 @@ class TestAttentionOpMatchesComposition:
         x = Tensor(rng.standard_normal((2, 5, 8)))
         counts = tape_ops(mha(x, x, causal_mask(5)))
         assert counts == {"attention": 1, "heads": 2, "matmul": 4}
-        assert counts["softmax"] == counts["transpose"] == 0
 
 
 class TestCausalMask:
@@ -227,12 +227,17 @@ class TestLinearAndFfn:
         assert (np.abs(w) <= limit).all()
 
 
+def plain_layer_norm(x):
+    """The ``layer_norm`` op with unit gain and zero bias."""
+    d = x.shape[-1]
+    return layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d))).data
+
+
 class TestLayerNorm:
     def test_fresh_affine_is_identity_on_core(self, rng):
         ln = LayerNorm(8)
         x = rng.standard_normal((3, 8)) * 4 + 1
-        np.testing.assert_allclose(ln(Tensor(x)).data,
-                                   layer_norm_core(Tensor(x)).data,
+        np.testing.assert_allclose(ln(Tensor(x)).data, plain_layer_norm(x),
                                    atol=1e-12)
 
     def test_affine_applies_after_normalization(self, rng):
@@ -240,7 +245,7 @@ class TestLayerNorm:
         ln.gain.data[:] = 2.0
         ln.bias.data[:] = -1.0
         x = rng.standard_normal((4, 6))
-        want = 2.0 * layer_norm_core(Tensor(x)).data - 1.0
+        want = 2.0 * plain_layer_norm(x) - 1.0
         np.testing.assert_allclose(ln(Tensor(x)).data, want, atol=1e-12)
 
 
@@ -355,7 +360,6 @@ class TestLstm:
         seq, outs = lstm(Tensor(rng.standard_normal((2, 5, 3))))
         counts = tape_ops(seq, *outs)
         assert counts["lstm"] == 2
-        assert counts["sigmoid"] == counts["tanh"] == 0
         # the only other nodes carry each layer's h_t to the next layer
         assert sum(counts.values()) == 4 and counts["slice"] == 2
 
@@ -384,14 +388,14 @@ def lstm_step_oracle(x, h, c, w, u, b):
     outs = []
     for t in range(x.shape[1]):
         z = T.add(pre[:, t, :], T.matmul(h, u))
-        i_g = T.sigmoid(z[:, 0:hid])
-        f_g = T.sigmoid(z[:, hid:2 * hid])
-        o_g = T.sigmoid(z[:, 2 * hid:3 * hid])
-        g_g = T.tanh(z[:, 3 * hid:4 * hid])
+        i_g = sigmoid(z[:, 0:hid])
+        f_g = sigmoid(z[:, hid:2 * hid])
+        o_g = sigmoid(z[:, 2 * hid:3 * hid])
+        g_g = tanh(z[:, 3 * hid:4 * hid])
         c = T.add(T.mul(f_g, c), T.mul(i_g, g_g))
-        h = T.mul(o_g, T.tanh(c))
-        outs.append(T.concat([h, c], axis=-1))
-    return T.concat([o.reshape(o.shape[0], 1, 2 * hid) for o in outs], axis=1)
+        h = T.mul(o_g, tanh(c))
+        outs.append(concat([h, c], axis=-1))
+    return concat([o.reshape(o.shape[0], 1, 2 * hid) for o in outs], axis=1)
 
 
 class TestFusedLstmOp:

@@ -272,34 +272,38 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
-    def test_v_tst_teacher_forced_step_records_no_concat(self, rng,
-                                                          tape_ops):
-        # attention weights are stored fused, so nothing re-concatenates
-        model = build(small_spec("v_tst"), seed=3)
-        pred = model.forward(rng.standard_normal((2, 6, 5)),
-                             teacher=rng.standard_normal((2, 3, 2)),
-                             training=True)
-        assert tape_ops(pred)["concat"] == 0
-
-    # teacher-forced step at the default spec: (all nodes, matmul nodes)
-    @pytest.mark.parametrize("kind, nodes, matmuls", [
-        ("lstm", 17, 2),
-        ("enc_tst", 93, 26),
-        ("v_tst", 221, 67),
-        ("tst_lstm", 213, 59),
-        ("enc_tst_dec_lstm", 101, 26),
-    ])
-    def test_training_step_tape_size(self, kind, nodes, matmuls, rng,
-                                     tape_ops):
-        # counts do not depend on the batch size, so a batch of 2 suffices
+    @staticmethod
+    def _default_step_tape(kind, rng, tape_ops):
+        """Tape ops of a default-spec teacher-forced step and its loss;
+        counts do not depend on the batch size, so a batch of 2 suffices."""
         spec = ModelSpec(kind=kind)
         model = build(spec, seed=0)
         pred = model.forward(
             rng.standard_normal((2, spec.window, spec.n_features)),
             teacher=rng.standard_normal((2, spec.horizon, spec.n_targets)),
             training=True)
-        counts = tape_ops(mse_loss(pred, np.zeros(pred.shape)))
+        return tape_ops(mse_loss(pred, np.zeros(pred.shape)))
+
+    # teacher-forced step at the default spec: (all nodes, matmul nodes)
+    @pytest.mark.parametrize("kind, nodes, matmuls", [
+        ("lstm", 15, 2),
+        ("enc_tst", 65, 26),
+        ("v_tst", 158, 67),
+        ("tst_lstm", 158, 59),
+        ("enc_tst_dec_lstm", 73, 26),
+    ])
+    def test_training_step_tape_size(self, kind, nodes, matmuls, rng,
+                                     tape_ops):
+        counts = self._default_step_tape(kind, rng, tape_ops)
         assert (sum(counts.values()), counts["matmul"]) == (nodes, matmuls)
+
+    def test_shipped_ops_are_the_ops_the_models_record(self, rng, tape_ops):
+        # every op tensor ships is recorded by some kind's training step,
+        # except ``sum``, which the gradcheck objective records
+        recorded = set()
+        for kind in KINDS:
+            recorded |= set(self._default_step_tape(kind, rng, tape_ops))
+        assert recorded | {"sum"} == T.RECORDED_OPS
 
 
 def per_step_projection_oracle(model, x, start):

