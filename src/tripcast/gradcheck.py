@@ -142,7 +142,11 @@ def _checks(rng: np.random.Generator) -> list:
     entry("sub", T.sub, [n(size=(2, 3, 4)), n(size=(3, 4))])
     entry("mul", T.mul, [n(size=(3, 4)), n(size=(3, 4))])
     entry("relu", T.relu, [_away_from_zero(n(size=(4, 5)))])
-    entry("matmul", lambda a, w, b: (T.matmul(a, w), T.matmul(a, w, b)),
+    # the folded and the per-position forward, each with and without a bias
+    entry("matmul", lambda a, w, b: (
+              T.matmul(a, w), T.matmul(a, w, b),
+              T.matmul(a, w, per_position=True),
+              T.matmul(a, w, b, per_position=True)),
           [n(size=(2, 3, 4)), n(size=(4, 5)), n(size=5)])
     entry("reshape", lambda a: T.reshape(a, (4, 6)), [n(size=(2, 3, 4))])
     entry("sum", lambda a: (T.tsum(a, axis=1), T.tsum(T.mul(a, a))),
@@ -157,8 +161,9 @@ def _checks(rng: np.random.Generator) -> list:
     mask = causal_mask(3)
     entry("attention", lambda q, k, v: T.attention(q, k, v, 2, mask),
           [n(size=(2, 3, 4)), n(size=(2, 2, 3, 2)), n(size=(2, 2, 3, 3))])
-    # B=2, L=3, d=3, h=4; the output holds both the h half and the c half
-    entry("lstm", T.lstm,
+    # B=2, L=3, d=3, h=4; the output holds both the h half and the c half,
+    # from the folded and the per-position input projection
+    entry("lstm", lambda *a: (T.lstm(*a), T.lstm(*a, per_position=True)),
           [n(size=(2, 3, 3)), n(size=(2, 4)), n(size=(2, 4)),
            0.5 * n(size=(3, 16)), 0.5 * n(size=(4, 16)), 0.5 * n(size=16)])
 

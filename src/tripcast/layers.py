@@ -9,6 +9,9 @@ is the parameter order: the checkpoint layout, the optimizer's iteration
 order and the gradient-norm summation order. Forward passes are ordinary
 functions over :mod:`tripcast.tensor` values, so every layer is
 differentiable end to end and checkable against finite differences.
+A layer built with ``per_position=True``, as every decoder layer is, runs
+each forward GEMM one position at a time (see
+:func:`~tripcast.tensor.matmul`).
 """
 
 from __future__ import annotations
@@ -63,12 +66,14 @@ class Module:
 class Linear(Module):
     """Affine map on the last axis, ``x @ W + b``, as one ``matmul`` node."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
+                 per_position: bool = False):
         self.weight = Tensor(xavier_uniform(rng, d_in, d_out), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
+        self.per_position = per_position
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight, self.bias)
+        return matmul(x, self.weight, self.bias, self.per_position)
 
 
 class LayerNorm(Module):
@@ -87,14 +92,15 @@ class FeedForward(Module):
     """Position-wise two-layer net: linear, ReLU, linear.
 
     Called like :class:`LstmSubLayer`, as a block's sub-layer: returns
-    ``(y, None)``, as it has no state to carry, and ignores ``prev``.
+    ``(y, None)``, as it has no state to carry, and ignores ``state``.
     """
 
-    def __init__(self, d_model: int, width: int, rng: np.random.Generator):
-        self.lin1 = Linear(d_model, width, rng)
-        self.lin2 = Linear(width, d_model, rng)
+    def __init__(self, d_model: int, width: int, rng: np.random.Generator,
+                 per_position: bool = False):
+        self.lin1 = Linear(d_model, width, rng, per_position)
+        self.lin2 = Linear(width, d_model, rng, per_position)
 
-    def __call__(self, x: Tensor, prev: Optional[Tensor] = None) -> tuple:
+    def __call__(self, x: Tensor, state: Optional[Tensor] = None) -> tuple:
         return self.lin2(relu(self.lin1(x))), None
 
 
@@ -121,6 +127,26 @@ def causal_mask(size: int) -> Tensor:
     return Tensor(m)
 
 
+class DecodeCache:
+    """What one decoder layer keeps between steps of one-position decoding.
+
+    ``k`` and ``v`` hold the self-attention keys and values of positions
+    ``< step`` as ``(B, n_heads, H, d_head)`` tensors, zero from ``step``
+    on. ``query`` is a ``(B, H, d_model)`` tensor of zeros that each
+    attention call fills at row ``step`` only for that call. ``state`` is
+    an LSTM sub-layer's ``(B, 2·d_model)`` ``(h, c)`` after position
+    ``step - 1``; it is ``None`` at step 0 and for a feed-forward
+    sub-layer.
+    """
+
+    def __init__(self, batch: int, horizon: int, n_heads: int, d_head: int):
+        self.k = Tensor(np.zeros((batch, n_heads, horizon, d_head)))
+        self.v = Tensor(np.zeros((batch, n_heads, horizon, d_head)))
+        self.query = Tensor(np.zeros((batch, horizon, n_heads * d_head)))
+        self.state = None
+        self.step = 0
+
+
 class MultiHeadAttention(Module):
     """Fused q/k/v projections, the :func:`~tripcast.tensor.attention` op
     over all heads, output map.
@@ -132,7 +158,8 @@ class MultiHeadAttention(Module):
     :meth:`project_kv` can compute once for many calls to :meth:`attend`.
     """
 
-    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
+    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
+                 per_position: bool = False):
         if d_model % n_heads != 0:
             raise ValueError(
                 f"d_model={d_model} not divisible by n_heads={n_heads}"
@@ -147,6 +174,10 @@ class MultiHeadAttention(Module):
             Tensor(np.concatenate(cols, axis=-1), requires_grad=True)
             for cols in zip(*draws))
         self.wo = Tensor(xavier_uniform(rng, d_model, d_model), requires_grad=True)
+        self.per_position = per_position
+
+    def _map(self, x: Tensor, w: Tensor) -> Tensor:
+        return matmul(x, w, per_position=self.per_position)
 
     def project_kv(self, x_kv: Tensor) -> tuple:
         """Keys and values of ``x_kv``, projected and split into heads.
@@ -155,18 +186,40 @@ class MultiHeadAttention(Module):
         :meth:`attend`. Cross-attention over a fixed encoder output computes
         them once and reuses them for every query.
         """
-        return (heads(matmul(x_kv, self.wk), self.n_heads),
-                heads(matmul(x_kv, self.wv), self.n_heads))
+        return (heads(self._map(x_kv, self.wk), self.n_heads),
+                heads(self._map(x_kv, self.wv), self.n_heads))
 
     def attend(self, x_q: Tensor, k: Tensor, v: Tensor,
-               mask: Optional[Tensor] = None) -> Tensor:
-        """Attend from ``x_q`` to keys and values from :meth:`project_kv`."""
-        return matmul(attention(matmul(x_q, self.wq), k, v, self.n_heads,
-                                mask), self.wo)
+               mask: Optional[Tensor] = None,
+               cache: Optional[DecodeCache] = None) -> Tensor:
+        """Attend from ``x_q`` to keys and values from :meth:`project_kv`.
+
+        With ``cache``, ``x_q`` is the one position ``cache.step`` of an
+        ``H``-position query. It runs padded with zero rows to ``H`` rows,
+        so the ``attention`` op has teacher forcing's shapes and its row
+        ``cache.step`` teacher forcing's bits; only that row is kept.
+        """
+        q = self._map(x_q, self.wq)
+        if cache is None:
+            return self._map(attention(q, k, v, self.n_heads, mask), self.wo)
+        cache.query.data[:, cache.step] = q.data[:, 0]
+        out = attention(cache.query, k, v, self.n_heads, mask)
+        cache.query.data[:, cache.step] = 0.0
+        return self._map(out[:, cache.step:cache.step + 1], self.wo)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor,
-                 mask: Optional[Tensor] = None) -> Tensor:
-        return self.attend(x_q, *self.project_kv(x_kv), mask)
+                 mask: Optional[Tensor] = None,
+                 cache: Optional[DecodeCache] = None) -> Tensor:
+        """Attend from ``x_q`` to ``x_kv``. With ``cache``, both are the one
+        position ``cache.step``; its keys and values join the cache, and
+        the query attends over every cached position (see :meth:`attend`).
+        """
+        k, v = self.project_kv(x_kv)
+        if cache is not None:
+            cache.k.data[:, :, cache.step] = k.data[:, :, 0]
+            cache.v.data[:, :, cache.step] = v.data[:, :, 0]
+            k, v = cache.k, cache.v
+        return self.attend(x_q, k, v, mask, cache)
 
 
 class _LstmLayer(Module):
@@ -198,32 +251,36 @@ class Lstm(Module):
     """
 
     def __init__(self, d_in: int, hidden: int, num_layers: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, per_position: bool = False):
         self.hidden = hidden
         self.layer = [
             _LstmLayer(d_in if i == 0 else hidden, hidden, rng)
             for i in range(num_layers)
         ]
+        self.per_position = per_position
 
-    def __call__(self, x: Tensor, prev: Optional[list] = None):
+    def __call__(self, x: Tensor, state: Optional[list] = None):
         """Run the stack over a (B, L, d_in) sequence.
 
         Returns ``(seq, outs)``: ``seq`` is the top layer's (B, L, hidden)
         output and ``outs`` holds each layer's (B, L, 2*hidden)
         :func:`~tripcast.tensor.lstm` output, ``h_t`` in the first
         ``hidden`` columns and ``c_t`` in the rest; a caller slices only the
-        states it reads. Every layer starts from zero states. ``prev``
-        resumes each layer from an earlier call on the same input prefix,
-        one (B, s, 2*hidden) ``outs`` prefix per layer; see
-        :func:`~tripcast.tensor.lstm`.
+        states it reads. Every layer starts from zero states, or from
+        ``state``: one (B, 2*hidden) ``(h, c)`` per layer, such as the last
+        rows of an earlier call's ``outs``, taken as constants.
         """
         hid = self.hidden
         zeros = Tensor(np.zeros((x.shape[0], hid)))
         outs = []
         seq = x
         for li, layer in enumerate(self.layer):
-            outs.append(lstm(seq, zeros, zeros, layer.w, layer.u, layer.b,
-                             None if prev is None else prev[li]))
+            h0 = c0 = zeros
+            if state is not None:
+                h0 = Tensor(state[li].data[:, :hid])
+                c0 = Tensor(state[li].data[:, hid:])
+            outs.append(lstm(seq, h0, c0, layer.w, layer.u, layer.b,
+                             self.per_position))
             seq = outs[-1][:, :, :hid]
         return seq, outs
 
@@ -231,28 +288,30 @@ class Lstm(Module):
 class LstmSubLayer(Module):
     """Single-layer LSTM drop-in for a block's feed-forward slot.
 
-    Processes the block's sequence left to right and projects the hidden
-    states back to model width; the caller adds the residual. Returns
-    ``(y, out)``, where ``out`` is the layer's (B, L, 2*d_model)
-    :func:`~tripcast.tensor.lstm` output; its first ``s`` rows, passed back
-    as ``prev``, resume the recurrence at row ``s`` on the same prefix.
+    Processes the block's sequence left to right, from the (B, 2*d_model)
+    ``(h, c)`` in ``state`` or from zeros, and projects the hidden states
+    back to model width; the caller adds the residual. Returns ``(y, out)``,
+    where ``out`` is the layer's (B, L, 2*d_model)
+    :func:`~tripcast.tensor.lstm` output; its last row is the state that
+    continues the recurrence.
     """
 
-    def __init__(self, d_model: int, rng: np.random.Generator):
-        self.lstm = Lstm(d_model, d_model, 1, rng)
-        self.proj = Linear(d_model, d_model, rng)
+    def __init__(self, d_model: int, rng: np.random.Generator,
+                 per_position: bool = False):
+        self.lstm = Lstm(d_model, d_model, 1, rng, per_position)
+        self.proj = Linear(d_model, d_model, rng, per_position)
 
-    def __call__(self, x: Tensor, prev: Optional[Tensor] = None) -> tuple:
-        seq, outs = self.lstm(x, prev=None if prev is None else [prev])
+    def __call__(self, x: Tensor, state: Optional[Tensor] = None) -> tuple:
+        seq, outs = self.lstm(x, None if state is None else [state])
         return self.proj(seq), outs[0]
 
 
 def _make_sublayer(kind: str, d_model: int, ffn_width: int,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator, per_position: bool = False):
     if kind == "ffn":
-        return FeedForward(d_model, ffn_width, rng)
+        return FeedForward(d_model, ffn_width, rng, per_position)
     if kind == "lstm":
-        return LstmSubLayer(d_model, rng)
+        return LstmSubLayer(d_model, rng, per_position)
     raise ValueError(f"unknown sub-layer kind {kind!r}")
 
 
@@ -274,27 +333,38 @@ class EncoderBlock(Module):
 
 
 class DecoderBlock(Module):
-    """Pre-norm block: masked self-attention, cross-attention, sub-layer.
+    """Pre-norm block: masked self-attention, cross-attention, sub-layer,
+    each running its GEMMs per position.
 
     Cross-attention reads keys and values the caller projects once from the
-    encoder output with ``cross_attn.project_kv``. Returns ``(x, out)``:
-    ``out`` is what the sub-layer carries to the next decoding step, and
-    ``prev`` passes such a carry back in (see :class:`LstmSubLayer`).
+    encoder output with ``cross_attn.project_kv``. Returns ``(x, out)``,
+    where ``out`` is the sub-layer's carry (see :class:`LstmSubLayer`).
+
+    With ``cache``, ``x`` is the one position ``cache.step`` of the
+    ``H``-position sequence that ``mask`` covers. The block attends over
+    the cached positions, starts an LSTM sub-layer from ``cache.state``,
+    and leaves the cache ready for the next position.
     """
 
     def __init__(self, d_model: int, n_heads: int, ffn_width: int,
                  rng: np.random.Generator, sub_layer: str = "ffn"):
         self.ln1 = LayerNorm(d_model)
-        self.self_attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.self_attn = MultiHeadAttention(d_model, n_heads, rng,
+                                            per_position=True)
         self.ln2 = LayerNorm(d_model)
-        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng,
+                                             per_position=True)
         self.ln3 = LayerNorm(d_model)
-        self.sub = _make_sublayer(sub_layer, d_model, ffn_width, rng)
+        self.sub = _make_sublayer(sub_layer, d_model, ffn_width, rng,
+                                  per_position=True)
 
     def __call__(self, x: Tensor, cross_kv: tuple, mask: Tensor,
-                 prev: Optional[Tensor] = None) -> tuple:
+                 cache: Optional[DecodeCache] = None) -> tuple:
         h = self.ln1(x)
-        x = add(x, self.self_attn(h, h, mask))
-        x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv))
-        y, out = self.sub(self.ln3(x), prev)
+        x = add(x, self.self_attn(h, h, mask, cache))
+        x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv, cache=cache))
+        y, out = self.sub(self.ln3(x), None if cache is None else cache.state)
+        if cache is not None:
+            cache.state = None if out is None else out[:, -1]
+            cache.step += 1
         return add(x, y), out

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import serialize
 from .layers import (
+    DecodeCache,
     DecoderBlock,
     EncoderBlock,
     Linear,
@@ -122,7 +123,8 @@ class Model(Module):
         else:
             self.lstm = Lstm(d, d, spec.lstm_layers, rng)
         if spec.kind in DECODER_INPUT_KINDS:
-            self.decoder_embed = Linear(spec.n_targets, d, rng)
+            self.decoder_embed = Linear(spec.n_targets, d, rng,
+                                        per_position=True)
             self.pe_dec = positional_encoding(spec.horizon, d).data
             self.decoder = [DecoderBlock(d, heads, width, rng, sub_layer=sub)
                             for _ in range(spec.dec_layers)]
@@ -132,7 +134,7 @@ class Model(Module):
 
         # per-position head for decoder-input kinds, whole-horizon head else
         if spec.kind in DECODER_INPUT_KINDS:
-            self.head = Linear(d, spec.n_targets, rng)
+            self.head = Linear(d, spec.n_targets, rng, per_position=True)
         elif spec.kind == "enc_tst":
             self.head = Linear(spec.window * d, spec.horizon * spec.n_targets, rng)
         else:
@@ -155,45 +157,40 @@ class Model(Module):
         return [blk.cross_attn.project_kv(enc_out) for blk in self.decoder]
 
     def _decode(self, y_in: Tensor, cross_kv: list,
-                prev: list | None = None) -> tuple:
-        """Decoder output and, per layer, what its sub-layer carries to the
-        next decoding step; ``prev`` passes those carries back in."""
-        steps = y_in.shape[1]
-        d = add(self.decoder_embed(y_in), Tensor(self.pe_dec[:steps]))
-        mask = causal_mask(steps)
-        outs = []
-        for i, (blk, kv) in enumerate(zip(self.decoder, cross_kv)):
-            d, out = blk(d, kv, mask, None if prev is None else prev[i])
-            outs.append(out)
-        return self.head(self.decoder_norm(d)), outs
+                caches: list | None = None) -> Tensor:
+        """Decoder output for the teacher-forced inputs ``y_in``, or, with
+        one :class:`~tripcast.layers.DecodeCache` per layer, for the one
+        position ``y_in`` holds at the caches' step."""
+        first = caches[0].step if caches else 0
+        d = add(self.decoder_embed(y_in),
+                Tensor(self.pe_dec[first:first + y_in.shape[1]]))
+        mask = causal_mask(self.spec.horizon)
+        for blk, kv, cache in zip(self.decoder, cross_kv,
+                                  caches or [None] * len(self.decoder)):
+            d = blk(d, kv, mask, cache)[0]
+        return self.head(self.decoder_norm(d))
 
     def _autoregress(self, x: Tensor, start: Tensor) -> Tensor:
-        # Decode at full horizon length every step, with future positions
-        # zero-padded. The causal mask gives padded positions exactly zero
-        # weight, and keeping the matrix shapes fixed keeps the float
-        # summation order fixed, so each collected row is bit-identical to a
-        # teacher-forced pass fed these same inputs.
-        #
-        # Each decoder LSTM resumes at row ``step`` from its outputs of the
-        # previous step (rows < step) and runs one recurrence step; rows
-        # past ``step`` stay zero and are masked like the padded positions.
-        # The forecast is returned detached, so nothing is recorded.
+        # Decode one position per step. Every decoder GEMM runs per position
+        # in teacher forcing as well, and each attention op runs a query
+        # padded to H rows over H keys, so a step repeats, for its row,
+        # exactly the arithmetic of a teacher-forced pass fed these inputs
+        # and matches it bit for bit. Earlier positions reach a step only
+        # through the self-attention keys and values and the LSTM states in
+        # each layer's cache. The forecast is returned detached, so nothing
+        # is recorded.
         spec = self.spec
         batch = start.shape[0]
-        buf = np.zeros((batch, spec.horizon, spec.n_targets))
-        buf[:, 0, :] = start.data
-        preds = np.zeros_like(buf)
-        prev = [Tensor(np.zeros((batch, 0, 2 * spec.d_model)))] * len(
-            self.decoder)
+        preds = np.empty((batch, spec.horizon, spec.n_targets))
+        y = start.data[:, None, :]
         with no_grad():
             cross_kv = self._project_cross_kv(self._encode(x))
+            caches = [DecodeCache(batch, spec.horizon, spec.n_heads,
+                                  spec.d_model // spec.n_heads)
+                      for _ in self.decoder]
             for step in range(spec.horizon):
-                out, outs = self._decode(Tensor(buf), cross_kv, prev)
-                preds[:, step, :] = out.data[:, step, :]
-                if step + 1 < spec.horizon:
-                    buf[:, step + 1, :] = preds[:, step, :]
-                    prev = [None if o is None else o[:, :step + 1]
-                            for o in outs]
+                y = self._decode(Tensor(y), cross_kv, caches).data
+                preds[:, step] = y[:, 0]
         return Tensor(preds)
 
     def _input(self, name: str, value, shape: tuple, mode: str) -> Tensor:
@@ -235,7 +232,7 @@ class Model(Module):
             teacher = self._input("teacher", teacher,
                                   (batch, spec.horizon, spec.n_targets), mode)
             return self._decode(teacher,
-                                self._project_cross_kv(self._encode(x)))[0]
+                                self._project_cross_kv(self._encode(x)))
 
         if spec.kind == "lstm":
             features = self.lstm(self.embed(x))[0][:, -1]

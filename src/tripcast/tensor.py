@@ -18,6 +18,11 @@ into rows: the forward, the input gradient and the weight gradient are one
 GEMM each. The weight gradient is therefore summed over all rows inside one
 GEMM rather than per batch entry and then over the batch, so it can differ
 from the per-batch order in the last bits; it is the same on every run.
+The decoder's calls are the exception: with ``per_position`` the forward
+runs one ``(B, d)`` GEMM per position of a ``(B, L, d)`` input. On
+OpenBLAS a row's bits depend on the GEMM's shape, so a one-position
+decoding step then repeats, row for row, the arithmetic of teacher
+forcing over all positions. Its backward stays one full-shape GEMM each.
 ``layer_norm`` applies its gain and bias inside the same node.
 
 ``heads`` splits attention heads off the last axis, and ``attention`` runs
@@ -26,10 +31,10 @@ hand-written backward. Both repeat the numpy calls and memory layouts of the
 composed ops in order, so their outputs and gradients keep the same bits.
 
 ``lstm`` runs a whole LSTM layer as one primitive with a hand-written
-backward through time (BPTT): one input-projection GEMM over the sequence,
-one recurrent GEMM per step forward and backward, and one GEMM or sum each
-for the input and weight gradients. The gate sigmoid is
-``0.5·tanh(0.5x) + 0.5``.
+backward through time (BPTT): one input-projection GEMM over the sequence
+(one per time step with ``per_position``), one recurrent GEMM per step
+forward and backward, and one GEMM or sum each for the input and weight
+gradients. The gate sigmoid is ``0.5·tanh(0.5x) + 0.5``.
 """
 
 from __future__ import annotations
@@ -332,12 +337,19 @@ def relu(a: Tensor) -> Tensor:
 # linear algebra and reductions
 
 
-def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``a @ w``, plus ``bias`` when given, for a 2-D weight ``w``."""
-    if a.ndim < 2 or w.ndim != 2:
+def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+           per_position: bool = False) -> Tensor:
+    """``a @ w``, plus ``bias`` when given, for a 2-D weight ``w``.
+
+    With ``per_position``, ``a`` is ``(B, L, d)`` and the forward runs one
+    ``(B, d)`` GEMM per position, so a position's rows get the same bits
+    whatever ``L`` is; a call on that one position repeats them exactly.
+    The result is position-major in memory.
+    """
+    if a.ndim < 2 or w.ndim != 2 or per_position and a.ndim != 3:
         raise ShapeError(
-            f"matmul needs an at least 2-d left operand and a 2-d weight, "
-            f"got {a.shape} and {w.shape}"
+            f"matmul needs an at least 2-d left operand (3-d per position) "
+            f"and a 2-d weight, got {a.shape} and {w.shape}"
         )
     d, h = w.shape
     if a.shape[-1] != d:
@@ -347,8 +359,10 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None and bias.shape != (h,):
         raise ShapeError(f"matmul bias {bias.shape} does not fit weight "
                          f"{w.shape}")
-    # fold every leading axis of ``a`` into rows, one GEMM each
-    data = (a.data.reshape(-1, d) @ w.data).reshape(a.shape[:-1] + (h,))
+    if per_position:
+        data = np.matmul(a.data.swapaxes(0, 1), w.data).swapaxes(0, 1)
+    else:   # fold every leading axis of ``a`` into rows, one GEMM each
+        data = (a.data.reshape(-1, d) @ w.data).reshape(a.shape[:-1] + (h,))
     if bias is not None:
         data = data + bias.data
 
@@ -402,11 +416,28 @@ def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tens
     return _record("mean", (a,), data, backward_fn)
 
 
+def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis, keepdims=True)``. Many short rows, such as attention
+    scores over 6-12 keys, are folded column by column with
+    ``np.maximum``, several times faster than numpy's reduction there; a
+    maximum is exact, so the bits are the same."""
+    n = x.shape[axis]
+    if n > 16 or x.size < 32 * n * n:
+        return x.max(axis=axis, keepdims=True)
+    cols = np.moveaxis(x, axis, -1)
+    m = cols[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(m, cols[..., j:j + 1], out=m)
+    return np.moveaxis(m, -1, axis)
+
+
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - _row_max(x, axis)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -493,9 +524,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     c = 1.0 / math.sqrt(k.shape[-1])
     qh = _to_heads(q.data, n_heads)
     kt = np.ascontiguousarray(np.swapaxes(k.data, -2, -1))
-    scores = np.matmul(qh, kt) * c
+    scores = np.matmul(qh, kt)
+    scores *= c
     if mask is not None:
-        scores = scores + mask.data
+        scores += mask.data
     w = _softmax(scores, -1)
     merged = np.ascontiguousarray(np.swapaxes(np.matmul(w, v.data), -3, -2))
 
@@ -518,7 +550,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
 
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
-         b: Tensor, prev: Optional[Tensor] = None) -> Tensor:
+         b: Tensor, per_position: bool = False) -> Tensor:
     """One LSTM layer over a ``(B, L, d)`` sequence, recorded as one node.
 
     ``w`` is ``(d, 4h)``, ``u`` is ``(h, 4h)`` and ``b`` is ``(4h,)``, with
@@ -526,24 +558,14 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     ``c0`` are ``(B, h)``. Returns ``(B, L, 2h)``: ``h_t`` in the first
     ``h`` columns and ``c_t`` in the last ``h``.
 
-    The input projection ``x·w + b`` is one GEMM over all ``L·B`` rows;
-    each step adds ``h·u`` and applies the gates. The backward runs time
-    in reverse with one ``dz_t·uᵀ`` GEMM per step, then forms the gradients
-    of ``x``, ``w``, ``u`` and ``b`` as one GEMM or sum over all rows.
-    Per-step buffers are time-major, so every step reads and writes
-    contiguous ``(B, ·)`` blocks.
-
-    ``prev`` resumes an earlier call on the same input prefix: its
-    ``(B, s, 2h)`` outputs, ``s < L``. The input projection still covers
-    all ``L·B`` rows, so the GEMM keeps its shape and every row its bits;
-    rows ``< s`` are copied from ``prev``, step ``s`` runs from the
-    ``(h, c)`` stored at row ``s - 1`` (from ``h0``, ``c0`` when ``s`` is
-    0), and rows ``> s`` are left zero. Row ``s`` then equals the full
-    call's row ``s`` bit for bit. Autoregressive decoding uses this to run
-    one recurrence step per decoding step. The call cannot be recorded,
-    since its backward would have to reach into the earlier call, so it
-    raises :class:`GraphError` unless it runs under :func:`no_grad` or no
-    input requires a gradient.
+    The input projection ``x·w + b`` is one GEMM over all ``L·B`` rows, or
+    with ``per_position`` one ``(B, d)`` GEMM per time step; each step adds
+    ``h·u`` and applies the gates. Projected per position, a length-1 call
+    started from row ``t - 1``'s ``(h, c)`` equals row ``t`` of the full
+    call bit for bit. The backward runs time in reverse with one
+    ``dz_t·uᵀ`` GEMM per step, then forms the gradients of ``x``, ``w``,
+    ``u`` and ``b`` as one GEMM or sum over all rows. Per-step buffers are
+    time-major, so every step reads and writes contiguous ``(B, ·)`` blocks.
     """
     if x.ndim != 3:
         raise ShapeError(f"lstm input must be (B, L, d), got {x.shape}")
@@ -561,34 +583,17 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         raise ShapeError(
             f"lstm states {h0.shape}, {c0.shape} must be ({batch}, {hid})"
         )
-    first, last = 0, length       # the recurrence steps this call runs
-    if prev is not None:
-        if (prev.ndim != 3 or prev.shape[0] != batch
-                or prev.shape[1] >= length or prev.shape[2] != 2 * hid):
-            raise ShapeError(
-                f"lstm earlier outputs {prev.shape} must be ({batch}, s, "
-                f"{2 * hid}) with s < {length}"
-            )
-        if _grad_enabled and any(t.requires_grad
-                                 for t in (x, h0, c0, w, u, b)):
-            raise GraphError(
-                "lstm cannot record a call resuming from earlier outputs; "
-                "run it under no_grad()"
-            )
-        first = prev.shape[1]
-        last = first + 1
     rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(-1, d)
-    gates = (rows @ w.data).reshape(length, batch, 4 * hid)
-    gates[first:last] += b.data
+    if per_position:
+        gates = np.matmul(rows.reshape(length, batch, d), w.data)
+    else:
+        gates = (rows @ w.data).reshape(length, batch, 4 * hid)
+    gates += b.data
     hs = np.empty((length + 1, batch, hid))
     cs = np.empty((length + 1, batch, hid))
     tanh_c = np.empty((length, batch, hid))
-    if first:
-        hs[first] = prev.data[:, first - 1, :hid]
-        cs[first] = prev.data[:, first - 1, hid:]
-    else:
-        hs[0], cs[0] = h0.data, c0.data
-    for t in range(first, last):
+    hs[0], cs[0] = h0.data, c0.data
+    for t in range(length):
         z = gates[t]
         z += hs[t] @ u.data
         _sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
@@ -597,11 +602,9 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         cs[t + 1] += z[:, :hid] * z[:, 3 * hid:]
         np.tanh(cs[t + 1], out=tanh_c[t])
         np.multiply(z[:, 2 * hid:3 * hid], tanh_c[t], out=hs[t + 1])
-    data = np.zeros((batch, length, 2 * hid))
-    if first:
-        data[:, :first] = prev.data
-    data[:, first:last, :hid] = hs[first + 1:last + 1].transpose(1, 0, 2)
-    data[:, first:last, hid:] = cs[first + 1:last + 1].transpose(1, 0, 2)
+    data = np.empty((batch, length, 2 * hid))
+    data[:, :, :hid] = hs[1:].transpose(1, 0, 2)
+    data[:, :, hid:] = cs[1:].transpose(1, 0, 2)
 
     def backward_fn(g):
         g = g.transpose(1, 0, 2)

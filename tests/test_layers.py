@@ -437,7 +437,7 @@ class TestFusedLstmOp:
                    Tensor(np.zeros(16)))
 
     @staticmethod
-    def _layer(rng, batch, length, zero_state, requires_grad=False):
+    def _layer(rng, batch, length, zero_state):
         d, hid = 3, 4
         state = [np.zeros((batch, hid)) if zero_state
                  else rng.standard_normal((batch, hid)) for _ in "hc"]
@@ -445,42 +445,24 @@ class TestFusedLstmOp:
                   0.5 * rng.standard_normal((d, 4 * hid)),
                   0.5 * rng.standard_normal((hid, 4 * hid)),
                   0.5 * rng.standard_normal(4 * hid)]
-        return [Tensor(a, requires_grad=requires_grad) for a in arrays]
+        return [Tensor(a) for a in arrays]
 
-    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 3, 64])
     @pytest.mark.parametrize("zero_state", [True, False])
-    def test_resumed_calls_match_full_call(self, batch, zero_state, rng):
-        # resume at every s from the previous resumed call, with the input
-        # rows past s replaced as autoregressive decoding replaces them
+    def test_one_step_from_previous_state_matches_full_call(
+            self, batch, zero_state, rng):
+        # projected per position, a length-1 call started from row t - 1's
+        # (h, c) gives row t of the full call bit for bit; decoding runs
+        # each decoder LSTM one step at a time this way
         length = 5
         x, h0, c0, w, u, b = self._layer(rng, batch, length, zero_state)
-        full = T.lstm(x, h0, c0, w, u, b).data
-        prev = Tensor(np.zeros((batch, 0, full.shape[2])))
-        for s in range(length):
-            xs = x.data.copy()
-            xs[:, s + 1:] = rng.standard_normal(xs[:, s + 1:].shape)
-            got = T.lstm(Tensor(xs), h0, c0, w, u, b, prev).data
-            assert got.shape == full.shape
-            assert got[:, :s + 1].tobytes() == full[:, :s + 1].tobytes()
-            assert not got[:, s + 1:].any()
-            prev = Tensor(got[:, :s + 1])
-
-    def test_resumed_call_refuses_to_record(self, rng):
-        inputs = self._layer(rng, 2, 3, False, requires_grad=True)
-        prev = Tensor(np.zeros((2, 1, 8)))
-        with pytest.raises(T.GraphError, match="no_grad"):
-            T.lstm(*inputs, prev)
-        with T.no_grad():
-            out = T.lstm(*inputs, prev)
-        assert out.node is None and not out.requires_grad
-
-    @pytest.mark.parametrize("shape", [(3, 1, 8), (2, 1, 7), (2, 1, 9),
-                                       (2, 3, 8), (2, 4, 8), (2, 8)])
-    def test_resumed_call_rejects_mismatched_outputs(self, shape, rng):
-        # wrong batch, wrong width, no step left to run, or not 3-D
-        inputs = self._layer(rng, 2, 3, True)
-        with pytest.raises(ShapeError, match="earlier outputs"):
-            T.lstm(*inputs, Tensor(np.zeros(shape)))
+        full = T.lstm(x, h0, c0, w, u, b, per_position=True).data
+        hid = u.shape[0]
+        h, c = h0, c0
+        for t in range(length):
+            got = T.lstm(x[:, t:t + 1], h, c, w, u, b, per_position=True).data
+            assert got.tobytes() == full[:, t:t + 1].tobytes()
+            h, c = Tensor(got[:, 0, :hid]), Tensor(got[:, 0, hid:])
 
 
 class TestBlocks:

@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tripcast import tensor as T
+from tripcast import layers, tensor as T
 from tripcast.layers import MultiHeadAttention, causal_mask
 from tripcast.models import (
     DECODER_INPUT_KINDS,
@@ -330,13 +330,17 @@ def per_step_projection_oracle(model, x, start):
 
 
 class TestAutoregressiveConsistency:
+    @pytest.mark.parametrize("size, batch", [("small", 3), ("default", 1),
+                                             ("default", 5), ("default", 64)])
     @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
-    def test_ar_rollout_equals_teacher_forcing_on_own_outputs(self, kind, rng):
+    def test_ar_rollout_equals_teacher_forcing_on_own_outputs(self, kind, size,
+                                                              batch, rng):
         # feeding the autoregressive predictions back as the teacher sequence
         # must reproduce those predictions bit for bit
-        model = build(small_spec(kind), seed=6)
-        x = rng.standard_normal((3, 6, 5))
-        start = rng.standard_normal((3, 2))
+        spec = small_spec(kind) if size == "small" else ModelSpec(kind=kind)
+        model = build(spec, seed=6)
+        x = rng.standard_normal((batch, spec.window, spec.n_features))
+        start = rng.standard_normal((batch, spec.n_targets))
         with no_grad():
             ar = model.forward(x, start=start).data
             teach = np.concatenate([start[:, None, :], ar[:, :-1, :]], axis=1)
@@ -378,6 +382,40 @@ class TestAutoregressiveConsistency:
             got = model.forward(x, start=start).data
             want = per_step_projection_oracle(model, x, start)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
+    def test_decoding_step_computes_one_position(self, kind, rng,
+                                                 monkeypatch):
+        # every decoder GEMM of a decoding step, and each decoder LSTM's
+        # input, holds the B rows of one position, not B·H rows; only the
+        # cross-attention keys and values span the encoder's window
+        spec = ModelSpec(kind=kind)
+        model = build(spec, seed=0)
+        cross = {id(w) for blk in model.decoder
+                 for w in (blk.cross_attn.wk, blk.cross_attn.wv)}
+        decoder = {id(p) for name, p in model.named_params()
+                   if name.startswith(("decoder", "head"))} - cross
+        leads = []
+
+        def spy(op, weight_at):
+            def call(*args, **kwargs):
+                if id(args[weight_at]) in decoder:
+                    leads.append(args[0].shape[:-1])
+                return op(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(layers, "matmul", spy(T.matmul, 1))
+        monkeypatch.setattr(layers, "lstm", spy(T.lstm, 3))
+        batch = 64
+        with no_grad():
+            model.forward(rng.standard_normal((batch, spec.window,
+                                               spec.n_features)),
+                          start=rng.standard_normal((batch, spec.n_targets)))
+        # per step: embed and head, then per layer the self-attention's
+        # wq/wk/wv/wo, the cross-attention's wq/wo and two sub-layer calls
+        # (two FFN maps, or the LSTM and its projection)
+        assert leads == [(batch, 1)] * (spec.horizon
+                                        * (2 + 8 * spec.dec_layers))
 
     def test_decoder_lstm_runs_one_recurrence_step_per_decoding_step(
             self, rng, monkeypatch):

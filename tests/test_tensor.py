@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripcast.layers import MASK_VALUE
 from tripcast.tensor import (
     GraphError,
     ShapeError,
     Tensor,
+    _row_max,
     _sigmoid,
     _softmax,
     add,
@@ -113,6 +115,22 @@ class TestForward:
         with pytest.raises(ValueError):
             _softmax(np.array([1.0, np.inf]), -1)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 6), (64, 8, 6, 6),
+                                       (64, 8, 6, 12), (4, 40)])
+    def test_row_max_and_softmax_keep_numpy_bits(self, rng, shape):
+        # rows with masked scores and ties; many short rows take the
+        # column-by-column maximum, the others numpy's reduction
+        x = rng.standard_normal(shape)
+        x[..., 1::3] = MASK_VALUE
+        x[..., -1] = x[..., 0]
+        x[0, ..., 1:] = MASK_VALUE
+        for axis in range(-1, x.ndim - 1):
+            assert (_row_max(x, axis).tobytes()
+                    == x.max(axis=axis, keepdims=True).tobytes())
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert _softmax(x, -1).tobytes() == (
+            e / e.sum(axis=-1, keepdims=True)).tobytes()
+
     def test_layer_norm_zero_mean_unit_var(self, rng):
         x = rng.standard_normal((5, 16)) * 3 + 2
         y = layer_norm(Tensor(x), Tensor(np.ones(16)),
@@ -198,6 +216,30 @@ class TestBackward:
         assert b.grad.shape == b.shape
         np.testing.assert_allclose(
             b.grad, av.reshape(-1, 6).T @ gv.reshape(-1, 7), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_matmul_per_position_equals_one_position_calls(self, rng, batch):
+        # each position's rows carry the bits of a call on that position
+        # alone, the call a decoding step makes; the backward stays the
+        # folded one, bit for bit
+        av = rng.standard_normal((batch, 6, 16))
+        wv, bv = rng.standard_normal((16, 8)), rng.standard_normal(8)
+        gv = Tensor(rng.standard_normal((batch, 6, 8)))
+        grads = []
+        for per_position in (True, False):
+            a, w, b = (Tensor(v, requires_grad=True) for v in (av, wv, bv))
+            out = matmul(a, w, b, per_position)
+            tsum(mul(out, gv)).backward()
+            grads.append([t.grad.tobytes() for t in (a, w, b)])
+            if per_position:
+                for pos in range(6):
+                    one = matmul(Tensor(av[:, pos:pos + 1]), w, b, True).data
+                    assert one.tobytes() == out.data[:, pos:pos + 1].tobytes()
+            np.testing.assert_allclose(out.data, av @ wv + bv, rtol=0,
+                                       atol=1e-12)
+        assert grads[0] == grads[1]
+        with pytest.raises(ShapeError):
+            matmul(Tensor(av[:, 0]), w, per_position=True)
 
     @pytest.mark.parametrize("op", ["matmul", "layer_norm"])
     def test_folded_affine_keeps_composed_bits(self, rng, op):
