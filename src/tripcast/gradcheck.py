@@ -157,9 +157,10 @@ def _checks(rng: np.random.Generator) -> list:
           [n(size=(3, 6)), 1.0 + 0.2 * n(size=6), 0.1 * n(size=6)])
     entry("slice", lambda a: (a[:, 1:3, :], a[:, 0, :]), [n(size=(2, 4, 3))])
     entry("heads", lambda a: T.heads(a, 2), [n(size=(2, 3, 4))])
-    # two causal-masked heads, values wider than keys
+    # two causal-masked heads, values wider than keys, batched and per row
     mask = causal_mask(3)
-    entry("attention", lambda q, k, v: T.attention(q, k, v, 2, mask),
+    entry("attention", lambda q, k, v: tuple(
+              T.attention(q, k, v, 2, mask, rows) for rows in (False, True)),
           [n(size=(2, 3, 4)), n(size=(2, 2, 3, 2)), n(size=(2, 2, 3, 3))])
     # B=2, L=3, d=3, h=4; the output holds both the h half and the c half,
     # from the folded and the per-position input projection

@@ -132,17 +132,15 @@ class DecodeCache:
 
     ``k`` and ``v`` hold the self-attention keys and values of positions
     ``< step`` as ``(B, n_heads, H, d_head)`` tensors, zero from ``step``
-    on. ``query`` is a ``(B, H, d_model)`` tensor of zeros that each
-    attention call fills at row ``step`` only for that call. ``state`` is
-    an LSTM sub-layer's ``(B, 2·d_model)`` ``(h, c)`` after position
-    ``step - 1``; it is ``None`` at step 0 and for a feed-forward
-    sub-layer.
+    on; a step reads all ``H`` rows, so its softmax sums the terms teacher
+    forcing sums. ``state`` is an LSTM sub-layer's ``(B, 2·d_model)``
+    ``(h, c)`` after position ``step - 1``; it is ``None`` at step 0 and
+    for a feed-forward sub-layer.
     """
 
     def __init__(self, batch: int, horizon: int, n_heads: int, d_head: int):
         self.k = Tensor(np.zeros((batch, n_heads, horizon, d_head)))
         self.v = Tensor(np.zeros((batch, n_heads, horizon, d_head)))
-        self.query = Tensor(np.zeros((batch, horizon, n_heads * d_head)))
         self.state = None
         self.step = 0
 
@@ -156,6 +154,7 @@ class MultiHeadAttention(Module):
     tensor is passed as query and key/value source; cross-attention when
     ``x_kv`` is an encoder output, whose keys and values
     :meth:`project_kv` can compute once for many calls to :meth:`attend`.
+    ``per_position`` goes to every GEMM and to the attention op.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
@@ -190,36 +189,25 @@ class MultiHeadAttention(Module):
                 heads(self._map(x_kv, self.wv), self.n_heads))
 
     def attend(self, x_q: Tensor, k: Tensor, v: Tensor,
-               mask: Optional[Tensor] = None,
-               cache: Optional[DecodeCache] = None) -> Tensor:
-        """Attend from ``x_q`` to keys and values from :meth:`project_kv`.
-
-        With ``cache``, ``x_q`` is the one position ``cache.step`` of an
-        ``H``-position query. It runs padded with zero rows to ``H`` rows,
-        so the ``attention`` op has teacher forcing's shapes and its row
-        ``cache.step`` teacher forcing's bits; only that row is kept.
-        """
+               mask: Optional[Tensor] = None) -> Tensor:
+        """Attend from ``x_q`` to keys and values from :meth:`project_kv`,
+        under a ``mask`` with one row per query position."""
         q = self._map(x_q, self.wq)
-        if cache is None:
-            return self._map(attention(q, k, v, self.n_heads, mask), self.wo)
-        cache.query.data[:, cache.step] = q.data[:, 0]
-        out = attention(cache.query, k, v, self.n_heads, mask)
-        cache.query.data[:, cache.step] = 0.0
-        return self._map(out[:, cache.step:cache.step + 1], self.wo)
+        return self._map(attention(q, k, v, self.n_heads, mask,
+                                   self.per_position), self.wo)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor,
                  mask: Optional[Tensor] = None,
                  cache: Optional[DecodeCache] = None) -> Tensor:
         """Attend from ``x_q`` to ``x_kv``. With ``cache``, both are the one
-        position ``cache.step``; its keys and values join the cache, and
-        the query attends over every cached position (see :meth:`attend`).
-        """
+        position ``cache.step``, whose keys and values join the cache, and
+        ``mask`` is its ``(1, H)`` row of the causal mask."""
         k, v = self.project_kv(x_kv)
         if cache is not None:
             cache.k.data[:, :, cache.step] = k.data[:, :, 0]
             cache.v.data[:, :, cache.step] = v.data[:, :, 0]
             k, v = cache.k, cache.v
-        return self.attend(x_q, k, v, mask, cache)
+        return self.attend(x_q, k, v, mask)
 
 
 class _LstmLayer(Module):
@@ -340,10 +328,10 @@ class DecoderBlock(Module):
     encoder output with ``cross_attn.project_kv``. Returns ``(x, out)``,
     where ``out`` is the sub-layer's carry (see :class:`LstmSubLayer`).
 
-    With ``cache``, ``x`` is the one position ``cache.step`` of the
-    ``H``-position sequence that ``mask`` covers. The block attends over
-    the cached positions, starts an LSTM sub-layer from ``cache.state``,
-    and leaves the cache ready for the next position.
+    ``mask`` has one row per position of ``x``. With ``cache``, ``x`` is
+    the one position ``cache.step`` of an ``H``-position sequence. The
+    block attends over the cached positions, starts an LSTM sub-layer from
+    ``cache.state``, and leaves the cache ready for the next position.
     """
 
     def __init__(self, d_model: int, n_heads: int, ffn_width: int,
@@ -362,7 +350,7 @@ class DecoderBlock(Module):
                  cache: Optional[DecodeCache] = None) -> tuple:
         h = self.ln1(x)
         x = add(x, self.self_attn(h, h, mask, cache))
-        x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv, cache=cache))
+        x = add(x, self.cross_attn.attend(self.ln2(x), *cross_kv))
         y, out = self.sub(self.ln3(x), None if cache is None else cache.state)
         if cache is not None:
             cache.state = None if out is None else out[:, -1]

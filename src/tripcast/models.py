@@ -126,6 +126,7 @@ class Model(Module):
             self.decoder_embed = Linear(spec.n_targets, d, rng,
                                         per_position=True)
             self.pe_dec = positional_encoding(spec.horizon, d).data
+            self.mask_dec = causal_mask(spec.horizon).data
             self.decoder = [DecoderBlock(d, heads, width, rng, sub_layer=sub)
                             for _ in range(spec.dec_layers)]
             self.decoder_norm = LayerNorm(d)
@@ -162,23 +163,22 @@ class Model(Module):
         one :class:`~tripcast.layers.DecodeCache` per layer, for the one
         position ``y_in`` holds at the caches' step."""
         first = caches[0].step if caches else 0
-        d = add(self.decoder_embed(y_in),
-                Tensor(self.pe_dec[first:first + y_in.shape[1]]))
-        mask = causal_mask(self.spec.horizon)
+        rows = slice(first, first + y_in.shape[1])
+        d = add(self.decoder_embed(y_in), Tensor(self.pe_dec[rows]))
+        mask = Tensor(self.mask_dec[rows])
         for blk, kv, cache in zip(self.decoder, cross_kv,
                                   caches or [None] * len(self.decoder)):
             d = blk(d, kv, mask, cache)[0]
         return self.head(self.decoder_norm(d))
 
     def _autoregress(self, x: Tensor, start: Tensor) -> Tensor:
-        # Decode one position per step. Every decoder GEMM runs per position
-        # in teacher forcing as well, and each attention op runs a query
-        # padded to H rows over H keys, so a step repeats, for its row,
-        # exactly the arithmetic of a teacher-forced pass fed these inputs
-        # and matches it bit for bit. Earlier positions reach a step only
-        # through the self-attention keys and values and the LSTM states in
-        # each layer's cache. The forecast is returned detached, so nothing
-        # is recorded.
+        # Decode one position per step. Every decoder GEMM and attention
+        # product runs per position in teacher forcing too, and a step's
+        # query reads all H cached key rows under its mask row, so a step
+        # repeats, for its row, the arithmetic of a teacher-forced pass fed
+        # these inputs, bit for bit. Earlier positions reach it only through
+        # each layer's cached keys, values and LSTM states. The forecast is
+        # returned detached, so nothing is recorded.
         spec = self.spec
         batch = start.shape[0]
         preds = np.empty((batch, spec.horizon, spec.n_targets))

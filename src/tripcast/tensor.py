@@ -28,7 +28,8 @@ forcing over all positions. Its backward stays one full-shape GEMM each.
 ``heads`` splits attention heads off the last axis, and ``attention`` runs
 multi-head attention from query split to head merge as one node with a
 hand-written backward. Both repeat the numpy calls and memory layouts of the
-composed ops in order, so their outputs and gradients keep the same bits.
+composed ops in order, so their outputs and gradients keep the same bits;
+the decoder's calls (``per_position``) run one 1-row product per query row.
 
 ``lstm`` runs a whole LSTM layer as one primitive with a hand-written
 backward through time (BPTT): one input-projection GEMM over the sequence
@@ -505,13 +506,17 @@ def heads(a: Tensor, n_heads: int) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              mask: Optional[Tensor] = None) -> Tensor:
+              mask: Optional[Tensor] = None,
+              per_position: bool = False) -> Tensor:
     """Multi-head ``softmax(q·kᵀ / sqrt(d) + mask)·v``, recorded as one node.
 
     ``q`` is ``(*lead, Lq, D)``; ``k`` and ``v`` come from :func:`heads`,
     ``(*lead, n_heads, Lk, D / n_heads)`` and ``(*lead, n_heads, Lk, d_v)``.
     ``mask`` is a constant additive ``(Lq, Lk)`` tensor; a blocked position
-    gets exactly zero weight. Returns ``(*lead, Lq, n_heads·d_v)``.
+    gets exactly zero weight. Returns ``(*lead, Lq, n_heads·d_v)``. With
+    ``per_position``, ``q·kᵀ`` and ``weights·v`` run one 1-row product per
+    query row, so a 1-row call under that row of the mask repeats the row's
+    bits; the keys are read in place, and the backward stays batched.
     """
     if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] + (n_heads,)
             or k.shape[-1] * n_heads != q.shape[-1]
@@ -523,13 +528,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          f"({q.shape[-2]}, {k.shape[-2]})")
     c = 1.0 / math.sqrt(k.shape[-1])
     qh = _to_heads(q.data, n_heads)
-    kt = np.ascontiguousarray(np.swapaxes(k.data, -2, -1))
-    scores = np.matmul(qh, kt)
+    kt = np.swapaxes(k.data, -2, -1)
+    if per_position:    # one 1-row product per query row
+        def product(x, y):
+            return np.matmul(x[..., None, :], y[..., None, :, :])[..., 0, :]
+    else:
+        kt = np.ascontiguousarray(kt)
+        product = np.matmul
+    scores = product(qh, kt)
     scores *= c
     if mask is not None:
         scores += mask.data
     w = _softmax(scores, -1)
-    merged = np.ascontiguousarray(np.swapaxes(np.matmul(w, v.data), -3, -2))
+    merged = np.ascontiguousarray(np.swapaxes(product(w, v.data), -3, -2))
 
     def backward_fn(g):
         # the composed ops' rules in reverse: merge, ·v, softmax, ·c, q·kᵀ

@@ -1,9 +1,10 @@
 """Attention oracles shared by the layer and acceptance suites.
 
 ``composed_attention`` is multi-head attention written as the chain of tape
-ops that the fused :func:`tripcast.tensor.attention` op replaced; the op
-must equal it bit for bit, forward and backward. ``one_head`` runs the op on
-one head of plain ``(L, d)`` arrays.
+ops that the fused :func:`tripcast.tensor.attention` op replaced. The op's
+default path must equal it bit for bit, forward and backward; with
+``per_position`` the op runs other products and equals it to rounding.
+``one_head`` runs the op on one head of plain ``(L, d)`` arrays.
 """
 
 import math

@@ -386,16 +386,21 @@ class TestAutoregressiveConsistency:
     @pytest.mark.parametrize("kind", DECODER_INPUT_KINDS)
     def test_decoding_step_computes_one_position(self, kind, rng,
                                                  monkeypatch):
-        # every decoder GEMM of a decoding step, and each decoder LSTM's
-        # input, holds the B rows of one position, not B·H rows; only the
-        # cross-attention keys and values span the encoder's window
+        # every decoder GEMM of a decoding step, each decoder LSTM's input
+        # and each decoder attention's query holds the B rows of one
+        # position, not B·H rows; only the cross-attention keys and values
+        # span the encoder's window
         spec = ModelSpec(kind=kind)
         model = build(spec, seed=0)
         cross = {id(w) for blk in model.decoder
                  for w in (blk.cross_attn.wk, blk.cross_attn.wv)}
         decoder = {id(p) for name, p in model.named_params()
                    if name.startswith(("decoder", "head"))} - cross
-        leads = []
+        leads, queries = [], []
+
+        def spy_attention(q, *args, **kwargs):
+            queries.append(q.shape[:-1])
+            return T.attention(q, *args, **kwargs)
 
         def spy(op, weight_at):
             def call(*args, **kwargs):
@@ -406,6 +411,7 @@ class TestAutoregressiveConsistency:
 
         monkeypatch.setattr(layers, "matmul", spy(T.matmul, 1))
         monkeypatch.setattr(layers, "lstm", spy(T.lstm, 3))
+        monkeypatch.setattr(layers, "attention", spy_attention)
         batch = 64
         with no_grad():
             model.forward(rng.standard_normal((batch, spec.window,
@@ -416,6 +422,11 @@ class TestAutoregressiveConsistency:
         # (two FFN maps, or the LSTM and its projection)
         assert leads == [(batch, 1)] * (spec.horizon
                                         * (2 + 8 * spec.dec_layers))
+        # the encoder's self-attention runs once over the window, then
+        # every step runs each layer's self- and cross-attention
+        assert queries == ([(batch, spec.window)] * spec.enc_layers
+                           + [(batch, 1)] * (spec.horizon * 2
+                                             * spec.dec_layers))
 
     def test_decoder_lstm_runs_one_recurrence_step_per_decoding_step(
             self, rng, monkeypatch):

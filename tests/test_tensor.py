@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripcast.layers import MASK_VALUE
+from tripcast.layers import MASK_VALUE, causal_mask
 from tripcast.tensor import (
     GraphError,
     ShapeError,
@@ -20,6 +20,8 @@ from tripcast.tensor import (
     _sigmoid,
     _softmax,
     add,
+    attention,
+    heads,
     layer_norm,
     matmul,
     mul,
@@ -31,6 +33,7 @@ from tripcast.tensor import (
     tsum,
 )
 
+from attention_oracles import composed_attention
 from oracle_ops import bmatmul, concat, sigmoid, softmax, tanh, transpose
 
 
@@ -240,6 +243,42 @@ class TestBackward:
         assert grads[0] == grads[1]
         with pytest.raises(ShapeError):
             matmul(Tensor(av[:, 0]), w, per_position=True)
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    @pytest.mark.parametrize("n_keys", [6, 12])
+    def test_attention_per_position_equals_one_row_calls(self, rng, batch,
+                                                         n_keys):
+        # each query row carries the bits of a call on that row alone under
+        # its row of the mask, the call a decoding step makes: causal
+        # self-attention over 6 keys and cross-attention over 12; output
+        # and gradients stay those of the batched products and of the
+        # composed ops, to rounding
+        qv = rng.standard_normal((batch, 6, 32))
+        kv, vv = (rng.standard_normal((batch, n_keys, 32)) for _ in "kv")
+        gv = Tensor(rng.standard_normal((batch, 6, 32)))
+        mask = causal_mask(6) if n_keys == 6 else None
+        outs, grads = [], []
+        for run in ("per_position", "batched", "composed"):
+            q, k, v = (Tensor(a, requires_grad=True) for a in (qv, kv, vv))
+            if run == "composed":
+                out = composed_attention(q, k, v, 4, mask)[0]
+            else:
+                out = attention(q, heads(k, 4), heads(v, 4), 4, mask,
+                                run == "per_position")
+            tsum(mul(out, gv)).backward()
+            outs.append(out.data)
+            grads.append([t.grad for t in (q, k, v)])
+        keys, values = heads(Tensor(kv), 4), heads(Tensor(vv), 4)
+        for pos in range(6):
+            row = None if mask is None else Tensor(mask.data[pos:pos + 1])
+            one = attention(Tensor(qv[:, pos:pos + 1]), keys, values, 4, row,
+                            per_position=True).data
+            assert one.tobytes() == outs[0][:, pos:pos + 1].tobytes()
+        for other in (1, 2):
+            np.testing.assert_allclose(outs[0], outs[other], rtol=0,
+                                       atol=1e-12)
+            for got, want in zip(grads[0], grads[other]):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("op", ["matmul", "layer_norm"])
     def test_folded_affine_keeps_composed_bits(self, rng, op):
