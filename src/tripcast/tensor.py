@@ -36,12 +36,29 @@ backward through time (BPTT): one input-projection GEMM over the sequence
 (one per time step with ``per_position``), one recurrent GEMM per step
 forward and backward, and one GEMM or sum each for the input and weight
 gradients. The gate sigmoid is ``0.5·tanh(0.5x) + 0.5``.
+
+``backward()`` hands every write into a leaf's gradient (a parameter's,
+say) to one worker thread while the calling thread walks the interior
+nodes, the split of a backward into input and weight gradients in Qi et
+al. 2023, *Zero Bubble Pipeline Parallelism* (arXiv:2401.10241). No node
+reads a leaf's gradient, so the weight-gradient GEMMs of ``matmul`` and
+``lstm`` and the bias and gain sums are queued as functions of operands
+bound when queued. The worker runs the writes in tape order, so each leaf
+adds the same contributions in the same order as inline and its bits are
+unchanged. ``backward()`` waits for every queued write before it returns
+and raises the first failure. The worker runs only where BLAS leaves a
+core free: the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` set to a positive count must be 1, and the process
+must be allowed at least two CPUs. Otherwise every write runs inline, in
+the same order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -64,6 +81,36 @@ class GraphError(RuntimeError):
 
 
 _grad_enabled = True
+
+# the variables OpenBLAS takes its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _blas_leaves_a_core(environ, cpus) -> bool:
+    """Whether BLAS runs on one thread and this process may use two cores.
+
+    The first of ``_BLAS_THREAD_VARS`` set to a positive count decides, as
+    in OpenBLAS; unset, OpenBLAS takes every core.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1 and len(cpus) >= 2
+    return False
+
+
+# One thread writes every leaf gradient while ``backward()`` walks the
+# interior nodes, or none when BLAS already uses the other core. Its thread
+# starts at the first write, not at import.
+_leaf_worker: Optional[ThreadPoolExecutor] = (
+    ThreadPoolExecutor(1, "tripcast-leaf-grads")
+    if hasattr(os, "sched_getaffinity")     # not on macOS or Windows
+    and _blas_leaves_a_core(os.environ, os.sched_getaffinity(0)) else None)
+_leaf_writes: Optional[list] = None     # futures of the running backward()
 
 
 @contextlib.contextmanager
@@ -151,7 +198,27 @@ class Tensor:
     # ------------------------------------------------------------------
     # gradient accumulation / tape plumbing
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g, *args) -> None:
+        """Add the array ``g`` to ``grad``, or ``g(*args)`` if ``g`` is a
+        function. A leaf's write is queued on the leaf-gradient worker while
+        ``backward()`` runs one, so ``args`` must hold every operand."""
+        self._write(self._add, g, *args)
+
+    def _accumulate_at(self, idx, g: np.ndarray) -> None:
+        """Scatter-add ``g`` into the gradient at a basic-indexing selection."""
+        self._write(self._add_at, idx, g)
+
+    def _write(self, fn, *args) -> None:
+        # one writer per leaf, in tape order: every write to a leaf's grad
+        # goes through the worker's FIFO while it is on
+        if self.node is None and _leaf_writes is not None:
+            _leaf_writes.append(_leaf_worker.submit(fn, *args))
+        else:
+            fn(*args)
+
+    def _add(self, g, *args) -> None:
+        if callable(g):
+            g = g(*args)
         # Copy on write: the first contribution is stored by reference (it
         # may be a view into another buffer); a second contribution replaces
         # it with a fresh sum so no shared buffer is ever mutated.
@@ -163,8 +230,7 @@ class Tensor:
             self.grad = self.grad + g
             self._grad_owned = True
 
-    def _accumulate_at(self, idx, g: np.ndarray) -> None:
-        """Scatter-add ``g`` into the gradient at a basic-indexing selection."""
+    def _add_at(self, idx, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
             self._grad_owned = True
@@ -177,7 +243,8 @@ class Tensor:
         """Populate ``grad`` on every tensor this scalar depends on.
 
         The recorded graph is marked consumed afterwards; a second call on
-        the same loss raises :class:`GraphError`.
+        the same loss raises :class:`GraphError`. Every leaf-gradient write
+        has finished when this returns; the first that failed is raised.
         """
         if self.size != 1:
             raise GraphError(
@@ -203,18 +270,28 @@ class Tensor:
                     if inp.node is not None or inp.requires_grad:
                         stack.append((inp, False))
 
-        self._accumulate(np.ones_like(self.data))
+        global _leaf_writes
+        _leaf_writes = [] if _leaf_worker is not None else None
         leaves: list[Tensor] = []
-        for t in reversed(order):
-            node = t.node
-            if node is None:
-                if t.requires_grad:
-                    leaves.append(t)
-                continue
-            node.backward_fn(t.grad)
-            node.consumed = True
-            node.inputs = ()
-            node.backward_fn = None
+        try:
+            self._accumulate(np.ones_like(self.data))
+            for t in reversed(order):
+                node = t.node
+                if node is None:
+                    if t.requires_grad:
+                        leaves.append(t)
+                    continue
+                node.backward_fn(t.grad)
+                node.consumed = True
+                node.inputs = ()
+                node.backward_fn = None
+        finally:
+            writes, _leaf_writes = _leaf_writes, None
+            # wait for every queued write, then raise the first failure
+            failures = [f.exception() for f in writes or ()]
+            failure = next((e for e in failures if e is not None), None)
+            if failure is not None:
+                raise failure
         # Leaf gradients are user-visible: give each its own buffer so a
         # pass-through contribution never leaves two leaves aliased.
         for t in leaves:
@@ -365,16 +442,16 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     else:   # fold every leading axis of ``a`` into rows, one GEMM each
         data = (a.data.reshape(-1, d) @ w.data).reshape(a.shape[:-1] + (h,))
     if bias is not None:
-        data = data + bias.data
+        data += bias.data
 
     def backward_fn(g):
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            bias._accumulate(_unbroadcast, g, bias.shape)
         g2 = g.reshape(-1, h)
         if a.requires_grad:
             a._accumulate((g2 @ w.data.T).reshape(a.shape))
         if w.requires_grad:
-            w._accumulate(a.data.reshape(-1, d).T @ g2)
+            w._accumulate(np.matmul, a.data.reshape(-1, d).T, g2)
 
     return _record("matmul", (a, w) if bias is None else (a, w, bias), data,
                    backward_fn)
@@ -453,19 +530,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + 1e-5)
     out = xc * inv
 
+    data = out * gain.data
+    data += bias.data
+
     def backward_fn(g):
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            bias._accumulate(_unbroadcast, g, bias.shape)
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * out, gain.shape))
+            gain._accumulate(lambda g, out: _unbroadcast(g * out, gain.shape),
+                             g, out)
         if a.requires_grad:
             g = g * gain.data
             gm = g.mean(axis=-1, keepdims=True)
             gym = (g * out).mean(axis=-1, keepdims=True)
             a._accumulate(inv * (g - gm - out * gym))
 
-    return _record("layer_norm", (a, gain, bias), out * gain.data + bias.data,
-                   backward_fn)
+    return _record("layer_norm", (a, gain, bias), data, backward_fn)
 
 
 # ----------------------------------------------------------------------
@@ -646,10 +726,10 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         if c0.requires_grad:
             c0._accumulate(dc)
         if w.requires_grad:
-            w._accumulate(rows.T @ dz)
+            w._accumulate(np.matmul, rows.T, dz)
         if u.requires_grad:
-            u._accumulate(hs[:-1].reshape(-1, hid).T @ dz)
+            u._accumulate(np.matmul, hs[:-1].reshape(-1, hid).T, dz)
         if b.requires_grad:
-            b._accumulate(dz.sum(axis=0))
+            b._accumulate(np.sum, dz, 0)
 
     return _record("lstm", (x, h0, c0, w, u, b), data, backward_fn)

@@ -91,12 +91,23 @@ class Adam:
                     f"optimizer step {self.step_count}")
         b1, b2, t = self.BETA1, self.BETA2, self.step_count
         for name, p in self.params:
-            g = grads[name]
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            # in place, with the operations of b1·m + (1-b1)·g,
+            # b2·v + (1-b2)·g·g and lr·m̂ / (sqrt(v̂) + eps) in their order
+            step = np.multiply(g, 1.0 - b1)     # scratch, later the step
+            m *= b1
+            m += step
+            np.multiply(g, 1.0 - b2, out=step)
+            step *= g
+            v *= b2
+            v += step
+            denom = np.divide(v, 1.0 - b2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            np.divide(m, 1.0 - b1 ** t, out=step)
+            step *= self.lr
+            step /= denom
+            p.data = p.data - step
 
 
 # ------------------------------------------------------------------ config

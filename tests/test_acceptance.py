@@ -45,8 +45,8 @@ from tripcast.training import (
 from attention_oracles import composed_attention, one_head
 
 LAYER_RULES = (
-    "embedding_linear", "positional_path", "multi_head_attention",
-    "feed_forward", "layer_norm_affine", "lstm_cell", "lstm_stack",
+    "positional_path", "multi_head_attention", "feed_forward", "lstm_cell",
+    "lstm_stack",
 )
 
 

@@ -305,6 +305,34 @@ class TestForward:
             recorded |= set(self._default_step_tape(kind, rng, tape_ops))
         assert recorded | {"sum"} == T.RECORDED_OPS
 
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_leaf_worker_keeps_inline_gradient_bytes(self, kind, batch,
+                                                     leaf_worker):
+        spec = ModelSpec(kind=kind)
+        model = build(spec, seed=5)
+        rng = np.random.default_rng(batch)
+        for _, p in model.named_params():   # LayerNorm gains off 1, as trained
+            p.data += 0.05 * rng.standard_normal(p.shape)
+        x = rng.standard_normal((batch, spec.window, spec.n_features))
+        teach = rng.standard_normal((batch, spec.horizon, spec.n_targets))
+        y = rng.standard_normal(teach.shape)
+
+        def grads():
+            mse_loss(model.forward(x, teacher=teach, training=True),
+                     y).backward()
+            out = [p.grad.tobytes() for _, p in model.named_params()]
+            for _, p in model.named_params():
+                p.zero_grad()
+            return out
+
+        leaf_worker("inline")
+        inline = grads()
+        for mode in ("thread", "late"):
+            worker = leaf_worker(mode)
+            assert grads() == inline, mode
+            assert worker.writes >= len(model.named_params())
+
 
 def per_step_projection_oracle(model, x, start):
     """Autoregressive decoding in which every decoder layer's

@@ -85,3 +85,51 @@ def test_only_tensor_records_ops():
                           getattr(node.func, "attr", None))
         and path.name != "tensor.py"]
     assert not callers, f"_record called outside tensor.py: {callers}"
+
+
+CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing")
+
+
+def _concurrency_imports(paths):
+    """``file:line`` of every import of a ``CONCURRENCY_MODULES`` module,
+    or of a name from one, outside ``tensor.py``."""
+    def banned(name):
+        return any(name == m or name.startswith(m + ".")
+                   for m in CONCURRENCY_MODULES)
+
+    found = []
+    for path in paths:
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            if any(map(banned, names)):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_tensor_starts_threads():
+    # the leaf-gradient worker is the package's one thread; a second pool
+    # would compete with it and with BLAS for the same cores
+    found = _concurrency_imports(SOURCES)
+    assert not found, f"thread or process imports outside tensor.py: {found}"
+
+
+@pytest.mark.parametrize("line", [
+    "import threading", "import concurrent.futures as cf",
+    "from concurrent import futures", "from multiprocessing import Pool",
+    "from concurrent.futures import ThreadPoolExecutor",
+])
+def test_concurrency_rule_catches_a_planted_import(tmp_path, line):
+    planted = tmp_path / "models.py"
+    planted.write_text(f"{line}\n", encoding="utf-8")
+    assert _concurrency_imports([planted]) == ["models.py:1"]
+    allowed = tmp_path / "tensor.py"
+    allowed.write_text(f"{line}\n", encoding="utf-8")
+    assert _concurrency_imports([allowed]) == []

@@ -6,16 +6,21 @@ loop (implemented here, separate from the library's own gradcheck) for
 composite expressions.
 """
 
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripcast import tensor as T
 from tripcast.layers import MASK_VALUE, causal_mask
 from tripcast.tensor import (
     GraphError,
     ShapeError,
     Tensor,
+    _blas_leaves_a_core,
     _row_max,
     _sigmoid,
     _softmax,
@@ -489,6 +494,87 @@ class TestGraphDiscipline:
             y = add(y, 1.0)
         tsum(y).backward()
         np.testing.assert_array_equal(x.grad, np.ones(2))
+
+
+class TestLeafWorker:
+    """``backward()`` writes leaf gradients on one worker thread, in tape
+    order, so they keep the inline bytes."""
+
+    def test_fanout_and_overlapping_slices_keep_inline_bytes(self, rng,
+                                                             leaf_worker):
+        xv, wv = rng.standard_normal((5, 4)), rng.standard_normal((4, 4))
+        gv, bv = rng.standard_normal(4), rng.standard_normal(4)
+
+        def grads():
+            x, w, gain, bias = (Tensor(v, requires_grad=True)
+                                for v in (xv, wv, gv, bv))
+            h = matmul(x, w, bias)      # x and w fan out below
+            loss = add(tsum(mul(h, h)), tsum(mul(x[1:4], x[2:5])))
+            loss = add(loss, tsum(layer_norm(matmul(x[0:3], w), gain, bias)))
+            loss = add(loss, tsum(mul(layer_norm(x, gain, bias), w[1])))
+            loss.backward()
+            return [t.grad.tobytes() for t in (x, w, gain, bias)]
+
+        leaf_worker("inline")
+        inline = grads()
+        assert leaf_worker("late").writes == 0
+        assert grads() == inline
+        assert leaf_worker("late").writes == 13     # every leaf contribution
+        # many thread switches per backward, to shake out a lost update
+        leaf_worker("thread")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [grads() for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == inline for run in runs)
+        assert leaf_worker("thread").writes == 20 * 13
+
+    def test_failed_write_raises_after_every_write_finished(self, leaf_worker):
+        leaf_worker("thread")
+        x = Tensor(np.ones(3), requires_grad=True)
+        done = []
+
+        def fail():
+            raise FloatingPointError("leaf write failed")
+
+        def slow():
+            time.sleep(0.05)
+            done.append(time.perf_counter())
+            return np.ones(3)
+
+        def backward_fn(g):
+            x._accumulate(fail)
+            x._accumulate(slow)
+
+        loss = T._record("sum", (x,), np.array(0.0), backward_fn)
+        with pytest.raises(FloatingPointError, match="leaf write failed"):
+            loss.backward()
+        returned = time.perf_counter()
+        assert len(done) == 1 and done[0] < returned
+        assert T._leaf_writes is None
+        time.sleep(0.1)     # nothing left queued runs later
+        assert len(done) == 1
+        # the worker serves the next backward()
+        x.zero_grad()
+        tsum(mul(x, 2.0)).backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    @pytest.mark.parametrize("environ, cpus, on", [
+        ({}, {0, 1}, False),        # unset: OpenBLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1, 2, 3}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, {0, 1}, True),
+        ({"OMP_NUM_THREADS": "1"}, {2, 5}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, {0, 1}, False),
+        ({"MKL_NUM_THREADS": "1"}, {0, 1}, False),
+    ])
+    def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on):
+        assert _blas_leaves_a_core(environ, cpus) is on
 
 
 @given(
