@@ -37,20 +37,33 @@ backward through time (BPTT): one input-projection GEMM over the sequence
 forward and backward, and one GEMM or sum each for the input and weight
 gradients. The gate sigmoid is ``0.5·tanh(0.5x) + 0.5``.
 
+One worker thread runs beside the calling thread, in two roles.
+
 ``backward()`` hands every write into a leaf's gradient (a parameter's,
-say) to one worker thread while the calling thread walks the interior
-nodes, the split of a backward into input and weight gradients in Qi et
-al. 2023, *Zero Bubble Pipeline Parallelism* (arXiv:2401.10241). No node
-reads a leaf's gradient, so the weight-gradient GEMMs of ``matmul`` and
-``lstm`` and the bias and gain sums are queued as functions of operands
-bound when queued. The worker runs the writes in tape order, so each leaf
-adds the same contributions in the same order as inline and its bits are
-unchanged. ``backward()`` waits for every queued write before it returns
-and raises the first failure. The worker runs only where BLAS leaves a
-core free: the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
-``OMP_NUM_THREADS`` set to a positive count must be 1, and the process
-must be allowed at least two CPUs. Otherwise every write runs inline, in
-the same order.
+say) to the worker while the calling thread walks the interior nodes, the
+split of a backward into input and weight gradients in Qi et al. 2023,
+*Zero Bubble Pipeline Parallelism* (arXiv:2401.10241). No node reads a
+leaf's gradient, so the weight-gradient GEMMs of ``matmul`` and ``lstm``
+and the bias and gain sums are queued as functions of operands bound when
+queued. The worker runs the writes in tape order, so each leaf adds the
+same contributions in the same order as inline and its bits are unchanged.
+``backward()`` waits for every queued write before it returns and raises
+the first failure.
+
+:func:`run_pair` runs two functions at once, the first on the worker and
+the second on the calling thread, and joins their results in row order:
+the data parallelism of PyTorch DDP (Li et al. 2020, arXiv:2006.15704) on
+two cores. Training and evaluation run each no-tape batch of at least 64
+rows as two halves this way; below 64 rows the decoder kinds lose more to
+the hand-off than they gain. A half's bits depend only on its own rows,
+so the result is the same whether the halves run together, one after the
+other, or in the other order.
+
+The worker runs only where BLAS leaves a core free: the first of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` set
+to a positive count must be 1, and the process must be allowed at least
+two CPUs. Otherwise every leaf write runs inline, in the same order, and
+the two functions of a pair run one after the other.
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Union
 
@@ -103,14 +117,16 @@ def _blas_leaves_a_core(environ, cpus) -> bool:
     return False
 
 
-# One thread writes every leaf gradient while ``backward()`` walks the
-# interior nodes, or none when BLAS already uses the other core. Its thread
-# starts at the first write, not at import.
-_leaf_worker: Optional[ThreadPoolExecutor] = (
-    ThreadPoolExecutor(1, "tripcast-leaf-grads")
+# The one thread beside the caller: it writes leaf gradients while
+# ``backward()`` walks the interior nodes and runs the first function of a
+# ``run_pair``. None where BLAS already uses the other core. Its thread
+# starts at the first hand-off, not at import.
+_worker: Optional[ThreadPoolExecutor] = (
+    ThreadPoolExecutor(1, "tripcast-worker")
     if hasattr(os, "sched_getaffinity")     # not on macOS or Windows
     and _blas_leaves_a_core(os.environ, os.sched_getaffinity(0)) else None)
-_leaf_writes: Optional[list] = None     # futures of the running backward()
+_leaf_writes: Optional[list] = None     # while backward() runs, its futures
+_this_thread = threading.local()        # .first: runs a pair's first half
 
 
 @contextlib.contextmanager
@@ -123,6 +139,44 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def run_pair(first: Callable[[], np.ndarray],
+             second: Callable[[], np.ndarray]) -> np.ndarray:
+    """``first()`` and ``second()`` joined along the first axis, in that
+    order: ``first`` runs on the worker while ``second`` runs here.
+
+    Without the worker they run one after the other, ``first`` first. Either
+    way a failure is raised only after both have finished, ``second``'s if
+    both failed. Refused with :class:`GraphError` while ``backward()`` runs,
+    since ``first`` would queue behind its leaf-gradient writes, and inside
+    a ``first``, since a nested call on the worker would wait on itself.
+    """
+    if _leaf_writes is not None:
+        raise GraphError("run_pair() called while backward() runs")
+    if getattr(_this_thread, "first", False):
+        raise GraphError("run_pair() called inside the first function of a "
+                         "run_pair()")
+    if _worker is None:
+        try:
+            head = _first(first)
+        finally:
+            tail = second()
+        return np.concatenate([head, tail])
+    future = _worker.submit(_first, first)
+    try:
+        tail = second()
+    finally:
+        future.exception()      # wait for the first, whatever happened here
+    return np.concatenate([future.result(), tail])
+
+
+def _first(fn):
+    _this_thread.first = True
+    try:
+        return fn()
+    finally:
+        _this_thread.first = False
 
 
 class _Node:
@@ -200,8 +254,8 @@ class Tensor:
 
     def _accumulate(self, g, *args) -> None:
         """Add the array ``g`` to ``grad``, or ``g(*args)`` if ``g`` is a
-        function. A leaf's write is queued on the leaf-gradient worker while
-        ``backward()`` runs one, so ``args`` must hold every operand."""
+        function. A leaf's write is queued on the worker while ``backward()``
+        runs, so ``args`` must hold every operand."""
         self._write(self._add, g, *args)
 
     def _accumulate_at(self, idx, g: np.ndarray) -> None:
@@ -211,8 +265,9 @@ class Tensor:
     def _write(self, fn, *args) -> None:
         # one writer per leaf, in tape order: every write to a leaf's grad
         # goes through the worker's FIFO while it is on
-        if self.node is None and _leaf_writes is not None:
-            _leaf_writes.append(_leaf_worker.submit(fn, *args))
+        if (self.node is None and _leaf_writes is not None
+                and _worker is not None):
+            _leaf_writes.append(_worker.submit(fn, *args))
         else:
             fn(*args)
 
@@ -271,7 +326,7 @@ class Tensor:
                         stack.append((inp, False))
 
         global _leaf_writes
-        _leaf_writes = [] if _leaf_worker is not None else None
+        _leaf_writes = []
         leaves: list[Tensor] = []
         try:
             self._accumulate(np.ones_like(self.data))
@@ -288,7 +343,7 @@ class Tensor:
         finally:
             writes, _leaf_writes = _leaf_writes, None
             # wait for every queued write, then raise the first failure
-            failures = [f.exception() for f in writes or ()]
+            failures = [f.exception() for f in writes]
             failure = next((e for e in failures if e is not None), None)
             if failure is not None:
                 raise failure

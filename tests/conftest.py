@@ -40,52 +40,70 @@ def tape_ops():
 
 
 class CountingWorker(ThreadPoolExecutor):
-    """A one-thread leaf-gradient worker that counts the writes queued."""
+    """A one-thread worker that counts the calls handed to it."""
 
     def __init__(self):
         super().__init__(1)
-        self.writes = 0
+        self.calls = 0
 
     def submit(self, fn, /, *args, **kwargs):
-        self.writes += 1
+        self.calls += 1
         return super().submit(fn, *args, **kwargs)
 
 
-class _LateWrite:
+class _LateCall:
+    """A call that runs once, when its outcome is first asked for."""
+
     def __init__(self, fn, args):
         self.fn, self.args = fn, args
+        self.done = False
+
+    def _run(self):
+        if not self.done:
+            self.done = True
+            self.value, self.error = None, None
+            try:
+                self.value = self.fn(*self.args)
+            except Exception as e:      # handed back, as a Future does
+                self.error = e
 
     def exception(self):
-        try:
-            self.fn(*self.args)
-        except Exception as e:      # handed back, as a Future does
-            return e
-        return None
+        self._run()
+        return self.error
+
+    def result(self):
+        self._run()
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 class LateWorker:
-    """Stands in for the worker thread: a queued write runs only when
-    ``backward()`` waits for it, after the whole walk. That is the latest a
-    real worker can run it, so an operand rebound after queuing shows."""
+    """Stands in for the worker thread: a call handed to it runs only when
+    its caller waits for it. A leaf write then runs after the whole
+    backward walk, the latest a real worker can run it, so an operand
+    rebound after queuing shows; a pair's first half runs after its
+    second."""
 
     def __init__(self):
-        self.writes = 0
+        self.calls = 0
 
     def submit(self, fn, /, *args):
-        self.writes += 1
-        return _LateWrite(fn, args)
+        self.calls += 1
+        return _LateCall(fn, args)
 
 
 @pytest.fixture
-def leaf_worker(monkeypatch):
-    """Set where ``backward()`` writes leaf gradients, whatever the BLAS
-    thread count: ``"inline"``, on a ``"thread"``, or ``"late"`` (a
-    ``LateWorker``). Returns that mode's worker."""
+def worker(monkeypatch):
+    """Set where ``backward()`` writes leaf gradients and where a pair's
+    first half runs, whatever the BLAS thread count: ``"inline"``, on a
+    ``"thread"``, or ``"late"`` (a ``LateWorker``). Returns that mode's
+    worker."""
     workers = {"inline": None, "thread": CountingWorker(),
                "late": LateWorker()}
 
     def use(mode: str):
-        monkeypatch.setattr(T, "_leaf_worker", workers[mode])
+        monkeypatch.setattr(T, "_worker", workers[mode])
         return workers[mode]
 
     yield use

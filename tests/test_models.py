@@ -308,7 +308,7 @@ class TestForward:
     @pytest.mark.parametrize("batch", [1, 5, 64])
     @pytest.mark.parametrize("kind", KINDS)
     def test_leaf_worker_keeps_inline_gradient_bytes(self, kind, batch,
-                                                     leaf_worker):
+                                                     worker):
         spec = ModelSpec(kind=kind)
         model = build(spec, seed=5)
         rng = np.random.default_rng(batch)
@@ -326,12 +326,12 @@ class TestForward:
                 p.zero_grad()
             return out
 
-        leaf_worker("inline")
+        worker("inline")
         inline = grads()
         for mode in ("thread", "late"):
-            worker = leaf_worker(mode)
+            used = worker(mode)
             assert grads() == inline, mode
-            assert worker.writes >= len(model.named_params())
+            assert used.calls >= len(model.named_params())
 
 
 def per_step_projection_oracle(model, x, start):

@@ -114,11 +114,29 @@ def _concurrency_imports(paths):
     return found
 
 
+def _worker_uses(paths):
+    """``file:line`` of every ``.submit`` and every reach for the worker
+    (``tensor._worker``) outside ``tensor.py``."""
+    found = []
+    for path in paths:
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("submit", "_worker")
+                    or isinstance(node, ast.alias) and node.name == "_worker"):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_only_tensor_starts_threads():
-    # the leaf-gradient worker is the package's one thread; a second pool
-    # would compete with it and with BLAS for the same cores
+    # the worker is the package's one thread; a second pool would compete
+    # with it and with BLAS for the same cores, and a call handed to the
+    # worker from outside tensor.py would bypass run_pair's guards
     found = _concurrency_imports(SOURCES)
     assert not found, f"thread or process imports outside tensor.py: {found}"
+    found = _worker_uses(SOURCES)
+    assert not found, f"the worker reached outside tensor.py: {found}"
 
 
 @pytest.mark.parametrize("line", [
@@ -133,3 +151,16 @@ def test_concurrency_rule_catches_a_planted_import(tmp_path, line):
     allowed = tmp_path / "tensor.py"
     allowed.write_text(f"{line}\n", encoding="utf-8")
     assert _concurrency_imports([allowed]) == []
+
+
+@pytest.mark.parametrize("line", [
+    "pool.submit(fn)", "T._worker", "from .tensor import _worker",
+    "from .tensor import _worker as w", "tensor._worker.submit(fn, x)",
+])
+def test_worker_rule_catches_a_planted_use(tmp_path, line):
+    planted = tmp_path / "training.py"
+    planted.write_text(f"{line}\n", encoding="utf-8")
+    assert _worker_uses([planted]) != []
+    allowed = tmp_path / "tensor.py"
+    allowed.write_text(f"{line}\n", encoding="utf-8")
+    assert _worker_uses([allowed]) == []

@@ -33,6 +33,7 @@ from tripcast.tensor import (
     no_grad,
     relu,
     reshape,
+    run_pair,
     sub,
     tmean,
     tsum,
@@ -501,7 +502,7 @@ class TestLeafWorker:
     order, so they keep the inline bytes."""
 
     def test_fanout_and_overlapping_slices_keep_inline_bytes(self, rng,
-                                                             leaf_worker):
+                                                             worker):
         xv, wv = rng.standard_normal((5, 4)), rng.standard_normal((4, 4))
         gv, bv = rng.standard_normal(4), rng.standard_normal(4)
 
@@ -515,13 +516,13 @@ class TestLeafWorker:
             loss.backward()
             return [t.grad.tobytes() for t in (x, w, gain, bias)]
 
-        leaf_worker("inline")
+        worker("inline")
         inline = grads()
-        assert leaf_worker("late").writes == 0
+        assert worker("late").calls == 0
         assert grads() == inline
-        assert leaf_worker("late").writes == 13     # every leaf contribution
+        assert worker("late").calls == 13     # every leaf contribution
         # many thread switches per backward, to shake out a lost update
-        leaf_worker("thread")
+        worker("thread")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -529,10 +530,10 @@ class TestLeafWorker:
         finally:
             sys.setswitchinterval(interval)
         assert all(run == inline for run in runs)
-        assert leaf_worker("thread").writes == 20 * 13
+        assert worker("thread").calls == 20 * 13
 
-    def test_failed_write_raises_after_every_write_finished(self, leaf_worker):
-        leaf_worker("thread")
+    def test_failed_write_raises_after_every_write_finished(self, worker):
+        worker("thread")
         x = Tensor(np.ones(3), requires_grad=True)
         done = []
 
@@ -575,6 +576,84 @@ class TestLeafWorker:
     ])
     def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on):
         assert _blas_leaves_a_core(environ, cpus) is on
+
+
+class TestRunPair:
+    """``run_pair`` joins its two results in row order whether the first
+    runs on the worker thread, inline before the second, or after it."""
+
+    @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
+    def test_results_join_in_row_order(self, rng, mode, worker):
+        used = worker(mode)
+        a, b = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+        out = run_pair(lambda: a, lambda: b)
+        assert out.tobytes() == np.concatenate([a, b]).tobytes()
+        assert (used.calls if used else 0) == (mode != "inline")
+
+    def test_many_pairs_under_fast_thread_switching(self, rng, worker):
+        # each half computes from its own rows only; a result handed to the
+        # wrong half or lost would change the joined bytes
+        worker("thread")
+        w = rng.standard_normal((16, 16))
+        xs = [rng.standard_normal((8, 16)) for _ in range(40)]
+        want = [np.concatenate([x[:4] @ w, x[4:] @ w]).tobytes() for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [run_pair(lambda x=x: x[:4] @ w,
+                            lambda x=x: x[4:] @ w).tobytes() for x in xs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
+    def test_failure_raised_after_the_other_finished(self, mode, failing,
+                                                     worker):
+        worker(mode)
+        finished = []
+
+        def half(name):
+            fails = failing in (name, "both")
+
+            def run():
+                if not fails:
+                    time.sleep(0.05)    # slower than the failing half
+                finished.append(name)
+                if fails:
+                    raise FloatingPointError(name)
+                return np.zeros(1)
+            return run
+
+        with pytest.raises(FloatingPointError) as raised:
+            run_pair(half("first"), half("second"))
+        assert sorted(finished) == ["first", "second"]
+        assert str(raised.value) == ("first" if failing == "first"
+                                     else "second")
+
+    @pytest.mark.parametrize("mode", ["inline", "late"])   # no thread
+    def test_refused_while_backward_runs(self, mode, worker):
+        worker(mode)
+        x = Tensor(np.ones(3), requires_grad=True)
+        pair = lambda: np.zeros(1)      # noqa: E731
+
+        def backward_fn(g):
+            run_pair(pair, pair)
+
+        loss = T._record("sum", (x,), np.array(0.0), backward_fn)
+        with pytest.raises(GraphError, match="backward"):
+            loss.backward()
+        assert T._leaf_writes is None
+        assert run_pair(pair, pair).shape == (2,)
+
+    @pytest.mark.parametrize("mode", ["inline", "late"])   # no thread
+    def test_refused_inside_the_first_function(self, mode, worker):
+        worker(mode)
+        pair = lambda: np.zeros(1)      # noqa: E731
+        with pytest.raises(GraphError, match="first function"):
+            run_pair(lambda: run_pair(pair, pair), pair)
+        # the second runs on the calling thread, where nesting is safe
+        assert run_pair(pair, lambda: run_pair(pair, pair)).shape == (3,)
 
 
 @given(

@@ -5,14 +5,18 @@ Numeric examples are frozen from hand arithmetic (MSE of [0,0] vs [1,3] is
 deliberately tiny models so the whole file stays fast.
 """
 
+import json
 import math
+import threading
+import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripcast.models import ModelSpec, build
+from tripcast.models import KINDS, Model, ModelSpec, build
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     NormStats,
@@ -27,8 +31,11 @@ from tripcast.training import (
     GridCell,
     GridReport,
     TrainConfig,
+    _predict_ar,
+    _teacher_forced_loss,
     clip_gradients,
     evaluate,
+    evaluate_split,
     mse_loss,
     r_squared,
     run_grid,
@@ -385,6 +392,139 @@ class TestEvaluate:
                        DEFAULT_SCHEMA.target_channels, "test", 16)
         assert rep.wall_clock_seconds > 0
         assert "wall_clock_seconds" not in rep.to_dict()
+
+
+def _row_windows(n, spec, rng):
+    """``n`` random windows whose first input value is the row index."""
+    x = rng.standard_normal((n, spec.window, spec.n_features))
+    x[:, 0, 0] = np.arange(n)
+    teach = rng.standard_normal((n, spec.horizon, spec.n_targets))
+    return Windows(x, teach, rng.standard_normal(teach.shape),
+                   np.full(n, "t"), np.arange(n))
+
+
+@pytest.fixture
+def forward_spy(monkeypatch):
+    """Record ``(first row, rows)`` of every ``Model.forward`` call, and in
+    ``finished`` each call's first row as it returns or raises. A call
+    whose first row is in ``slow`` pauses first; one in ``fail`` raises."""
+    calls, slow, fail, finished = [], set(), set(), []
+    lock = threading.Lock()
+    forward = Model.forward
+
+    def spy(self, x, *args, **kwargs):
+        row = int(x[0, 0, 0])
+        with lock:
+            calls.append((row, len(x)))
+        try:
+            if row in slow:
+                time.sleep(0.05)
+            if row in fail:
+                raise FloatingPointError(f"half from row {row}")
+            return forward(self, x, *args, **kwargs)
+        finally:
+            with lock:
+                finished.append(row)
+
+    monkeypatch.setattr(Model, "forward", spy)
+    return calls, slow, fail, finished
+
+
+class TestNoTapeBatches:
+    """Evaluation and the validation loss run each batch of at least 64 rows
+    as two halves, one per core, and its bits depend only on the rows."""
+
+    SPEC = ModelSpec(kind="v_tst", **TINY_MODEL)
+
+    def _run(self, path, n, batch_size, rng):
+        model = build(self.SPEC, seed=0)
+        windows = _row_windows(n, self.SPEC, rng)
+        if path == "evaluate":
+            stats = NormStats(np.zeros(15), np.ones(15), np.zeros(2),
+                              np.ones(2))
+            evaluate(model, windows, stats, batch_size=batch_size)
+        else:
+            _teacher_forced_loss(model, windows.x_enc, windows.teacher,
+                                 windows.y, batch_size)
+
+    @pytest.mark.parametrize("path", ["evaluate", "validation loss"])
+    @pytest.mark.parametrize("n, calls", [
+        (63, [(0, 63)]),
+        (64, [(0, 32), (32, 32)]),
+        (130, [(0, 32), (32, 32), (64, 32), (96, 32), (128, 2)]),
+    ])
+    def test_batches_of_64_rows_or_more_run_as_halves(self, path, n, calls,
+                                                       rng, worker,
+                                                       forward_spy):
+        worker("inline")
+        self._run(path, n, 64, rng)
+        assert forward_spy[0] == calls
+        # on a thread the halves of a batch may start in either order
+        forward_spy[0].clear()
+        worker("thread")
+        self._run(path, n, 64, rng)
+        assert sorted(forward_spy[0]) == calls
+
+    @pytest.mark.parametrize("failing", [0, 32])
+    def test_a_failing_half_raises_after_the_other_finished(self, failing,
+                                                            rng, worker,
+                                                            forward_spy):
+        worker("thread")
+        _, slow, fail, finished = forward_spy
+        fail.add(failing)
+        slow.add(32 - failing)
+        with pytest.raises(FloatingPointError, match=f"row {failing}$"):
+            self._run("evaluate", 64, 64, rng)
+        assert sorted(finished) == [0, 32]
+
+    def test_outputs_keep_their_bytes_wherever_the_halves_run(self, worker):
+        # every kind, at 64-row batches: train (with the autoregressive
+        # validation of target_val_r2) and evaluate give the same bytes
+        # with the first half inline, on a thread, or after the second
+        trips = synthesize_trips(3, 260, seed=0)
+        split = prepare_dataset(trips, DEFAULT_SCHEMA, window=4, horizon=2,
+                                savgol_window=9, savgol_order=2,
+                                target_period_s=1.0, train_n=64, val_n=64,
+                                test_n=64, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=0, target_val_r2=1.0)
+
+        def outputs(kind):
+            model, log = train(build(ModelSpec(kind=kind, **TINY_MODEL), 0),
+                               split, cfg)
+            entries = [{**asdict(e), "seconds": None} for e in log.entries]
+            reports = evaluate_split(model, split,
+                                     DEFAULT_SCHEMA.target_channels, 64)
+            return json.dumps([entries, log.stop_reason,
+                               {k: r.to_dict() for k, r in reports.items()},
+                               [p.data.tolist()
+                                for _, p in model.named_params()]])
+
+        for kind in KINDS:
+            runs = {}
+            for mode in ("inline", "thread", "late"):
+                used = worker(mode)
+                runs[mode] = outputs(kind)
+                if used is not None:    # pairs and leaf writes went to it
+                    assert used.calls > 0
+            assert runs["thread"] == runs["inline"], kind
+            assert runs["late"] == runs["inline"], kind
+
+    def test_bits_follow_the_row_count_where_gemm_bits_do(self, rng,
+                                                           worker):
+        # at this enc_tst shape one 64-row head GEMM and two 32-row ones
+        # differ in the last bits (OpenBLAS 0.3.31, x86_64), so a split
+        # that depended on where the halves run would show here
+        spec = ModelSpec(kind="enc_tst", window=12, horizon=6, d_model=128,
+                         n_heads=2, enc_layers=1, ffn_width=16)
+        model = build(spec, seed=0)
+        w = _row_windows(64, spec, rng)
+        outs = set()
+        for mode in ("inline", "thread", "late"):
+            worker(mode)
+            outs.add((_predict_ar(model, w.x_enc, w.teacher, 64).tobytes(),
+                      _teacher_forced_loss(model, w.x_enc, w.teacher, w.y,
+                                           64)))
+        assert len(outs) == 1
 
 
 @pytest.fixture(scope="module")
