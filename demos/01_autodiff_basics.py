@@ -10,22 +10,23 @@ Run:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from tripcast.gradcheck import run_gradcheck
-from tripcast.tensor import Tensor, layer_norm, matmul, mul, tmean
+from tripcast.tensor import Tensor, layer_norm, matmul, mse, mul, tsum
 
 rule = "-" * 64
 
 # ----------------------------------------------------------------------
 print(rule)
-print("1. A scalar chain: y = tmean(p * p) with p = a * b")
+print("1. A scalar chain: y = mse(p, 0), the mean of p², with p = a * b")
 print(rule)
 
 a = Tensor(np.array([0.3, -1.2, 0.8]), requires_grad=True)
 b = Tensor(np.array([1.5, 0.4, -0.7]), requires_grad=True)
 p = mul(a, b)
-y = tmean(mul(p, p))
+zero = Tensor(np.zeros(3))
+y = mse(p, zero)
 y.backward()
 
-# d/da tmean((a*b)^2) = 2 * (a*b) * b / n
+# d/da mean((a*b)^2) = 2 * (a*b) * b / n
 manual = 2.0 * a.data * b.data * b.data / a.data.size
 print("y           =", float(y.data))
 print("a.grad      =", a.grad)
@@ -47,7 +48,7 @@ for sign in (+1.0, -1.0):
     bumped = a.data.copy()
     bumped[i] += sign * step
     pb = mul(Tensor(bumped), Tensor(b.data))
-    out = tmean(mul(pb, pb))
+    out = mse(pb, zero)
     fd[i] += sign * float(out.data)
 fd[i] /= 2.0 * step
 print(f"finite difference for a[{i}] = {fd[i]:.10f}")
@@ -62,7 +63,7 @@ print(rule)
 w = Tensor(np.arange(6.0).reshape(2, 3) / 10.0, requires_grad=True)
 x = Tensor(np.ones((3, 2)))
 # w is used twice; its gradient is the sum of both paths
-y = tmean(mul(matmul(w, x), matmul(w, x)))
+y = tsum(mul(matmul(w, x), matmul(w, x)))
 y.backward()
 print("w used twice, grad shape", w.grad.shape)
 print(w.grad)
@@ -82,10 +83,10 @@ unit = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))).data
 print("row means:    ", unit.mean(axis=-1))
 print("row variances:", unit.var(axis=-1), "(just under 1: eps is 1e-5)")
 c = np.array([[1.0, -2.0, 0.5, 0.0], [0.3, 0.3, -1.0, 2.0]])
-tmean(mul(layer_norm(x, gain, bias), Tensor(c))).backward()
-# d/dgain tmean(norm(x) * gain * c) = sum over rows of norm(x) * c / n
+tsum(mul(layer_norm(x, gain, bias), Tensor(c))).backward()
+# d/dgain sum(norm(x) * gain * c) = sum over rows of norm(x) * c
 print("gain.grad   =", gain.grad)
-print("closed form =", (unit * c).sum(axis=0) / c.size)
+print("closed form =", (unit * c).sum(axis=0))
 print("x.grad rows sum to ~0 (layer norm is shift-invariant):",
       x.grad.sum(axis=-1))
 

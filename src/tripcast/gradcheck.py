@@ -139,7 +139,6 @@ def _checks(rng: np.random.Generator) -> list:
         checks.append((name, objective, arrays, params))
 
     entry("add", T.add, [n(size=(3, 4)), n(size=(4,))])
-    entry("sub", T.sub, [n(size=(2, 3, 4)), n(size=(3, 4))])
     entry("mul", T.mul, [n(size=(3, 4)), n(size=(3, 4))])
     entry("relu", T.relu, [_away_from_zero(n(size=(4, 5)))])
     # the folded and the per-position forward, each with and without a bias
@@ -151,8 +150,7 @@ def _checks(rng: np.random.Generator) -> list:
     entry("reshape", lambda a: T.reshape(a, (4, 6)), [n(size=(2, 3, 4))])
     entry("sum", lambda a: (T.tsum(a, axis=1), T.tsum(T.mul(a, a))),
           [n(size=(2, 3, 4))])
-    entry("mean", lambda a: (T.tmean(a, axis=-1, keepdims=True), T.tmean(a)),
-          [n(size=(2, 3, 4))])
+    entry("mse", T.mse, [n(size=(2, 3, 4)), n(size=(2, 3, 4))])
     entry("layer_norm", T.layer_norm,
           [n(size=(3, 6)), 1.0 + 0.2 * n(size=6), 0.1 * n(size=6)])
     entry("slice", lambda a: (a[:, 1:3, :], a[:, 0, :]), [n(size=(2, 4, 3))])

@@ -267,8 +267,9 @@ def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
 
 
 class _NoDraw:
-    """Generator stand-in for :func:`load_checkpoint`: every initial value
-    is overwritten by a stored array, so none is drawn."""
+    """Generator stand-in for a model whose every parameter array is
+    replaced after it is built, by :func:`load_checkpoint` or by training's
+    twin of a model, so no initial value is drawn."""
 
     @staticmethod
     def uniform(low, high, size):

@@ -37,33 +37,25 @@ backward through time (BPTT): one input-projection GEMM over the sequence
 forward and backward, and one GEMM or sum each for the input and weight
 gradients. The gate sigmoid is ``0.5·tanh(0.5x) + 0.5``.
 
-One worker thread runs beside the calling thread, in two roles.
-
-``backward()`` hands every write into a leaf's gradient (a parameter's,
-say) to the worker while the calling thread walks the interior nodes, the
-split of a backward into input and weight gradients in Qi et al. 2023,
-*Zero Bubble Pipeline Parallelism* (arXiv:2401.10241). No node reads a
-leaf's gradient, so the weight-gradient GEMMs of ``matmul`` and ``lstm``
-and the bias and gain sums are queued as functions of operands bound when
-queued. The worker runs the writes in tape order, so each leaf adds the
-same contributions in the same order as inline and its bits are unchanged.
-``backward()`` waits for every queued write before it returns and raises
-the first failure.
-
-:func:`run_pair` runs two functions at once, the first on the worker and
-the second on the calling thread, and joins their results in row order:
-the data parallelism of PyTorch DDP (Li et al. 2020, arXiv:2006.15704) on
-two cores. Training and evaluation run each no-tape batch of at least 64
-rows as two halves this way; below 64 rows the decoder kinds lose more to
-the hand-off than they gain. A half's bits depend only on its own rows,
-so the result is the same whether the halves run together, one after the
-other, or in the other order.
+One worker thread runs beside the calling thread. :func:`run_pair` runs
+two functions at once, the first on the worker and the second on the
+calling thread, and returns both results: the data parallelism of PyTorch
+DDP (Li et al. 2020, arXiv:2006.15704) on two cores. Training and
+evaluation run each batch of at least 64 rows as two halves this way; a
+training half runs its own forward, loss and ``backward()`` on its own
+parameter tensors. Below 64 rows the decoder kinds lose more to the
+hand-off than they gain. A half's bits depend only on its own rows, so
+the result is the same whether the halves run together, one after the
+other, or in the other order. Two ``backward()`` calls on two threads can
+run at once because every piece of tape state lives on its tensors and
+nodes. The one module global, ``no_grad``'s flag, keeps one value while
+two halves run: training halves only read it, and no-tape halves run
+inside the caller's ``no_grad()``.
 
 The worker runs only where BLAS leaves a core free: the first of
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` set
 to a positive count must be 1, and the process must be allowed at least
-two CPUs. Otherwise every leaf write runs inline, in the same order, and
-the two functions of a pair run one after the other.
+two CPUs. Otherwise the two functions of a pair run one after the other.
 """
 
 from __future__ import annotations
@@ -81,8 +73,8 @@ Scalar = Union[int, float]
 
 # every op name that can appear on the tape
 RECORDED_OPS = frozenset({
-    "add", "sub", "mul", "relu", "matmul", "reshape", "sum", "mean",
-    "layer_norm", "slice", "heads", "attention", "lstm",
+    "add", "mul", "relu", "matmul", "reshape", "sum", "mse", "layer_norm",
+    "slice", "heads", "attention", "lstm",
 })
 
 
@@ -117,15 +109,13 @@ def _blas_leaves_a_core(environ, cpus) -> bool:
     return False
 
 
-# The one thread beside the caller: it writes leaf gradients while
-# ``backward()`` walks the interior nodes and runs the first function of a
+# The one thread beside the caller: it runs the first function of a
 # ``run_pair``. None where BLAS already uses the other core. Its thread
 # starts at the first hand-off, not at import.
 _worker: Optional[ThreadPoolExecutor] = (
     ThreadPoolExecutor(1, "tripcast-worker")
     if hasattr(os, "sched_getaffinity")     # not on macOS or Windows
     and _blas_leaves_a_core(os.environ, os.sched_getaffinity(0)) else None)
-_leaf_writes: Optional[list] = None     # while backward() runs, its futures
 _this_thread = threading.local()        # .first: runs a pair's first half
 
 
@@ -141,19 +131,16 @@ def no_grad():
         _grad_enabled = prev
 
 
-def run_pair(first: Callable[[], np.ndarray],
-             second: Callable[[], np.ndarray]) -> np.ndarray:
-    """``first()`` and ``second()`` joined along the first axis, in that
-    order: ``first`` runs on the worker while ``second`` runs here.
+def run_pair(first: Callable[[], object],
+             second: Callable[[], object]) -> tuple:
+    """``(first(), second())``: ``first`` runs on the worker while
+    ``second`` runs here.
 
     Without the worker they run one after the other, ``first`` first. Either
     way a failure is raised only after both have finished, ``second``'s if
-    both failed. Refused with :class:`GraphError` while ``backward()`` runs,
-    since ``first`` would queue behind its leaf-gradient writes, and inside
-    a ``first``, since a nested call on the worker would wait on itself.
+    both failed. Refused with :class:`GraphError` inside a ``first``, since
+    a nested call on the worker would wait on itself.
     """
-    if _leaf_writes is not None:
-        raise GraphError("run_pair() called while backward() runs")
     if getattr(_this_thread, "first", False):
         raise GraphError("run_pair() called inside the first function of a "
                          "run_pair()")
@@ -162,13 +149,13 @@ def run_pair(first: Callable[[], np.ndarray],
             head = _first(first)
         finally:
             tail = second()
-        return np.concatenate([head, tail])
+        return head, tail
     future = _worker.submit(_first, first)
     try:
         tail = second()
     finally:
         future.exception()      # wait for the first, whatever happened here
-    return np.concatenate([future.result(), tail])
+    return future.result(), tail
 
 
 def _first(fn):
@@ -252,28 +239,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # gradient accumulation / tape plumbing
 
-    def _accumulate(self, g, *args) -> None:
-        """Add the array ``g`` to ``grad``, or ``g(*args)`` if ``g`` is a
-        function. A leaf's write is queued on the worker while ``backward()``
-        runs, so ``args`` must hold every operand."""
-        self._write(self._add, g, *args)
-
-    def _accumulate_at(self, idx, g: np.ndarray) -> None:
-        """Scatter-add ``g`` into the gradient at a basic-indexing selection."""
-        self._write(self._add_at, idx, g)
-
-    def _write(self, fn, *args) -> None:
-        # one writer per leaf, in tape order: every write to a leaf's grad
-        # goes through the worker's FIFO while it is on
-        if (self.node is None and _leaf_writes is not None
-                and _worker is not None):
-            _leaf_writes.append(_worker.submit(fn, *args))
-        else:
-            fn(*args)
-
-    def _add(self, g, *args) -> None:
-        if callable(g):
-            g = g(*args)
+    def _accumulate(self, g: np.ndarray) -> None:
         # Copy on write: the first contribution is stored by reference (it
         # may be a view into another buffer); a second contribution replaces
         # it with a fresh sum so no shared buffer is ever mutated.
@@ -285,7 +251,8 @@ class Tensor:
             self.grad = self.grad + g
             self._grad_owned = True
 
-    def _add_at(self, idx, g: np.ndarray) -> None:
+    def _accumulate_at(self, idx, g: np.ndarray) -> None:
+        """Scatter-add ``g`` into the gradient at a basic-indexing selection."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
             self._grad_owned = True
@@ -298,8 +265,7 @@ class Tensor:
         """Populate ``grad`` on every tensor this scalar depends on.
 
         The recorded graph is marked consumed afterwards; a second call on
-        the same loss raises :class:`GraphError`. Every leaf-gradient write
-        has finished when this returns; the first that failed is raised.
+        the same loss raises :class:`GraphError`.
         """
         if self.size != 1:
             raise GraphError(
@@ -325,28 +291,18 @@ class Tensor:
                     if inp.node is not None or inp.requires_grad:
                         stack.append((inp, False))
 
-        global _leaf_writes
-        _leaf_writes = []
+        self._accumulate(np.ones_like(self.data))
         leaves: list[Tensor] = []
-        try:
-            self._accumulate(np.ones_like(self.data))
-            for t in reversed(order):
-                node = t.node
-                if node is None:
-                    if t.requires_grad:
-                        leaves.append(t)
-                    continue
-                node.backward_fn(t.grad)
-                node.consumed = True
-                node.inputs = ()
-                node.backward_fn = None
-        finally:
-            writes, _leaf_writes = _leaf_writes, None
-            # wait for every queued write, then raise the first failure
-            failures = [f.exception() for f in writes]
-            failure = next((e for e in failures if e is not None), None)
-            if failure is not None:
-                raise failure
+        for t in reversed(order):
+            node = t.node
+            if node is None:
+                if t.requires_grad:
+                    leaves.append(t)
+                continue
+            node.backward_fn(t.grad)
+            node.consumed = True
+            node.inputs = ()
+            node.backward_fn = None
         # Leaf gradients are user-visible: give each its own buffer so a
         # pass-through contribution never leaves two leaves aliased.
         for t in leaves:
@@ -412,20 +368,6 @@ def add(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return _record("add", (a, b), data, backward_fn)
-
-
-def sub(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _elementwise_shape(a.shape, b.shape)
-    data = a.data - b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(-_unbroadcast(g, b.shape))
-
-    return _record("sub", (a, b), data, backward_fn)
 
 
 def mul(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
@@ -501,12 +443,12 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 
     def backward_fn(g):
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast, g, bias.shape)
+            bias._accumulate(_unbroadcast(g, bias.shape))
         g2 = g.reshape(-1, h)
         if a.requires_grad:
             a._accumulate((g2 @ w.data.T).reshape(a.shape))
         if w.requires_grad:
-            w._accumulate(np.matmul, a.data.reshape(-1, d).T, g2)
+            w._accumulate(a.data.reshape(-1, d).T @ g2)
 
     return _record("matmul", (a, w) if bias is None else (a, w, bias), data,
                    backward_fn)
@@ -535,18 +477,27 @@ def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
     return _record("sum", (a,), data, backward_fn)
 
 
-def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.size if axis is None else a.shape[axis]
+def mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean of ``(a - b)²`` over every element, as one node.
+
+    The numpy calls are those of ``mean(mul(sub(a, b), sub(a, b)))``, and
+    the gradient ``2·(g/n)·(a - b)`` has the bits of that chain's
+    ``(g/n)·(a - b) + (g/n)·(a - b)``.
+    """
+    if a.shape != b.shape:
+        raise ShapeError(f"mse operand shapes differ: {a.shape} vs {b.shape}")
+    diff = a.data - b.data
+    n = diff.size
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / n)
+        g = (g / n) * diff
+        g *= 2.0
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(-g)
 
-    return _record("mean", (a,), data, backward_fn)
+    return _record("mse", (a, b), (diff * diff).mean(), backward_fn)
 
 
 def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
@@ -590,10 +541,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def backward_fn(g):
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast, g, bias.shape)
+            bias._accumulate(_unbroadcast(g, bias.shape))
         if gain.requires_grad:
-            gain._accumulate(lambda g, out: _unbroadcast(g * out, gain.shape),
-                             g, out)
+            gain._accumulate(_unbroadcast(g * out, gain.shape))
         if a.requires_grad:
             g = g * gain.data
             gm = g.mean(axis=-1, keepdims=True)
@@ -781,10 +731,10 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         if c0.requires_grad:
             c0._accumulate(dc)
         if w.requires_grad:
-            w._accumulate(np.matmul, rows.T, dz)
+            w._accumulate(rows.T @ dz)
         if u.requires_grad:
-            u._accumulate(np.matmul, hs[:-1].reshape(-1, hid).T, dz)
+            u._accumulate(hs[:-1].reshape(-1, hid).T @ dz)
         if b.requires_grad:
-            b._accumulate(np.sum, dz, 0)
+            b._accumulate(dz.sum(axis=0))
 
     return _record("lstm", (x, h0, c0, w, u, b), data, backward_fn)

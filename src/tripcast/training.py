@@ -16,9 +16,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .models import Model, ModelSpec, build, is_number, number_problems
+from .models import (Model, ModelSpec, _NoDraw, build, is_number,
+                     number_problems)
 from .pipeline import DEFAULT_SCHEMA, DatasetSplit, NormStats, Windows
-from .tensor import ShapeError, Tensor, mul, no_grad, run_pair, sub, tmean
+from .tensor import Tensor, _as_tensor, mse, no_grad, run_pair
 
 GRID_REPORT_VERSION = 1
 
@@ -27,13 +28,7 @@ GRID_REPORT_VERSION = 1
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared error over all elements; differentiable in ``pred``."""
-    t = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float64))
-    if pred.shape != t.shape:
-        raise ShapeError(
-            f"mse_loss shapes differ: pred {pred.shape} vs target {t.shape}"
-        )
-    diff = sub(pred, t)
-    return tmean(mul(diff, diff))
+    return mse(pred, _as_tensor(target))
 
 
 def r_squared(pred, target) -> float:
@@ -165,8 +160,9 @@ def _batch_ranges(n: int, batch_size: int):
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-# a no-tape batch of at least this many rows runs as two halves at once;
-# split, v_tst's 32- and 16-row batches ran at 0.84x and 0.56x the speed
+# a batch of at least this many rows, training or no-tape, runs as two
+# halves at once; split, v_tst's 32- and 16-row no-tape batches ran at 0.84x
+# and 0.56x the speed
 PAIR_MIN_ROWS = 64
 
 
@@ -191,8 +187,8 @@ def _no_tape_batches(model: Model, xs, batch_size: int, training: bool,
                 outs.append(forward(lo, hi))
             else:
                 mid = lo + (hi - lo) // 2
-                outs.append(run_pair(lambda: forward(lo, mid),
-                                     lambda: forward(mid, hi)))
+                outs.append(np.concatenate(run_pair(lambda: forward(lo, mid),
+                                                    lambda: forward(mid, hi))))
     return outs
 
 
@@ -208,6 +204,32 @@ def _teacher_forced_loss(model: Model, xs, teach, ys, batch_size: int) -> float:
     for (lo, hi), pred in zip(_batch_ranges(len(xs), batch_size), preds):
         total += float(mse_loss(Tensor(pred), ys[lo:hi]).data) * (hi - lo)
     return total / len(xs)
+
+
+def _gradients(model: Model, x, teacher, y, where: str) -> tuple:
+    """``(loss, {name: gradient})`` of one teacher-forced minibatch. A
+    non-finite loss is raised, naming ``where``, before ``backward()``."""
+    loss = mse_loss(model.forward(x, teacher=teacher, training=True), y)
+    loss_val = float(loss.data)
+    if not math.isfinite(loss_val):
+        raise FloatingPointError(
+            f"non-finite training loss ({loss_val}) at {where}")
+    loss.backward()
+    grads = {}
+    for name, p in model.named_params():
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.zero_grad()
+    return loss_val, grads
+
+
+def _join(halves, w1: float, w2: float) -> tuple:
+    """The row-weighted loss and gradients ``w1·first + w2·second`` of two
+    halves' ``(loss, grads)``, first half first."""
+    (loss1, grads1), (loss2, grads2) = halves
+    for name, g in grads1.items():
+        g *= w1
+        g += np.multiply(grads2[name], w2, out=grads2[name])
+    return w1 * loss1 + w2 * loss2, grads1
 
 
 def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
@@ -229,6 +251,10 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
     log = TrainLog()
     best_params = {name: p.data.copy() for name, p in params}
     bad_epochs = 0
+    # the second half of a paired batch runs on a twin whose parameter
+    # tensors share the model's arrays, so each half writes its own .grad
+    twin = Model(model.spec, _NoDraw())
+    pairs = list(zip(params, twin.named_params()))
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
@@ -236,20 +262,21 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
         total = 0.0
         for batch_i, (lo, hi) in enumerate(_batch_ranges(n, cfg.batch_size)):
             idx = order[lo:hi]
-            pred = model.forward(xs[idx], teacher=teach[idx], training=True)
-            loss = mse_loss(pred, ys[idx])
-            loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
-                raise FloatingPointError(
-                    f"non-finite training loss ({loss_val}) at epoch {epoch}, "
-                    f"batch {batch_i}"
-                )
-            loss.backward()
-            grads = {}
-            for name, p in params:
-                grads[name] = (p.grad if p.grad is not None
-                               else np.zeros_like(p.data))
-                p.zero_grad()
+            where = f"epoch {epoch}, batch {batch_i}"
+            if len(idx) < PAIR_MIN_ROWS:
+                loss_val, grads = _gradients(model, xs[idx], teach[idx],
+                                             ys[idx], where)
+            else:
+                for (_, p), (_, q) in pairs:
+                    q.data = p.data     # Adam rebinds each p.data
+                mid = len(idx) // 2
+                halves = run_pair(
+                    lambda: _gradients(model, xs[idx[:mid]],
+                                       teach[idx[:mid]], ys[idx[:mid]], where),
+                    lambda: _gradients(twin, xs[idx[mid:]], teach[idx[mid:]],
+                                       ys[idx[mid:]], where))
+                loss_val, grads = _join(halves, mid / len(idx),
+                                        (len(idx) - mid) / len(idx))
             clip_gradients(grads, cfg.grad_clip_norm)
             opt.step(grads)
             total += loss_val * len(idx)
@@ -325,8 +352,9 @@ def evaluate(model: Model, windows: Windows, stats: NormStats,
     is seeded from the last observed target values, and MSE/R² compare the
     resulting predictions against the held-out targets.
 
-    A batch of at least 64 rows runs as two halves, one on the calling
-    thread and one on the worker thread where BLAS leaves a core free. On
+    As in training, a batch of at least ``PAIR_MIN_ROWS`` (64) rows runs
+    as two halves through :func:`~tripcast.tensor.run_pair`, one on the
+    calling thread and one on the worker where BLAS leaves a core free. On
     a 2-core VM with OpenBLAS at one thread, the halves of a batch-64
     forecast took 0.53 (``enc_tst``) to 0.79 (``v_tst``) of the time of
     the whole batch; at 32 and 16 rows ``v_tst``'s halves took 1.2 and 1.8

@@ -80,9 +80,7 @@ class _LateCall:
 
 class LateWorker:
     """Stands in for the worker thread: a call handed to it runs only when
-    its caller waits for it. A leaf write then runs after the whole
-    backward walk, the latest a real worker can run it, so an operand
-    rebound after queuing shows; a pair's first half runs after its
+    its caller waits for it, so a pair's first half runs after its
     second."""
 
     def __init__(self):
@@ -95,10 +93,9 @@ class LateWorker:
 
 @pytest.fixture
 def worker(monkeypatch):
-    """Set where ``backward()`` writes leaf gradients and where a pair's
-    first half runs, whatever the BLAS thread count: ``"inline"``, on a
-    ``"thread"``, or ``"late"`` (a ``LateWorker``). Returns that mode's
-    worker."""
+    """Set where a pair's first half runs, whatever the BLAS thread count:
+    ``"inline"``, on a ``"thread"``, or ``"late"`` (a ``LateWorker``).
+    Returns that mode's worker."""
     workers = {"inline": None, "thread": CountingWorker(),
                "late": LateWorker()}
 

@@ -1,18 +1,48 @@
 """Tape ops that no model records, kept as reference implementations.
 
-The composed attention in ``attention_oracles`` and the per-step LSTM oracle
-in ``test_layers`` are chains of these ops, which the fused ``attention``
-and ``lstm`` ops must match. Each records through ``tensor._record`` like a
-shipped op, so the tape walks it and a test can tamper with its backward;
-``test_oracle_ops`` audits every one against finite differences.
+The composed attention in ``attention_oracles``, the per-step LSTM oracle
+in ``test_layers`` and the composed squared error ``tmean(mul(d, d))`` with
+``d = sub(a, b)`` are chains of these ops, which the fused ``attention``,
+``lstm`` and ``mse`` ops must match. Each records through
+``tensor._record`` like a shipped op, so the tape walks it and a test can
+tamper with its backward; ``test_oracle_ops`` audits every one against
+finite differences.
 """
 
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from tripcast import tensor as T
 from tripcast.tensor import ShapeError, Tensor
+
+
+def sub(a: Tensor, b: Union[Tensor, float]) -> Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    T._elementwise_shape(a.shape, b.shape)
+    data = a.data - b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(-T._unbroadcast(g, b.shape))
+
+    return T._record("sub", (a, b), data, backward_fn)
+
+
+def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
+    data = a.data.mean(axis=axis, keepdims=keepdims)
+    n = a.size if axis is None else a.shape[axis]
+
+    def backward_fn(g):
+        if not a.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape) / n)
+
+    return T._record("mean", (a,), data, backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -6,6 +6,8 @@ the layer definitions, evaluated at a deliberately small configuration.
 
 import hashlib
 import re
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -18,13 +20,15 @@ from tripcast.models import (
     KINDS,
     Model,
     ModelSpec,
+    _NoDraw,
     build,
     load_checkpoint,
     save_checkpoint,
 )
+from tripcast.pipeline import DatasetSplit, Windows
 from tripcast.serialize import write_container
 from tripcast.tensor import ShapeError, Tensor, add, no_grad
-from tripcast.training import mse_loss
+from tripcast.training import PAIR_MIN_ROWS, TrainConfig, mse_loss, train
 
 SMALL = dict(window=6, horizon=3, n_features=5, n_targets=2, d_model=16,
              n_heads=2, enc_layers=2, dec_layers=2, ffn_width=24,
@@ -286,11 +290,11 @@ class TestForward:
 
     # teacher-forced step at the default spec: (all nodes, matmul nodes)
     @pytest.mark.parametrize("kind, nodes, matmuls", [
-        ("lstm", 15, 2),
-        ("enc_tst", 65, 26),
-        ("v_tst", 158, 67),
-        ("tst_lstm", 158, 59),
-        ("enc_tst_dec_lstm", 73, 26),
+        ("lstm", 13, 2),
+        ("enc_tst", 63, 26),
+        ("v_tst", 156, 67),
+        ("tst_lstm", 156, 59),
+        ("enc_tst_dec_lstm", 71, 26),
     ])
     def test_training_step_tape_size(self, kind, nodes, matmuls, rng,
                                      tape_ops):
@@ -299,39 +303,88 @@ class TestForward:
 
     def test_shipped_ops_are_the_ops_the_models_record(self, rng, tape_ops):
         # every op tensor ships is recorded by some kind's training step,
-        # except ``sum``, which the gradcheck objective records
+        # except ``sum`` and ``mul``, which the gradcheck objective records
         recorded = set()
         for kind in KINDS:
             recorded |= set(self._default_step_tape(kind, rng, tape_ops))
-        assert recorded | {"sum"} == T.RECORDED_OPS
+        assert recorded | {"sum", "mul"} == T.RECORDED_OPS
 
-    @pytest.mark.parametrize("batch", [1, 5, 64])
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_leaf_worker_keeps_inline_gradient_bytes(self, kind, batch,
-                                                     worker):
+    def test_training_step_bytes_do_not_depend_on_the_worker(self, kind,
+                                                            batch, worker):
+        # one step of train(); from 64 rows it runs as two halves, and its
+        # loss and post-Adam parameters keep their bytes whether the first
+        # half runs inline, on the worker thread or after the second
         spec = ModelSpec(kind=kind)
-        model = build(spec, seed=5)
         rng = np.random.default_rng(batch)
-        for _, p in model.named_params():   # LayerNorm gains off 1, as trained
-            p.data += 0.05 * rng.standard_normal(p.shape)
-        x = rng.standard_normal((batch, spec.window, spec.n_features))
-        teach = rng.standard_normal((batch, spec.horizon, spec.n_targets))
-        y = rng.standard_normal(teach.shape)
+        rows, val = (_random_windows(n, spec, rng) for n in (batch, 1))
+        split = DatasetSplit(rows, val, val, stats=None)
+        cfg = TrainConfig(epochs=1, batch_size=batch)
 
-        def grads():
-            mse_loss(model.forward(x, teacher=teach, training=True),
-                     y).backward()
+        def step():
+            model = build(spec, seed=5)
+            perturb = np.random.default_rng(0)
+            for _, p in model.named_params():   # LayerNorm gains off 1
+                p.data += 0.05 * perturb.standard_normal(p.shape)
+            model, log = train(model, split, cfg)
+            return (log.entries[0].train_loss,
+                    [p.data.tobytes() for _, p in model.named_params()])
+
+        worker("inline")
+        inline = step()
+        for mode in ("thread", "late"):
+            used = worker(mode)
+            assert step() == inline, mode
+            assert used.calls == (batch >= PAIR_MIN_ROWS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_backwards_on_two_threads_keep_sequential_bytes(self, kind):
+        # the tape keeps no state outside its tensors, so twin models
+        # sharing one set of weights run backward() at once on two threads
+        spec = small_spec(kind)
+        models = [build(spec, seed=2), Model(spec, _NoDraw())]
+        for (_, p), (_, q) in zip(*(m.named_params() for m in models)):
+            q.data = p.data
+        rng = np.random.default_rng(0)
+        batches = [_random_windows(4, spec, rng) for _ in models]
+
+        def grads(model, rows):
+            mse_loss(model.forward(rows.x_enc, teacher=rows.teacher,
+                                   training=True), rows.y).backward()
             out = [p.grad.tobytes() for _, p in model.named_params()]
             for _, p in model.named_params():
                 p.zero_grad()
             return out
 
-        worker("inline")
-        inline = grads()
-        for mode in ("thread", "late"):
-            used = worker(mode)
-            assert grads() == inline, mode
-            assert used.calls >= len(model.named_params())
+        sequential = [grads(m, b) for m, b in zip(models, batches)]
+        results = []
+
+        def run(i):
+            results[i] = grads(models[i], batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                results[:] = [None, None]
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in (0, 1)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == sequential
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _random_windows(n, spec, rng):
+    x = rng.standard_normal((n, spec.window, spec.n_features))
+    teach = rng.standard_normal((n, spec.horizon, spec.n_targets))
+    return Windows(x, teach, rng.standard_normal(teach.shape),
+                   np.full(n, "t"), np.arange(n))
 
 
 def per_step_projection_oracle(model, x, start):

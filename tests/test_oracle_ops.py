@@ -11,10 +11,22 @@ import pytest
 from tripcast import tensor as T
 from tripcast.gradcheck import DEFAULT_TOLERANCE, max_grad_error
 
-from oracle_ops import bmatmul, concat, sigmoid, softmax, tanh, transpose
+from oracle_ops import (
+    bmatmul,
+    concat,
+    sigmoid,
+    softmax,
+    sub,
+    tanh,
+    tmean,
+    transpose,
+)
 
 # (op, function of the inputs, input shapes)
 CASES = [
+    ("sub", sub, [(2, 3, 4), (3, 4)]),
+    ("mean", lambda a: T.add(tmean(a, axis=-1, keepdims=True), tmean(a)),
+     [(2, 3, 4)]),
     ("tanh", tanh, [(3, 4)]),
     ("sigmoid", sigmoid, [(3, 4)]),
     ("transpose", lambda a: transpose(a, 0, 2), [(2, 3, 4)]),

@@ -164,3 +164,33 @@ def test_worker_rule_catches_a_planted_use(tmp_path, line):
     allowed = tmp_path / "tensor.py"
     allowed.write_text(f"{line}\n", encoding="utf-8")
     assert _worker_uses([allowed]) == []
+
+
+def _globals(paths):
+    """``(file, function, names)`` of every ``global`` statement."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, func.name, node.names)
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.Global)]
+    return found
+
+
+def test_only_no_grad_rebinds_a_module_global():
+    # two halves run forward and backward() at once on two threads; tape
+    # state kept in a module global would be shared between them
+    assert _globals(SOURCES) == [("tensor.py", "no_grad", ["_grad_enabled"])]
+
+
+@pytest.mark.parametrize("source", [
+    "def backward(self):\n    global _pending\n    _pending = []\n",
+    "def no_grad():\n    global _grad_enabled, _pending\n",
+])
+def test_global_rule_catches_a_planted_global(tmp_path, source):
+    planted = tmp_path / "tensor.py"
+    planted.write_text(source, encoding="utf-8")
+    assert _globals([planted]) != [("tensor.py", "no_grad",
+                                    ["_grad_enabled"])]

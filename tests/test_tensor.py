@@ -29,18 +29,26 @@ from tripcast.tensor import (
     heads,
     layer_norm,
     matmul,
+    mse,
     mul,
     no_grad,
     relu,
     reshape,
     run_pair,
-    sub,
-    tmean,
     tsum,
 )
 
 from attention_oracles import composed_attention
-from oracle_ops import bmatmul, concat, sigmoid, softmax, tanh, transpose
+from oracle_ops import (
+    bmatmul,
+    concat,
+    sigmoid,
+    softmax,
+    sub,
+    tanh,
+    tmean,
+    transpose,
+)
 
 
 def central_diff(f, x, step=1e-6):
@@ -360,6 +368,23 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, np.full((2, 6), 1.0 / 12.0),
                                    atol=1e-15)
 
+    def test_mse_keeps_the_bits_of_the_composed_chain(self, rng):
+        av, bv = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 2))
+
+        def run(loss_fn):
+            a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
+            loss = loss_fn(a, b)
+            loss.backward()
+            return [x.tobytes() for x in (loss.data, a.grad, b.grad)]
+
+        def composed(a, b):
+            d = sub(a, b)
+            return tmean(mul(d, d))
+
+        assert run(mse) == run(composed)
+        with pytest.raises(ShapeError, match="mse"):
+            mse(Tensor(av), Tensor(bv[:2]))
+
     def test_sum_axis_keepdims_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         tsum(tsum(x, axis=1, keepdims=True)).backward()
@@ -497,70 +522,9 @@ class TestGraphDiscipline:
         np.testing.assert_array_equal(x.grad, np.ones(2))
 
 
-class TestLeafWorker:
-    """``backward()`` writes leaf gradients on one worker thread, in tape
-    order, so they keep the inline bytes."""
-
-    def test_fanout_and_overlapping_slices_keep_inline_bytes(self, rng,
-                                                             worker):
-        xv, wv = rng.standard_normal((5, 4)), rng.standard_normal((4, 4))
-        gv, bv = rng.standard_normal(4), rng.standard_normal(4)
-
-        def grads():
-            x, w, gain, bias = (Tensor(v, requires_grad=True)
-                                for v in (xv, wv, gv, bv))
-            h = matmul(x, w, bias)      # x and w fan out below
-            loss = add(tsum(mul(h, h)), tsum(mul(x[1:4], x[2:5])))
-            loss = add(loss, tsum(layer_norm(matmul(x[0:3], w), gain, bias)))
-            loss = add(loss, tsum(mul(layer_norm(x, gain, bias), w[1])))
-            loss.backward()
-            return [t.grad.tobytes() for t in (x, w, gain, bias)]
-
-        worker("inline")
-        inline = grads()
-        assert worker("late").calls == 0
-        assert grads() == inline
-        assert worker("late").calls == 13     # every leaf contribution
-        # many thread switches per backward, to shake out a lost update
-        worker("thread")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = [grads() for _ in range(20)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(run == inline for run in runs)
-        assert worker("thread").calls == 20 * 13
-
-    def test_failed_write_raises_after_every_write_finished(self, worker):
-        worker("thread")
-        x = Tensor(np.ones(3), requires_grad=True)
-        done = []
-
-        def fail():
-            raise FloatingPointError("leaf write failed")
-
-        def slow():
-            time.sleep(0.05)
-            done.append(time.perf_counter())
-            return np.ones(3)
-
-        def backward_fn(g):
-            x._accumulate(fail)
-            x._accumulate(slow)
-
-        loss = T._record("sum", (x,), np.array(0.0), backward_fn)
-        with pytest.raises(FloatingPointError, match="leaf write failed"):
-            loss.backward()
-        returned = time.perf_counter()
-        assert len(done) == 1 and done[0] < returned
-        assert T._leaf_writes is None
-        time.sleep(0.1)     # nothing left queued runs later
-        assert len(done) == 1
-        # the worker serves the next backward()
-        x.zero_grad()
-        tsum(mul(x, 2.0)).backward()
-        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+class TestRunPair:
+    """``run_pair`` returns its two results in order whether the first runs
+    on the worker thread, inline before the second, or after it."""
 
     @pytest.mark.parametrize("environ, cpus, on", [
         ({}, {0, 1}, False),        # unset: OpenBLAS takes every core
@@ -577,16 +541,11 @@ class TestLeafWorker:
     def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on):
         assert _blas_leaves_a_core(environ, cpus) is on
 
-
-class TestRunPair:
-    """``run_pair`` joins its two results in row order whether the first
-    runs on the worker thread, inline before the second, or after it."""
-
     @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
     def test_results_join_in_row_order(self, rng, mode, worker):
         used = worker(mode)
         a, b = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
-        out = run_pair(lambda: a, lambda: b)
+        out = np.concatenate(run_pair(lambda: a, lambda: b))
         assert out.tobytes() == np.concatenate([a, b]).tobytes()
         assert (used.calls if used else 0) == (mode != "inline")
 
@@ -600,8 +559,9 @@ class TestRunPair:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [run_pair(lambda x=x: x[:4] @ w,
-                            lambda x=x: x[4:] @ w).tobytes() for x in xs]
+            got = [np.concatenate(run_pair(lambda x=x: x[:4] @ w,
+                                           lambda x=x: x[4:] @ w)).tobytes()
+                   for x in xs]
         finally:
             sys.setswitchinterval(interval)
         assert got == want
@@ -632,28 +592,14 @@ class TestRunPair:
                                      else "second")
 
     @pytest.mark.parametrize("mode", ["inline", "late"])   # no thread
-    def test_refused_while_backward_runs(self, mode, worker):
-        worker(mode)
-        x = Tensor(np.ones(3), requires_grad=True)
-        pair = lambda: np.zeros(1)      # noqa: E731
-
-        def backward_fn(g):
-            run_pair(pair, pair)
-
-        loss = T._record("sum", (x,), np.array(0.0), backward_fn)
-        with pytest.raises(GraphError, match="backward"):
-            loss.backward()
-        assert T._leaf_writes is None
-        assert run_pair(pair, pair).shape == (2,)
-
-    @pytest.mark.parametrize("mode", ["inline", "late"])   # no thread
     def test_refused_inside_the_first_function(self, mode, worker):
         worker(mode)
         pair = lambda: np.zeros(1)      # noqa: E731
         with pytest.raises(GraphError, match="first function"):
             run_pair(lambda: run_pair(pair, pair), pair)
         # the second runs on the calling thread, where nesting is safe
-        assert run_pair(pair, lambda: run_pair(pair, pair)).shape == (3,)
+        inner = run_pair(pair, lambda: run_pair(pair, pair))[1]
+        assert np.concatenate(inner).shape == (2,)
 
 
 @given(

@@ -9,14 +9,14 @@ import json
 import math
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripcast.models import KINDS, Model, ModelSpec, build
+from tripcast.models import DECODER_INPUT_KINDS, KINDS, Model, ModelSpec, build
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     NormStats,
@@ -31,6 +31,7 @@ from tripcast.training import (
     GridCell,
     GridReport,
     TrainConfig,
+    _no_tape_batches,
     _predict_ar,
     _teacher_forced_loss,
     clip_gradients,
@@ -231,6 +232,57 @@ class TestTrainLoop:
             if log.entries[0].train_loss < init:
                 decreased += 1
         assert decreased >= 18
+
+    @pytest.mark.parametrize("batch_size", [8, 64])    # whole, two halves
+    def test_non_finite_loss_raised_before_any_update(self, tiny_split,
+                                                      batch_size):
+        t = tiny_split.train
+        nan_rows = Windows(t.x_enc, t.teacher, np.full_like(t.y, np.nan),
+                           t.trip_id, t.start)
+        split = replace(tiny_split, train=nan_rows)
+        model = build(ModelSpec(kind="lstm", **TINY_MODEL), seed=0)
+        before = [p.data.copy() for _, p in model.named_params()]
+        with pytest.raises(FloatingPointError, match=r"non-finite training "
+                           r"loss \(nan\) at epoch 0, batch 0$"):
+            train(model, split, TrainConfig(epochs=1, batch_size=batch_size))
+        assert all(np.array_equal(p.data, b) for (_, p), b
+                   in zip(model.named_params(), before))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_paired_steps_match_whole_batch_steps(self, kind, tiny_split,
+                                                  monkeypatch):
+        # a 65-row batch runs as halves of 32 and 33 rows; at every step
+        # their row-weighted sum is the whole batch's loss and gradient at
+        # the weights the step starts from
+        spec = ModelSpec(kind=kind, **TINY_MODEL)
+        rows = tiny_split.train[:65]
+        cfg = TrainConfig(epochs=2, batch_size=65, grad_clip_norm=None)
+        stepped, adam_step = [], Adam.step
+
+        def step(opt, grads):
+            stepped.append(({n: p.data.copy() for n, p in opt.params},
+                            {n: g.copy() for n, g in grads.items()}))
+            adam_step(opt, grads)
+
+        monkeypatch.setattr(Adam, "step", step)
+        _, log = train(build(spec, seed=0), replace(tiny_split, train=rows),
+                       cfg)
+        model = build(spec, seed=0)
+        rng = np.random.default_rng(cfg.seed)
+        for entry, (weights, grads) in zip(log.entries, stepped, strict=True):
+            order = rng.permutation(65)
+            for name, p in model.named_params():
+                p.data = weights[name]
+            loss = mse_loss(model.forward(rows.x_enc[order],
+                                          teacher=rows.teacher[order],
+                                          training=True), rows.y[order])
+            loss.backward()
+            assert entry.train_loss == pytest.approx(float(loss.data),
+                                                     rel=1e-12)
+            for name, p in model.named_params():
+                np.testing.assert_allclose(grads[name], p.grad, rtol=1e-9,
+                                           atol=1e-15, err_msg=name)
+                p.zero_grad()
 
     def test_best_restore_matches_logged_minimum(self, tiny_split):
         spec = ModelSpec(kind="lstm", **TINY_MODEL)
@@ -504,7 +556,7 @@ class TestNoTapeBatches:
             for mode in ("inline", "thread", "late"):
                 used = worker(mode)
                 runs[mode] = outputs(kind)
-                if used is not None:    # pairs and leaf writes went to it
+                if used is not None:    # paired batches went to it
                     assert used.calls > 0
             assert runs["thread"] == runs["inline"], kind
             assert runs["late"] == runs["inline"], kind
@@ -525,6 +577,36 @@ class TestNoTapeBatches:
                       _teacher_forced_loss(model, w.x_enc, w.teacher, w.y,
                                            64)))
         assert len(outs) == 1
+
+
+@given(kind=st.sampled_from(DECODER_INPUT_KINDS),
+       window=st.integers(1, 6), horizon=st.integers(1, 5),
+       n_features=st.integers(1, 4), n_targets=st.integers(1, 3),
+       n_heads=st.integers(1, 2), head_width=st.integers(1, 4),
+       layers=st.integers(1, 2), rows=st.integers(1, 70),
+       seed=st.integers(0, 2**16))
+@example(kind="v_tst", window=3, horizon=4, n_features=2, n_targets=2,
+         n_heads=2, head_width=2, layers=1, rows=64, seed=0)
+@example(kind="tst_lstm", window=3, horizon=4, n_features=2, n_targets=2,
+         n_heads=2, head_width=2, layers=1, rows=65, seed=0)
+@settings(max_examples=100, derandomize=True)
+def test_autoregressive_decoding_equals_teacher_forcing_property(
+        kind, window, horizon, n_features, n_targets, n_heads, head_width,
+        layers, rows, seed):
+    # in 64-row batches, which run as two halves, and in smaller ones, the
+    # forecast equals a teacher-forced pass fed the forecast, byte for byte
+    spec = ModelSpec(kind=kind, window=window, horizon=horizon,
+                     n_features=n_features, n_targets=n_targets,
+                     d_model=2 * n_heads * head_width, n_heads=n_heads,
+                     enc_layers=layers, dec_layers=layers, ffn_width=8)
+    model = build(spec, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, window, n_features))
+    teach = rng.standard_normal((rows, horizon, n_targets))
+    ar = _predict_ar(model, x, teach, 64)
+    fed = np.concatenate([teach[:, :1], ar[:, :-1]], axis=1)
+    tf = np.concatenate(_no_tape_batches(model, x, 64, True, teacher=fed))
+    assert ar.tobytes() == tf.tobytes()
 
 
 @pytest.fixture(scope="module")
