@@ -147,11 +147,12 @@ class GridConfig:
                                                  for c in DEFAULT_GRID_CASES])
 
     def __post_init__(self):
+        keys = (("kinds", self.kinds), ("cases", self.cases))
         problems = [f"grid.{name} must be a list, got {value!r}"
-                    for name, value in (("kinds", self.kinds),
-                                        ("cases", self.cases))
-                    if not isinstance(value, list)]
+                    for name, value in keys if not isinstance(value, list)]
         if not problems:
+            problems += [f"grid.{name} must not be empty"
+                         for name, value in keys if not value]
             problems += [f"grid.kinds entry {k!r} unknown; expected one of: "
                          + ", ".join(KINDS) for k in self.kinds
                          if k not in KINDS]
@@ -160,6 +161,11 @@ class GridConfig:
                          if not (isinstance(c, (list, tuple)) and len(c) == 2
                                  and not any(number_problems("", v)
                                              for v in c))]
+            # a repeated entry would be one table column or row twice
+            problems += [f"grid.{name} entry {e!r} is repeated"
+                         for name, value in keys
+                         for i, e in enumerate(value)
+                         if value[:i].count(e) == 1]
         if problems:
             raise ValueError("; ".join(problems))
 

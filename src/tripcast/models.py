@@ -268,8 +268,10 @@ def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
 
 class _NoDraw:
     """Generator stand-in for a model whose every parameter array is
-    replaced after it is built, by :func:`load_checkpoint` or by training's
-    twin of a model, so no initial value is drawn."""
+    replaced after it is built, so no initial value is drawn:
+    :func:`load_checkpoint` binds the stored arrays, and
+    :func:`~tripcast.training.train` binds its twin to the trained model's
+    arrays once."""
 
     @staticmethod
     def uniform(low, high, size):

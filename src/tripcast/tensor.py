@@ -37,34 +37,17 @@ backward through time (BPTT): one input-projection GEMM over the sequence
 forward and backward, and one GEMM or sum each for the input and weight
 gradients. The gate sigmoid is ``0.5·tanh(0.5x) + 0.5``.
 
-One worker thread runs beside the calling thread. :func:`run_pair` runs
-two functions at once, the first on the worker and the second on the
-calling thread, and returns both results: the data parallelism of PyTorch
-DDP (Li et al. 2020, arXiv:2006.15704) on two cores. Training and
-evaluation run each batch of at least 64 rows as two halves this way; a
-training half runs its own forward, loss and ``backward()`` on its own
-parameter tensors. Below 64 rows the decoder kinds lose more to the
-hand-off than they gain. A half's bits depend only on its own rows, so
-the result is the same whether the halves run together, one after the
-other, or in the other order. Two ``backward()`` calls on two threads can
-run at once because every piece of tape state lives on its tensors and
-nodes. The one module global, ``no_grad``'s flag, keeps one value while
-two halves run: training halves only read it, and no-tape halves run
+Tape state lives only on tensors and nodes, so two ``backward()`` calls
+on disjoint graphs may run at once on two threads, as training's paired
+halves do. The one module global, ``no_grad``'s flag, keeps one value
+while they run: a training half only reads it, and no-tape halves run
 inside the caller's ``no_grad()``.
-
-The worker runs only where BLAS leaves a core free: the first of
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` set
-to a positive count must be 1, and the process must be allowed at least
-two CPUs. Otherwise the two functions of a pair run one after the other.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -88,36 +71,6 @@ class GraphError(RuntimeError):
 
 _grad_enabled = True
 
-# the variables OpenBLAS takes its thread count from, in the order it reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-
-def _blas_leaves_a_core(environ, cpus) -> bool:
-    """Whether BLAS runs on one thread and this process may use two cores.
-
-    The first of ``_BLAS_THREAD_VARS`` set to a positive count decides, as
-    in OpenBLAS; unset, OpenBLAS takes every core.
-    """
-    for var in _BLAS_THREAD_VARS:
-        try:
-            n = int(environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n == 1 and len(cpus) >= 2
-    return False
-
-
-# The one thread beside the caller: it runs the first function of a
-# ``run_pair``. None where BLAS already uses the other core. Its thread
-# starts at the first hand-off, not at import.
-_worker: Optional[ThreadPoolExecutor] = (
-    ThreadPoolExecutor(1, "tripcast-worker")
-    if hasattr(os, "sched_getaffinity")     # not on macOS or Windows
-    and _blas_leaves_a_core(os.environ, os.sched_getaffinity(0)) else None)
-_this_thread = threading.local()        # .first: runs a pair's first half
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -129,41 +82,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def run_pair(first: Callable[[], object],
-             second: Callable[[], object]) -> tuple:
-    """``(first(), second())``: ``first`` runs on the worker while
-    ``second`` runs here.
-
-    Without the worker they run one after the other, ``first`` first. Either
-    way a failure is raised only after both have finished, ``second``'s if
-    both failed. Refused with :class:`GraphError` inside a ``first``, since
-    a nested call on the worker would wait on itself.
-    """
-    if getattr(_this_thread, "first", False):
-        raise GraphError("run_pair() called inside the first function of a "
-                         "run_pair()")
-    if _worker is None:
-        try:
-            head = _first(first)
-        finally:
-            tail = second()
-        return head, tail
-    future = _worker.submit(_first, first)
-    try:
-        tail = second()
-    finally:
-        future.exception()      # wait for the first, whatever happened here
-    return future.result(), tail
-
-
-def _first(fn):
-    _this_thread.first = True
-    try:
-        return fn()
-    finally:
-        _this_thread.first = False
 
 
 class _Node:
@@ -573,7 +491,7 @@ def tslice(a: Tensor, idx) -> Tensor:
 
 
 def _to_heads(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.ascontiguousarray(x).reshape(x.shape[:-1] + (n, x.shape[-1] // n))
+    x = x.reshape(x.shape[:-1] + (n, x.shape[-1] // n))
     return np.ascontiguousarray(np.swapaxes(x, -3, -2))
 
 

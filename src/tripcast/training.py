@@ -5,13 +5,17 @@ Training minimizes MSE on normalized targets with Adam, global gradient-norm
 clipping, per-epoch validation, and best-validation parameter restore with
 early stopping. Evaluation decodes autoregressively for decoder-input kinds
 and reports R² per target in physical units plus a pooled R² in normalized
-units.
+units. Large batches run as two halves on two threads (:func:`run_pair`),
+the package's only concurrency.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -19,7 +23,7 @@ import numpy as np
 from .models import (Model, ModelSpec, _NoDraw, build, is_number,
                      number_problems)
 from .pipeline import DEFAULT_SCHEMA, DatasetSplit, NormStats, Windows
-from .tensor import Tensor, _as_tensor, mse, no_grad, run_pair
+from .tensor import GraphError, Tensor, _as_tensor, mse, no_grad
 
 GRID_REPORT_VERSION = 1
 
@@ -66,7 +70,8 @@ def clip_gradients(grads: dict, max_norm: float | None) -> float:
 
 
 class Adam:
-    """Adam with bias-corrected moments."""
+    """Adam with bias-corrected moments; each parameter's array is updated
+    in place."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -102,7 +107,7 @@ class Adam:
             np.divide(m, 1.0 - b1 ** t, out=step)
             step *= self.lr
             step /= denom
-            p.data = p.data - step
+            p.data -= step
 
 
 # ------------------------------------------------------------------ config
@@ -160,21 +165,93 @@ def _batch_ranges(n: int, batch_size: int):
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-# a batch of at least this many rows, training or no-tape, runs as two
-# halves at once; split, v_tst's 32- and 16-row no-tape batches ran at 0.84x
-# and 0.56x the speed
+# ------------------------------------------------------------- two halves
+
+# A batch of at least this many rows, training or no-tape, runs as two
+# halves at once through run_pair: the data parallelism of PyTorch DDP (Li et
+# al. 2020, arXiv:2006.15704) on two cores. A half's bits depend only on its
+# own rows, so the result is the same whether the halves share two cores,
+# take turns on one, or run in the other order. On a 2-core VM with OpenBLAS
+# at one thread, the halves of a batch-64 forecast took 0.53 (enc_tst) to
+# 0.79 (v_tst) of the time of the whole batch; split, v_tst's 32- and 16-row
+# no-tape batches ran at 0.84x and 0.56x the speed, so smaller batches run
+# whole.
 PAIR_MIN_ROWS = 64
 
+# the variables OpenBLAS takes its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
 
-def _no_tape_batches(model: Model, xs, batch_size: int, training: bool,
-                     **row_inputs) -> list:
+
+def _blas_leaves_a_core(environ, cpus) -> bool:
+    """Whether BLAS runs on one thread and this process may use two cores.
+
+    The first of ``_BLAS_THREAD_VARS`` set to a positive count decides, as
+    in OpenBLAS; unset, OpenBLAS takes every core.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1 and len(cpus) >= 2
+    return False
+
+
+# The one thread beside the caller: it runs the first function of a
+# ``run_pair``. None where BLAS already uses the other core. Its thread
+# starts at the first hand-off, not at import.
+_worker: ThreadPoolExecutor | None = (
+    ThreadPoolExecutor(1, "tripcast-worker")
+    if hasattr(os, "sched_getaffinity")     # not on macOS or Windows
+    and _blas_leaves_a_core(os.environ, os.sched_getaffinity(0)) else None)
+_this_thread = threading.local()        # .first: runs a pair's first half
+
+
+def run_pair(first, second) -> tuple:
+    """``(first(), second())``: ``first`` runs on the worker while
+    ``second`` runs here.
+
+    Without the worker they run one after the other, ``first`` first. Either
+    way a failure is raised only after both have finished, ``second``'s if
+    both failed. Refused with :class:`~tripcast.tensor.GraphError` inside a
+    ``first``, since a nested call on the worker would wait on itself.
+    """
+    if getattr(_this_thread, "first", False):
+        raise GraphError("run_pair() called inside the first function of a "
+                         "run_pair()")
+    if _worker is None:
+        try:
+            head = _first(first)
+        finally:
+            tail = second()
+        return head, tail
+    future = _worker.submit(_first, first)
+    try:
+        tail = second()
+    finally:
+        future.exception()      # wait for the first, whatever happened here
+    return future.result(), tail
+
+
+def _first(fn):
+    _this_thread.first = True
+    try:
+        return fn()
+    finally:
+        _this_thread.first = False
+
+
+def _no_tape_batches(model: Model, xs, batch_size: int, **row_inputs) -> list:
     """Each batch's ``model.forward`` output array, with no tape.
 
-    ``row_inputs`` are the forward's other inputs, row-aligned with ``xs``.
-    A batch of at least ``PAIR_MIN_ROWS`` rows runs as two halves at once
-    (:func:`~tripcast.tensor.run_pair`); the bits depend only on the row
-    count, whether the halves share two cores or take turns on one.
+    ``row_inputs`` are the forward's other inputs, row-aligned with ``xs``:
+    ``teacher`` for a teacher-forced forward, ``start`` for a forecast. A
+    batch of at least ``PAIR_MIN_ROWS`` rows runs as two halves at once.
     """
+    training = "teacher" in row_inputs
+
     def forward(lo, hi):
         return model.forward(xs[lo:hi], training=training,
                              **{k: v[lo:hi] for k, v in row_inputs.items()}
@@ -194,12 +271,12 @@ def _no_tape_batches(model: Model, xs, batch_size: int, training: bool,
 
 def _predict_ar(model: Model, xs, teach, batch_size: int) -> np.ndarray:
     """Inference-mode predictions; decoder kinds autoregress from teach[:,0]."""
-    return np.concatenate(_no_tape_batches(model, xs, batch_size, False,
+    return np.concatenate(_no_tape_batches(model, xs, batch_size,
                                            start=teach[:, 0, :]), axis=0)
 
 
 def _teacher_forced_loss(model: Model, xs, teach, ys, batch_size: int) -> float:
-    preds = _no_tape_batches(model, xs, batch_size, True, teacher=teach)
+    preds = _no_tape_batches(model, xs, batch_size, teacher=teach)
     total = 0.0
     for (lo, hi), pred in zip(_batch_ranges(len(xs), batch_size), preds):
         total += float(mse_loss(Tensor(pred), ys[lo:hi]).data) * (hi - lo)
@@ -252,9 +329,11 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
     best_params = {name: p.data.copy() for name, p in params}
     bad_epochs = 0
     # the second half of a paired batch runs on a twin whose parameter
-    # tensors share the model's arrays, so each half writes its own .grad
+    # tensors share the model's arrays, which Adam updates in place, so
+    # each half writes its own .grad
     twin = Model(model.spec, _NoDraw())
-    pairs = list(zip(params, twin.named_params()))
+    for (_, p), (_, q) in zip(params, twin.named_params()):
+        q.data = p.data
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
@@ -267,8 +346,6 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
                 loss_val, grads = _gradients(model, xs[idx], teach[idx],
                                              ys[idx], where)
             else:
-                for (_, p), (_, q) in pairs:
-                    q.data = p.data     # Adam rebinds each p.data
                 mid = len(idx) // 2
                 halves = run_pair(
                     lambda: _gradients(model, xs[idx[:mid]],
@@ -350,16 +427,8 @@ def evaluate(model: Model, windows: Windows, stats: NormStats,
 
     The only ground-truth future information used is none at all: decoding
     is seeded from the last observed target values, and MSE/R² compare the
-    resulting predictions against the held-out targets.
-
-    As in training, a batch of at least ``PAIR_MIN_ROWS`` (64) rows runs
-    as two halves through :func:`~tripcast.tensor.run_pair`, one on the
-    calling thread and one on the worker where BLAS leaves a core free. On
-    a 2-core VM with OpenBLAS at one thread, the halves of a batch-64
-    forecast took 0.53 (``enc_tst``) to 0.79 (``v_tst``) of the time of
-    the whole batch; at 32 and 16 rows ``v_tst``'s halves took 1.2 and 1.8
-    times as long. The reported bytes depend only on the number of rows
-    and ``batch_size``, not on where or in which order the halves ran.
+    resulting predictions against the held-out targets. As in training, a
+    batch of at least ``PAIR_MIN_ROWS`` rows runs as two halves.
     """
     if not len(windows):
         raise ValueError(f"cannot evaluate on an empty {split_name!r} split")
@@ -447,27 +516,28 @@ class GridReport:
 
     def format_table(self) -> str:
         """Aligned text table: per case, error rows and test R² per model."""
-        col_w = max(len(k) for k in self.kinds) + 2
+        rows = [
+            ("Params", lambda c: f"{c.param_count:,}"),
+            ("Training error", lambda c: _fmt(c.train_mse)),
+            ("Validation error", lambda c: _fmt(c.val_mse)),
+            ("Testing error", lambda c: _fmt(c.test_mse)),
+            ("R² (test)", lambda c: _fmt(c.test_r2_pooled)),
+        ]
+        texts = {(case, label): [getter(c) if c.status == "ok" else "failed"
+                                 for c in (self.cell(k, case)
+                                           for k in self.kinds)]
+                 for case in self.cases for label, getter in rows}
+        col_w = 2 + max([len(k) for k in self.kinds]
+                        + [len(v) for vs in texts.values() for v in vs])
         label_w = 22
         lines = []
         header = " " * label_w + "".join(f"{k:>{col_w}}" for k in self.kinds)
         for case in self.cases:
             lines.append(f"Case W={case[0]}, H={case[1]}")
             lines.append(header)
-            rows = [
-                ("Params", lambda c: f"{c.param_count:,}"),
-                ("Training error", lambda c: _fmt(c.train_mse)),
-                ("Validation error", lambda c: _fmt(c.val_mse)),
-                ("Testing error", lambda c: _fmt(c.test_mse)),
-                ("R² (test)", lambda c: _fmt(c.test_r2_pooled)),
-            ]
-            for label, getter in rows:
-                cells = []
-                for kind in self.kinds:
-                    c = self.cell(kind, case)
-                    cells.append(getter(c) if c.status == "ok" else "failed")
-                lines.append(f"{label:<{label_w}}"
-                             + "".join(f"{v:>{col_w}}" for v in cells))
+            for label, _ in rows:
+                lines.append(f"{label:<{label_w}}" + "".join(
+                    f"{v:>{col_w}}" for v in texts[case, label]))
             lines.append("")
         if self.annotations:
             lines.append("Annotations (non-binding observations):")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tripcast import tensor as T
+from tripcast import training
 
 settings.register_profile(
     "default",
@@ -100,7 +100,7 @@ def worker(monkeypatch):
                "late": LateWorker()}
 
     def use(mode: str):
-        monkeypatch.setattr(T, "_worker", workers[mode])
+        monkeypatch.setattr(training, "_worker", workers[mode])
         return workers[mode]
 
     yield use

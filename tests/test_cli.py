@@ -509,6 +509,29 @@ class TestValidation:
             "'v_tst', got 9\n")
         assert not (tmp_path / "o" / "grid_report.json").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("grid.kinds=[]", "grid.kinds must not be empty"),
+        ("grid.cases=[]", "grid.cases must not be empty"),
+        # named once however often it repeats
+        ('grid.kinds=["lstm","lstm","lstm"]',
+         "grid.kinds entry 'lstm' is repeated"),
+        ("grid.cases=[[6,3],[4,3],[6,3],[6,3]]",
+         "grid.cases entry [6, 3] is repeated"),
+    ])
+    def test_empty_or_repeated_grid_entry_refused_before_data_work(
+            self, tmp_path, capsys, monkeypatch, override, message):
+        def no_data_work(*args, **kwargs):
+            raise AssertionError("synthesize_trips called")
+
+        monkeypatch.setattr(tripcast.cli, "synthesize_trips", no_data_work)
+        path = write_config(tmp_path / "c.json", base_config())
+        rc = main(["grid", "--config", path, "-O", override,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid config: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_removed_optimizer_keys_refused(self, tmp_path, capsys):
         cfg = base_config()
         cfg["train"].update(optimizer="adam", betas=[0.9, 0.999],

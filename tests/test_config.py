@@ -126,6 +126,12 @@ class TestValidation:
          "grid.cases entry [12, 0] must be a [window, horizon] pair"),
         ({"grid": {"kinds": 5}}, "grid.kinds must be a list, got 5"),
         ({"grid": {"cases": 5}}, "grid.cases must be a list, got 5"),
+        ({"grid": {"kinds": []}}, "grid.kinds must not be empty"),
+        ({"grid": {"cases": []}}, "grid.cases must not be empty"),
+        ({"grid": {"kinds": ["lstm", "v_tst", "lstm"]}},
+         "grid.kinds entry 'lstm' is repeated"),
+        ({"grid": {"cases": [[12, 6], [6, 3], [12, 6]]}},
+         "grid.cases entry [12, 6] is repeated"),
         ({"data": {"trips_path": 5}}, "data.trips_path must be a string"),
         ({"output_dir": 5}, "output_dir must be a string, got 5"),
         ({"data": {"velocity_scale": -1}},

@@ -92,14 +92,14 @@ CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing")
 
 def _concurrency_imports(paths):
     """``file:line`` of every import of a ``CONCURRENCY_MODULES`` module,
-    or of a name from one, outside ``tensor.py``."""
+    or of a name from one, outside ``training.py``."""
     def banned(name):
         return any(name == m or name.startswith(m + ".")
                    for m in CONCURRENCY_MODULES)
 
     found = []
     for path in paths:
-        if path.name == "tensor.py":
+        if path.name == "training.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -116,10 +116,10 @@ def _concurrency_imports(paths):
 
 def _worker_uses(paths):
     """``file:line`` of every ``.submit`` and every reach for the worker
-    (``tensor._worker``) outside ``tensor.py``."""
+    (``training._worker``) outside ``training.py``."""
     found = []
     for path in paths:
-        if path.name == "tensor.py":
+        if path.name == "training.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Attribute)
@@ -129,14 +129,14 @@ def _worker_uses(paths):
     return found
 
 
-def test_only_tensor_starts_threads():
+def test_only_training_starts_threads():
     # the worker is the package's one thread; a second pool would compete
     # with it and with BLAS for the same cores, and a call handed to the
-    # worker from outside tensor.py would bypass run_pair's guards
+    # worker from outside training.py would bypass run_pair's guards
     found = _concurrency_imports(SOURCES)
-    assert not found, f"thread or process imports outside tensor.py: {found}"
+    assert not found, f"thread or process imports outside training.py: {found}"
     found = _worker_uses(SOURCES)
-    assert not found, f"the worker reached outside tensor.py: {found}"
+    assert not found, f"the worker reached outside training.py: {found}"
 
 
 @pytest.mark.parametrize("line", [
@@ -145,23 +145,25 @@ def test_only_tensor_starts_threads():
     "from concurrent.futures import ThreadPoolExecutor",
 ])
 def test_concurrency_rule_catches_a_planted_import(tmp_path, line):
-    planted = tmp_path / "models.py"
-    planted.write_text(f"{line}\n", encoding="utf-8")
-    assert _concurrency_imports([planted]) == ["models.py:1"]
-    allowed = tmp_path / "tensor.py"
+    for name in ("models.py", "tensor.py"):
+        planted = tmp_path / name
+        planted.write_text(f"{line}\n", encoding="utf-8")
+        assert _concurrency_imports([planted]) == [f"{name}:1"]
+    allowed = tmp_path / "training.py"
     allowed.write_text(f"{line}\n", encoding="utf-8")
     assert _concurrency_imports([allowed]) == []
 
 
 @pytest.mark.parametrize("line", [
-    "pool.submit(fn)", "T._worker", "from .tensor import _worker",
-    "from .tensor import _worker as w", "tensor._worker.submit(fn, x)",
+    "pool.submit(fn)", "T._worker", "from .training import _worker",
+    "from .training import _worker as w", "training._worker.submit(fn, x)",
 ])
 def test_worker_rule_catches_a_planted_use(tmp_path, line):
-    planted = tmp_path / "training.py"
-    planted.write_text(f"{line}\n", encoding="utf-8")
-    assert _worker_uses([planted]) != []
-    allowed = tmp_path / "tensor.py"
+    for name in ("models.py", "tensor.py"):
+        planted = tmp_path / name
+        planted.write_text(f"{line}\n", encoding="utf-8")
+        assert _worker_uses([planted]) != []
+    allowed = tmp_path / "training.py"
     allowed.write_text(f"{line}\n", encoding="utf-8")
     assert _worker_uses([allowed]) == []
 

@@ -6,21 +6,16 @@ loop (implemented here, separate from the library's own gradcheck) for
 composite expressions.
 """
 
-import sys
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripcast import tensor as T
 from tripcast.layers import MASK_VALUE, causal_mask
 from tripcast.tensor import (
     GraphError,
     ShapeError,
     Tensor,
-    _blas_leaves_a_core,
     _row_max,
     _sigmoid,
     _softmax,
@@ -34,7 +29,6 @@ from tripcast.tensor import (
     no_grad,
     relu,
     reshape,
-    run_pair,
     tsum,
 )
 
@@ -520,86 +514,6 @@ class TestGraphDiscipline:
             y = add(y, 1.0)
         tsum(y).backward()
         np.testing.assert_array_equal(x.grad, np.ones(2))
-
-
-class TestRunPair:
-    """``run_pair`` returns its two results in order whether the first runs
-    on the worker thread, inline before the second, or after it."""
-
-    @pytest.mark.parametrize("environ, cpus, on", [
-        ({}, {0, 1}, False),        # unset: OpenBLAS takes every core
-        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, {0}, False),
-        ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1, 2, 3}, False),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, {0, 1}, True),
-        ({"OMP_NUM_THREADS": "1"}, {2, 5}, True),
-        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, {0, 1}, True),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, {0, 1}, False),
-        ({"MKL_NUM_THREADS": "1"}, {0, 1}, False),
-    ])
-    def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on):
-        assert _blas_leaves_a_core(environ, cpus) is on
-
-    @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
-    def test_results_join_in_row_order(self, rng, mode, worker):
-        used = worker(mode)
-        a, b = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
-        out = np.concatenate(run_pair(lambda: a, lambda: b))
-        assert out.tobytes() == np.concatenate([a, b]).tobytes()
-        assert (used.calls if used else 0) == (mode != "inline")
-
-    def test_many_pairs_under_fast_thread_switching(self, rng, worker):
-        # each half computes from its own rows only; a result handed to the
-        # wrong half or lost would change the joined bytes
-        worker("thread")
-        w = rng.standard_normal((16, 16))
-        xs = [rng.standard_normal((8, 16)) for _ in range(40)]
-        want = [np.concatenate([x[:4] @ w, x[4:] @ w]).tobytes() for x in xs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [np.concatenate(run_pair(lambda x=x: x[:4] @ w,
-                                           lambda x=x: x[4:] @ w)).tobytes()
-                   for x in xs]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
-
-    @pytest.mark.parametrize("failing", ["first", "second", "both"])
-    @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
-    def test_failure_raised_after_the_other_finished(self, mode, failing,
-                                                     worker):
-        worker(mode)
-        finished = []
-
-        def half(name):
-            fails = failing in (name, "both")
-
-            def run():
-                if not fails:
-                    time.sleep(0.05)    # slower than the failing half
-                finished.append(name)
-                if fails:
-                    raise FloatingPointError(name)
-                return np.zeros(1)
-            return run
-
-        with pytest.raises(FloatingPointError) as raised:
-            run_pair(half("first"), half("second"))
-        assert sorted(finished) == ["first", "second"]
-        assert str(raised.value) == ("first" if failing == "first"
-                                     else "second")
-
-    @pytest.mark.parametrize("mode", ["inline", "late"])   # no thread
-    def test_refused_inside_the_first_function(self, mode, worker):
-        worker(mode)
-        pair = lambda: np.zeros(1)      # noqa: E731
-        with pytest.raises(GraphError, match="first function"):
-            run_pair(lambda: run_pair(pair, pair), pair)
-        # the second runs on the calling thread, where nesting is safe
-        inner = run_pair(pair, lambda: run_pair(pair, pair))[1]
-        assert np.concatenate(inner).shape == (2,)
 
 
 @given(

@@ -7,6 +7,7 @@ deliberately tiny models so the whole file stays fast.
 
 import json
 import math
+import sys
 import threading
 import time
 from dataclasses import asdict, replace
@@ -25,12 +26,13 @@ from tripcast.pipeline import (
     prepare_dataset,
 )
 from tripcast.synth import synthesize_trips
-from tripcast.tensor import ShapeError, Tensor, no_grad
+from tripcast.tensor import GraphError, ShapeError, Tensor, no_grad
 from tripcast.training import (
     Adam,
     GridCell,
     GridReport,
     TrainConfig,
+    _blas_leaves_a_core,
     _no_tape_batches,
     _predict_ar,
     _teacher_forced_loss,
@@ -40,6 +42,7 @@ from tripcast.training import (
     mse_loss,
     r_squared,
     run_grid,
+    run_pair,
     train,
 )
 
@@ -482,6 +485,86 @@ def forward_spy(monkeypatch):
     return calls, slow, fail, finished
 
 
+class TestRunPair:
+    """``run_pair`` returns its two results in order whether the first runs
+    on the worker thread, inline before the second, or after it."""
+
+    @pytest.mark.parametrize("environ, cpus, on", [
+        ({}, {0, 1}, False),        # unset: OpenBLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1, 2, 3}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, {0, 1}, True),
+        ({"OMP_NUM_THREADS": "1"}, {2, 5}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, {0, 1}, False),
+        ({"MKL_NUM_THREADS": "1"}, {0, 1}, False),
+    ])
+    def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on):
+        assert _blas_leaves_a_core(environ, cpus) is on
+
+    @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
+    def test_results_join_in_row_order(self, rng, mode, worker):
+        used = worker(mode)
+        a, b = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+        out = np.concatenate(run_pair(lambda: a, lambda: b))
+        assert out.tobytes() == np.concatenate([a, b]).tobytes()
+        assert (used.calls if used else 0) == (mode != "inline")
+
+    def test_many_pairs_under_fast_thread_switching(self, rng, worker):
+        # each half computes from its own rows only; a result handed to the
+        # wrong half or lost would change the joined bytes
+        worker("thread")
+        w = rng.standard_normal((16, 16))
+        xs = [rng.standard_normal((8, 16)) for _ in range(40)]
+        want = [np.concatenate([x[:4] @ w, x[4:] @ w]).tobytes() for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [np.concatenate(run_pair(lambda x=x: x[:4] @ w,
+                                           lambda x=x: x[4:] @ w)).tobytes()
+                   for x in xs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    @pytest.mark.parametrize("mode", ["inline", "thread", "late"])
+    def test_failure_raised_after_the_other_finished(self, mode, failing,
+                                                     worker):
+        worker(mode)
+        finished = []
+
+        def half(name):
+            fails = failing in (name, "both")
+
+            def run():
+                if not fails:
+                    time.sleep(0.05)    # slower than the failing half
+                finished.append(name)
+                if fails:
+                    raise FloatingPointError(name)
+                return np.zeros(1)
+            return run
+
+        with pytest.raises(FloatingPointError) as raised:
+            run_pair(half("first"), half("second"))
+        assert sorted(finished) == ["first", "second"]
+        assert str(raised.value) == ("first" if failing == "first"
+                                     else "second")
+
+    @pytest.mark.parametrize("mode", ["inline", "late"])   # no thread
+    def test_refused_inside_the_first_function(self, mode, worker):
+        worker(mode)
+        pair = lambda: np.zeros(1)      # noqa: E731
+        with pytest.raises(GraphError, match="first function"):
+            run_pair(lambda: run_pair(pair, pair), pair)
+        # the second runs on the calling thread, where nesting is safe
+        inner = run_pair(pair, lambda: run_pair(pair, pair))[1]
+        assert np.concatenate(inner).shape == (2,)
+
+
 class TestNoTapeBatches:
     """Evaluation and the validation loss run each batch of at least 64 rows
     as two halves, one per core, and its bits depend only on the rows."""
@@ -605,7 +688,7 @@ def test_autoregressive_decoding_equals_teacher_forcing_property(
     teach = rng.standard_normal((rows, horizon, n_targets))
     ar = _predict_ar(model, x, teach, 64)
     fed = np.concatenate([teach[:, :1], ar[:, :-1]], axis=1)
-    tf = np.concatenate(_no_tape_batches(model, x, 64, True, teacher=fed))
+    tf = np.concatenate(_no_tape_batches(model, x, 64, teacher=fed))
     assert ar.tobytes() == tf.tobytes()
 
 
@@ -687,6 +770,23 @@ class TestGrid:
         # two cases share H=2, so the window-size observation must appear
         assert any("larger W" in a for a in rep.annotations)
         assert any("reference ranking" in a for a in rep.annotations)
+
+    # short kind names get columns as wide as the widest cell, 1,234,567;
+    # five kinds fit every cell in the width of enc_tst_dec_lstm
+    @pytest.mark.parametrize("kinds, col_w", [(["lstm"], 11),
+                                              (["lstm", "v_tst"], 11),
+                                              (list(KINDS), 18)])
+    def test_table_rows_split_into_one_token_per_kind(self, kinds, col_w):
+        cells = [GridCell(kind=k, window=6, horizon=3, param_count=1234567,
+                          train_mse=1.0698, val_mse=10.5, test_mse=1.0698,
+                          test_r2_pooled=-0.9451) for k in kinds]
+        rep = GridReport(kinds=kinds, cases=[(6, 3)], cells=cells,
+                         annotations=[])
+        lines = rep.format_table().splitlines()
+        assert lines[1] == " " * 22 + "".join(f"{k:>{col_w}}" for k in kinds)
+        for line, text in zip(lines[2:7], ["1,234,567", "1.0698", "10.5000",
+                                           "1.0698", "-0.9451"], strict=True):
+            assert line[22:].split() == [text] * len(kinds), line
 
     def test_missing_cell_lookup_raises(self):
         rep = GridReport(kinds=["lstm"], cases=[(2, 1)],
