@@ -269,9 +269,8 @@ def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
 class _NoDraw:
     """Generator stand-in for a model whose every parameter array is
     replaced after it is built, so no initial value is drawn:
-    :func:`load_checkpoint` binds the stored arrays, and
-    :func:`~tripcast.training.train` binds its twin to the trained model's
-    arrays once."""
+    :func:`load_checkpoint` binds the stored arrays, and training's worker
+    process binds each replica to its model's shared-memory block."""
 
     @staticmethod
     def uniform(low, high, size):

@@ -38,10 +38,9 @@ forward and backward, and one GEMM or sum each for the input and weight
 gradients. The gate sigmoid is ``0.5·tanh(0.5x) + 0.5``.
 
 Tape state lives only on tensors and nodes, so two ``backward()`` calls
-on disjoint graphs may run at once on two threads, as training's paired
-halves do. The one module global, ``no_grad``'s flag, keeps one value
-while they run: a training half only reads it, and no-tape halves run
-inside the caller's ``no_grad()``.
+on disjoint graphs may run at once. The one module global is
+``no_grad``'s flag, read through :func:`grad_enabled`. Training's paired
+halves run in two processes, each with its own tape and its own flag.
 """
 
 from __future__ import annotations
@@ -82,6 +81,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def grad_enabled() -> bool:
+    """Whether ops record on the tape: False inside :func:`no_grad`."""
+    return _grad_enabled
 
 
 class _Node:

@@ -1,5 +1,5 @@
+import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,69 +39,67 @@ def tape_ops():
     return _tape_ops
 
 
-class CountingWorker(ThreadPoolExecutor):
-    """A one-thread worker that counts the calls handed to it."""
+class CountingWorker(training._Worker):
+    """The worker process, counting the pairs handed to it."""
 
     def __init__(self):
-        super().__init__(1)
+        super().__init__()
         self.calls = 0
 
-    def submit(self, fn, /, *args, **kwargs):
+    def pair(self, *args):
         self.calls += 1
-        return super().submit(fn, *args, **kwargs)
+        return super().pair(*args)
 
 
-class _LateCall:
-    """A call that runs once, when its outcome is first asked for."""
-
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
-        self.done = False
-
-    def _run(self):
-        if not self.done:
-            self.done = True
-            self.value, self.error = None, None
-            try:
-                self.value = self.fn(*self.args)
-            except Exception as e:      # handed back, as a Future does
-                self.error = e
-
-    def exception(self):
-        self._run()
-        return self.error
-
-    def result(self):
-        self._run()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-class LateWorker:
-    """Stands in for the worker thread: a call handed to it runs only when
-    its caller waits for it, so a pair's first half runs after its
-    second."""
+class LateWorker(CountingWorker):
+    """Stands in for the worker process: it carries out each message in
+    this process, a pair's first half only when its reply is read, so the
+    first half runs after the second and sees this process's patches."""
 
     def __init__(self):
-        self.calls = 0
+        super().__init__()
+        self.replicas = training._Replicas()
+        self.tasks = []
 
-    def submit(self, fn, /, *args):
-        self.calls += 1
-        return _LateCall(fn, args)
+    def _start(self):
+        self.process, self.pid = "late", os.getpid()
+
+    def close(self, kill=False):
+        self.process = None
+
+    def send(self, msg, fd=None):
+        if fd is not None:
+            fd = os.dup(fd)     # the caller closes its own
+        if msg[0] in training._TASKS:
+            self.tasks.append(msg)
+        else:
+            self.replicas.handle(msg, lambda: fd)
+
+    def reply(self):
+        return self.replicas.handle(self.tasks.pop(), None)
+
+
+@pytest.fixture(scope="session")
+def process_worker():
+    """One worker process for the session, forked before any test's own
+    patches are in place, since a fork keeps those it sees."""
+    used = CountingWorker()
+    used._start()
+    yield used
+    used.close()
 
 
 @pytest.fixture
-def worker(monkeypatch):
+def worker(monkeypatch, process_worker):
     """Set where a pair's first half runs, whatever the BLAS thread count:
-    ``"inline"``, on a ``"thread"``, or ``"late"`` (a ``LateWorker``).
-    Returns that mode's worker."""
-    workers = {"inline": None, "thread": CountingWorker(),
-               "late": LateWorker()}
-
+    ``"inline"``, in the worker ``"process"``, or ``"late"`` (a
+    ``LateWorker``). Returns that mode's worker."""
     def use(mode: str):
-        monkeypatch.setattr(training, "_worker", workers[mode])
-        return workers[mode]
+        used = {"inline": training._Worker(), "process": process_worker,
+                "late": LateWorker()}[mode]
+        used.calls = 0
+        monkeypatch.setattr(training, "_worker", used)
+        monkeypatch.setattr(training, "_may_fork", lambda: mode != "inline")
+        return used
 
-    yield use
-    workers["thread"].shutdown()
+    return use

@@ -315,7 +315,7 @@ class TestForward:
                                                             batch, worker):
         # one step of train(); from 64 rows it runs as two halves, and its
         # loss and post-Adam parameters keep their bytes whether the first
-        # half runs inline, on the worker thread or after the second
+        # half runs inline, in the worker process or after the second
         spec = ModelSpec(kind=kind)
         rng = np.random.default_rng(batch)
         rows, val = (_random_windows(n, spec, rng) for n in (batch, 1))
@@ -333,7 +333,7 @@ class TestForward:
 
         worker("inline")
         inline = step()
-        for mode in ("thread", "late"):
+        for mode in ("process", "late"):
             used = worker(mode)
             assert step() == inline, mode
             assert used.calls == (batch >= PAIR_MIN_ROWS)

@@ -87,7 +87,10 @@ def test_only_tensor_records_ops():
     assert not callers, f"_record called outside tensor.py: {callers}"
 
 
-CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing")
+CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing",
+                       "mmap")
+# the calls that start or place a process, and the worker itself
+WORKER_NAMES = ("submit", "_worker", "fork", "sched_setaffinity")
 
 
 def _concurrency_imports(paths):
@@ -115,34 +118,40 @@ def _concurrency_imports(paths):
 
 
 def _worker_uses(paths):
-    """``file:line`` of every ``.submit`` and every reach for the worker
-    (``training._worker``) outside ``training.py``."""
+    """``file:line`` of every use or import of a ``WORKER_NAMES`` name
+    outside ``training.py``: ``.submit``, the worker (``training._worker``),
+    ``os.fork`` and ``os.sched_setaffinity``."""
     found = []
     for path in paths:
         if path.name == "training.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in ("submit", "_worker")
-                    or isinstance(node, ast.alias) and node.name == "_worker"):
+            if (isinstance(node, ast.Attribute) and node.attr in WORKER_NAMES
+                    or isinstance(node, ast.alias)
+                    and node.name in WORKER_NAMES):
                 found.append(f"{path.name}:{node.lineno}")
     return found
 
 
 def test_only_training_starts_threads():
-    # the worker is the package's one thread; a second pool would compete
-    # with it and with BLAS for the same cores, and a call handed to the
-    # worker from outside training.py would bypass run_pair's guards
+    # the worker process is the package's one helper; a second pool would
+    # compete with it and with BLAS for the same cores, a fork or a shared
+    # block outside training.py would escape its gate and its lifecycle,
+    # and a task handed to the worker from elsewhere would bypass _pair
     found = _concurrency_imports(SOURCES)
-    assert not found, f"thread or process imports outside training.py: {found}"
+    assert not found, f"thread, process or shared-memory imports outside " \
+        f"training.py: {found}"
     found = _worker_uses(SOURCES)
-    assert not found, f"the worker reached outside training.py: {found}"
+    assert not found, f"the worker, a fork or a CPU pin outside " \
+        f"training.py: {found}"
 
 
 @pytest.mark.parametrize("line", [
     "import threading", "import concurrent.futures as cf",
     "from concurrent import futures", "from multiprocessing import Pool",
-    "from concurrent.futures import ThreadPoolExecutor",
+    "from concurrent.futures import ThreadPoolExecutor", "import mmap",
+    "from mmap import mmap", "from multiprocessing import reduction",
+    "import multiprocessing.reduction",
 ])
 def test_concurrency_rule_catches_a_planted_import(tmp_path, line):
     for name in ("models.py", "tensor.py"):
@@ -157,6 +166,8 @@ def test_concurrency_rule_catches_a_planted_import(tmp_path, line):
 @pytest.mark.parametrize("line", [
     "pool.submit(fn)", "T._worker", "from .training import _worker",
     "from .training import _worker as w", "training._worker.submit(fn, x)",
+    "os.fork()", "pid = os.fork()", "from os import fork",
+    "os.sched_setaffinity(0, {1})", "from os import sched_setaffinity as pin",
 ])
 def test_worker_rule_catches_a_planted_use(tmp_path, line):
     for name in ("models.py", "tensor.py"):
