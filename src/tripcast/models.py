@@ -269,7 +269,7 @@ def save_checkpoint(model: Model, path, extra_meta: dict | None = None,
 class _NoDraw:
     """Generator stand-in for a model whose every parameter array is
     replaced after it is built, so no initial value is drawn:
-    :func:`load_checkpoint` binds the stored arrays, and training's worker
+    :func:`load_checkpoint` binds the stored arrays, and the worker
     process binds each replica to its model's shared-memory block."""
 
     @staticmethod

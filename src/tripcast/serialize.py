@@ -74,8 +74,9 @@ def read_container(path, expect_kind: str | None = None):
     """Read a container, returning ``(kind, meta, ordered name->array dict)``.
 
     Any malformed file (bad magic or version, a truncated header or
-    payload, an unreadable JSON header, or bytes after the last payload)
-    raises ``ValueError`` naming ``path``.
+    payload, an unreadable JSON header, an array name that is not a string
+    or is repeated, a shape that is not a list of non-negative integers,
+    or bytes after the last payload) raises ``ValueError`` naming ``path``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -95,9 +96,15 @@ def read_container(path, expect_kind: str | None = None):
         header = json.loads(raw[_FIXED.size:offset].decode("utf-8"))
         kind, meta = header["container"], header["meta"]
         entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
-        if not all(isinstance(n, int) and n >= 0
+        if not all(isinstance(name, str) for name, _ in entries):
+            raise ValueError("array names must be strings")
+        if not all(type(n) is int and n >= 0
                    for _, shape in entries for n in shape):
             raise ValueError("array shapes must be non-negative integers")
+        names = [name for name, _ in entries]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise ValueError(f"array names repeated: {twice}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed container header: {exc!r}") \
             from None

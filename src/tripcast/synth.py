@@ -8,13 +8,17 @@ first-order lag of power draw. HVAC channels walk slowly around their
 set-points, and every channel finally receives additive Gaussian sensor
 noise. Trips carry the raw 18-column layout, including the four individual
 vent thermometers, so the whole ingestion pipeline gets exercised.
+
+Each trip draws from its own seed, so once the trips hold
+``pipeline.PAIR_MIN_SAMPLES`` samples the first half of them is made in
+the worker process while the second is made here, with the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pipeline import VENT_CHANNELS, TripSeries
+from .pipeline import VENT_CHANNELS, TripSeries, _halves
 
 CAPACITY_KWH = 18.0     # usable pack energy
 NOMINAL_VOLTS = 360.0
@@ -137,9 +141,16 @@ def synthesize_trips(n_trips: int, length: int, seed: int,
     scales the whole velocity profile; zero produces parked trips whose SOC
     drains only through HVAC load.
     """
-    seeds = np.random.SeedSequence(seed).spawn(n_trips)
-    return [
-        _synthesize_one(np.random.default_rng(seeds[i]), f"synth-{i:03d}",
-                        length, sample_period_s, noise_std, velocity_scale)
-        for i in range(n_trips)
-    ]
+    seeds = list(enumerate(np.random.SeedSequence(seed).spawn(n_trips)))
+    args = length, sample_period_s, noise_std, velocity_scale
+    halves = (_halves(_synthesize_some, seeds, n_trips * length, *args)
+              or [_synthesize_some(seeds, *args)])
+    return [trip for half in halves for trip in half]
+
+
+def _synthesize_some(seeds: list, length: int, dt: float, noise_std: float,
+                     velocity_scale: float) -> list:
+    """The trip of each ``(index, SeedSequence)`` in ``seeds``."""
+    return [_synthesize_one(np.random.default_rng(seq), f"synth-{i:03d}",
+                            length, dt, noise_std, velocity_scale)
+            for i, seq in seeds]

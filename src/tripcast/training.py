@@ -5,31 +5,23 @@ Training minimizes MSE on normalized targets with Adam, global gradient-norm
 clipping, per-epoch validation, and best-validation parameter restore with
 early stopping. Evaluation decodes autoregressively for decoder-input kinds
 and reports R² per target in physical units plus a pooled R² in normalized
-units. Large batches run as two halves at once, the first in a worker
-process (:func:`_pair`): the package's only concurrency.
+units. A batch of ``PAIR_MIN_ROWS`` rows or more runs as two halves at
+once, the first in the worker process on a replica of the model that
+shares its parameters (:func:`worker.pair`).
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import math
-import mmap
-import multiprocessing
-import os
-import signal
-import threading
 import time
-import weakref
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import reduction
 
 import numpy as np
 
-from .models import (Model, ModelSpec, _NoDraw, build, is_number,
-                     number_problems)
+from .models import Model, ModelSpec, build, is_number, number_problems
 from .pipeline import DEFAULT_SCHEMA, DatasetSplit, NormStats, Windows
-from .tensor import Tensor, _as_tensor, grad_enabled, mse, no_grad
+from .tensor import Tensor, _as_tensor, mse, no_grad
+from .worker import pair
 
 GRID_REPORT_VERSION = 1
 
@@ -174,7 +166,7 @@ def _batch_ranges(n: int, batch_size: int):
 # ------------------------------------------------------------- two halves
 
 # A batch of at least this many rows, training or no-tape, runs as two
-# halves at once through _pair: the data parallelism of PyTorch DDP (Li et
+# halves at once through worker.pair: the data parallelism of PyTorch DDP (Li et
 # al. 2020, arXiv:2006.15704) on two cores. A half's bits depend only on its
 # own rows, so the result is the same whether the halves run in two
 # processes, take turns in one, or run in the other order. On a 2-core VM
@@ -183,59 +175,6 @@ def _batch_ranges(n: int, batch_size: int):
 # 32- and 16-row no-tape batches ran at 0.84x and 0.56x the speed, so
 # smaller batches run whole.
 PAIR_MIN_ROWS = 64
-
-# the variables OpenBLAS takes its thread count from, in the order it reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-
-def _blas_leaves_a_core(environ, cpus) -> bool:
-    """Whether BLAS runs on one thread and this process may use two cores.
-
-    The first of ``_BLAS_THREAD_VARS`` set to a positive count decides, as
-    in OpenBLAS; unset, OpenBLAS takes every core.
-    """
-    for var in _BLAS_THREAD_VARS:
-        try:
-            n = int(environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n == 1 and len(cpus) >= 2
-    return False
-
-
-def _worker_allowed(environ, cpus, threads: int) -> bool:
-    """Whether the worker process may be forked now: BLAS leaves a core,
-    and the caller's is the only thread alive (``threads``), since a fork
-    copies another thread's locks as they stand but not the thread."""
-    return threads == 1 and _blas_leaves_a_core(environ, cpus)
-
-
-def _may_fork() -> bool:
-    """:func:`_worker_allowed` here and now, on Linux, outside ``no_grad``:
-    the worker keeps the tape switch it was forked with."""
-    return (hasattr(os, "memfd_create") and grad_enabled()
-            and _worker_allowed(os.environ, os.sched_getaffinity(0),
-                                threading.active_count()))
-
-
-_LINE = 64      # each slot of a shared block starts on a cache line
-
-
-def _slot_bytes(shape) -> int:
-    return -(-8 * math.prod(shape) // _LINE) * _LINE
-
-
-def _slots(buf, shapes) -> tuple:
-    """``(parameters, gradients)``: one float64 view of ``buf`` per shape in
-    each, parameters first; ``buf`` holds ``2 * sum(map(_slot_bytes,
-    shapes))`` bytes."""
-    views, offset = [], 0
-    for shape in [*shapes, *shapes]:
-        views.append(np.ndarray(shape, np.float64, buf, offset))
-        offset += _slot_bytes(shape)
-    return views[:len(shapes)], views[len(shapes):]
 
 
 def _forward(model: Model, x, row_inputs: dict) -> np.ndarray:
@@ -262,237 +201,6 @@ def _gradients(model: Model, x, teacher, y, where: str) -> tuple:
     return loss_val, grads
 
 
-# what a pair's half can be: each takes the model and the half's inputs
-_TASKS = {"forward": _forward, "gradients": _gradients}
-
-
-class _Replicas(dict):
-    """The worker's side: block key -> ``(replica, gradient slots)``, the
-    replica a ``Model`` whose parameters are the block's slots."""
-
-    def handle(self, msg, receive_fd):
-        """Carry out one message from the caller; returns the reply owed,
-        ``("ok", value)`` or ``("err", exception)``, or None."""
-        op, key, *rest = msg
-        if op == "bind":            # a new block; its memfd comes next
-            spec, size = rest
-            fd = receive_fd()
-            try:
-                buf = mmap.mmap(fd, size)
-            finally:
-                os.close(fd)
-            replica = Model(spec, _NoDraw())
-            params = replica.named_params()
-            slots, grads = _slots(buf, [p.shape for _, p in params])
-            for (_, p), slot in zip(params, slots):
-                p.data = slot
-            self[key] = replica, grads
-        elif op == "drop":          # its model was collected
-            self.pop(key, None)
-        else:
-            replica, grads = self[key]
-            try:
-                out = _TASKS[op](replica, *rest[0])
-                if op == "gradients":       # the gradients stay in the block
-                    out, computed = out
-                    for slot, g in zip(grads, computed.values()):
-                        slot[...] = g
-                return "ok", out
-            except Exception as exc:    # noqa: BLE001 - the caller raises it
-                return "err", exc
-        return None
-
-
-def _serve(conn, callers_end, cpu: int) -> None:
-    """The worker process: carries out the caller's messages until a stop
-    message or the end of the pipe, which comes when the caller exits."""
-    callers_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the caller's
-    os.sched_setaffinity(0, {cpu})
-    replicas = _Replicas()
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        if msg[0] == "stop":
-            return
-        reply = replicas.handle(msg, lambda: reduction.recv_handle(conn))
-        if reply is None:
-            continue
-        try:
-            conn.send(reply)
-        except OSError:             # the caller is gone
-            return
-
-
-class _Worker:
-    """The worker process that runs each pair's first half, and one shared
-    block per model it holds a replica of: the model's parameters, which
-    both sides read and ``Adam`` updates in place, then room for the
-    worker's gradients. The process is forked at the first pair that
-    :func:`_may_fork` allows, pinned to one CPU; a forked child of its
-    owner runs its pairs inline."""
-
-    def __init__(self):
-        self.process = None         # while the worker runs
-        self.conn = None
-        self.pid = None             # the process that started it
-        self.busy = False           # a task sent and its reply not yet read
-        self.lock = threading.Lock()
-        self.blocks = weakref.WeakKeyDictionary()   # Model -> (key, slots)
-        self.dropped = []           # block keys of collected models
-        self.keys = itertools.count()
-
-    def ready(self) -> bool:
-        """Whether a pair's first half goes to the worker now; starts it at
-        the first pair."""
-        if self.pid not in (None, os.getpid()):
-            return False            # forked from the worker's owner
-        if self.busy:               # a cut-off exchange left a reply unread
-            self.close(kill=True)
-        if self.process is None:
-            if not _may_fork():
-                return False
-            self._start()
-        return True
-
-    def _start(self) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self.conn, theirs = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_serve, name="tripcast-worker", daemon=True,
-            args=(theirs, self.conn, max(os.sched_getaffinity(0))))
-        self.process.start()
-        theirs.close()      # so that the worker's exit ends the pipe here
-        self.pid = os.getpid()
-        # registered after multiprocessing's own exit handler, so run
-        # before it: the worker gets a stop message, not a SIGTERM
-        atexit.unregister(self.close)
-        atexit.register(self.close)
-
-    def close(self, kill: bool = False):
-        """Stop the worker, at once with ``kill``, and forget its blocks.
-        Returns its exit code; None where this process does not own it."""
-        if self.process is None or self.pid != os.getpid():
-            return None
-        if not kill:
-            try:
-                self.send(("stop", None))
-            except OSError:
-                pass
-            self.process.join(5)
-        if self.process.exitcode is None:
-            self.process.kill()
-        self.process.join()
-        code = self.process.exitcode
-        self.conn.close()
-        self.process = self.conn = None
-        self.busy = False
-        self.blocks.clear()
-        return code
-
-    def send(self, msg, fd=None) -> None:
-        self.conn.send(msg)
-        if fd is not None:
-            reduction.send_handle(self.conn, fd, self.process.pid)
-
-    def reply(self) -> tuple:
-        return self.conn.recv()
-
-    def bind(self, model: Model) -> tuple:
-        """``(key, names, gradient slots)`` of ``model``'s block, made and
-        sent to the worker at the model's first pair. A parameter not bound
-        to its slot yet is copied into it and bound to it."""
-        params = model.named_params()
-        block = self.blocks.get(model)
-        if block is None:
-            shapes = [p.shape for _, p in params]
-            size = 2 * sum(map(_slot_bytes, shapes))
-            key = next(self.keys)
-            fd = os.memfd_create("tripcast-block")
-            try:
-                os.ftruncate(fd, size)
-                buf = mmap.mmap(fd, size)
-                self.send(("bind", key, model.spec, size), fd)
-            finally:
-                os.close(fd)
-            block = self.blocks[model] = (key, *_slots(buf, shapes))
-            weakref.finalize(model, self.dropped.append, key)
-        key, slots, grads = block
-        for (_, p), slot in zip(params, slots):
-            if p.data is not slot:
-                slot[...] = p.data
-                p.data = slot
-        return key, [name for name, _ in params], grads
-
-    def pair(self, model: Model, task: str, first: tuple, second: tuple):
-        """:func:`_pair`, with the first half sent to the worker."""
-        self.busy = True
-        try:
-            while self.dropped:
-                self.send(("drop", self.dropped.pop()))
-            key, names, grads = self.bind(model)
-            self.send((task, key, first))
-            sent = True
-        except ConnectionError:     # the worker is gone
-            sent = False
-        try:
-            tail = _TASKS[task](model, *second)
-        finally:
-            try:
-                ok, head = self.reply() if sent else ("dead", None)
-            except (EOFError, ConnectionError):
-                ok = "dead"
-            if ok == "dead":
-                pid = self.process.pid
-                head = RuntimeError(f"the tripcast worker process (pid "
-                                    f"{pid}) died with exit code "
-                                    f"{self.close(kill=True)}")
-            self.busy = False
-        if ok != "ok":
-            raise head
-        return ((head, dict(zip(names, grads))) if task == "gradients"
-                else head), tail
-
-    def unshare(self) -> None:
-        """In a forked child: give every bound model private parameters,
-        since its writes into a block would reach the worker's owner."""
-        for model, (_, slots, _) in list(self.blocks.items()):
-            for (_, p), slot in zip(model.named_params(), slots):
-                if p.data is slot:
-                    p.data = slot.copy()
-        self.blocks.clear()
-
-
-_worker = _Worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: _worker.unshare())
-
-
-def _pair(model: Model, task: str, first: tuple, second: tuple) -> tuple:
-    """``(task(model, *first), task(model, *second))`` for a ``_TASKS``
-    name, the first half in the worker process while the second runs here.
-
-    Where the worker is off, or another thread is using it, the first runs
-    here before the second. Either way a failure is raised only after both
-    have finished, the second's if both failed, and a gradient task's
-    result is ``(loss, {name: gradient})``.
-    """
-    if _worker.lock.acquire(blocking=False):
-        try:
-            if _worker.ready():
-                return _worker.pair(model, task, first, second)
-        finally:
-            _worker.lock.release()
-    run = _TASKS[task]
-    try:
-        head = run(model, *first)
-    finally:
-        tail = run(model, *second)
-    return head, tail
-
-
 def _no_tape_batches(model: Model, xs, batch_size: int, **row_inputs) -> list:
     """Each batch's ``model.forward`` output array, with no tape.
 
@@ -509,8 +217,8 @@ def _no_tape_batches(model: Model, xs, batch_size: int, **row_inputs) -> list:
             outs.append(_forward(model, *rows(lo, hi)))
         else:
             mid = lo + (hi - lo) // 2
-            outs.append(np.concatenate(_pair(model, "forward", rows(lo, mid),
-                                             rows(mid, hi))))
+            outs.append(np.concatenate(pair(_forward, rows(lo, mid),
+                                            rows(mid, hi), model)))
     return outs
 
 
@@ -570,11 +278,11 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
                                              ys[idx], where)
             else:
                 mid = len(idx) // 2
-                halves = _pair(model, "gradients",
-                               (xs[idx[:mid]], teach[idx[:mid]],
-                                ys[idx[:mid]], where),
-                               (xs[idx[mid:]], teach[idx[mid:]],
-                                ys[idx[mid:]], where))
+                halves = pair(_gradients,
+                              (xs[idx[:mid]], teach[idx[:mid]],
+                               ys[idx[:mid]], where),
+                              (xs[idx[mid:]], teach[idx[mid:]],
+                               ys[idx[mid:]], where), model)
                 loss_val, grads = _join(halves, mid / len(idx),
                                         (len(idx) - mid) / len(idx))
             clip_gradients(grads, cfg.grad_clip_norm)

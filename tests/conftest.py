@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tripcast import training
+from tripcast import worker as W
 
 settings.register_profile(
     "default",
@@ -39,7 +39,7 @@ def tape_ops():
     return _tape_ops
 
 
-class CountingWorker(training._Worker):
+class CountingWorker(W._Worker):
     """The worker process, counting the pairs handed to it."""
 
     def __init__(self):
@@ -58,7 +58,7 @@ class LateWorker(CountingWorker):
 
     def __init__(self):
         super().__init__()
-        self.replicas = training._Replicas()
+        self.replicas = W._Replicas()
         self.tasks = []
 
     def _start(self):
@@ -70,7 +70,7 @@ class LateWorker(CountingWorker):
     def send(self, msg, fd=None):
         if fd is not None:
             fd = os.dup(fd)     # the caller closes its own
-        if msg[0] in training._TASKS:
+        if msg[0] == "run":
             self.tasks.append(msg)
         else:
             self.replicas.handle(msg, lambda: fd)
@@ -95,11 +95,11 @@ def worker(monkeypatch, process_worker):
     ``"inline"``, in the worker ``"process"``, or ``"late"`` (a
     ``LateWorker``). Returns that mode's worker."""
     def use(mode: str):
-        used = {"inline": training._Worker(), "process": process_worker,
+        used = {"inline": W._Worker(), "process": process_worker,
                 "late": LateWorker()}[mode]
         used.calls = 0
-        monkeypatch.setattr(training, "_worker", used)
-        monkeypatch.setattr(training, "_may_fork", lambda: mode != "inline")
+        monkeypatch.setattr(W, "_worker", used)
+        monkeypatch.setattr(W, "_may_fork", lambda: mode != "inline")
         return used
 
     return use

@@ -6,12 +6,16 @@ the real dispatch path.  A module-scoped workspace runs ``datagen`` and one
 tiny ``train`` once and shares the outputs across the read-only tests.
 """
 
+import contextlib
 import csv
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -919,3 +923,64 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for name in ("datagen", "train", "grid", "predict", "gradcheck"):
         assert name in proc.stdout
+
+
+# a CLI command in a child interpreter; the last line it prints is the pid
+# of the worker process it used, or 0 where every stage ran inline
+_CLI_CHILD = """
+import sys
+from tripcast import worker as W
+from tripcast.cli import main
+code = main(sys.argv[1:])
+print(W._worker.process.pid if W._worker.process is not None else 0)
+sys.exit(code)
+"""
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _cli_child(argv, pinned: bool) -> int:
+    """Run ``argv`` in a child interpreter, with BLAS at one thread or
+    unset; returns the worker's pid, checked gone once the child exits."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(tripcast.cli.__file__).parent.parent)
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pid = int(proc.stdout.split()[-1])
+    if pid:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    return pid
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="the worker process needs Linux and two CPUs")
+def test_datagen_and_predict_bytes_do_not_depend_on_the_worker(tmp_path):
+    # trips of 1,200 samples: synthesis, CSV writing and parsing all pair;
+    # with BLAS unpinned the gate keeps every stage inline
+    cfg = base_config()
+    cfg["data"].update(n_trips=3, trip_length=1200)
+    config = write_config(tmp_path / "config.json", cfg)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", config,
+                     "--out", str(tmp_path / "run")]) == 0
+    outputs = {}
+    for pinned in (True, False):
+        gen, forecast = tmp_path / f"gen{pinned}", tmp_path / f"f{pinned}.csv"
+        pids = [_cli_child(["datagen", "--config", config, "--out", str(gen)],
+                           pinned),
+                _cli_child(["predict", "--checkpoint",
+                            str(tmp_path / "run" / "checkpoint.ckpt"),
+                            "--trip", str(gen / "trips" / "synth-001.csv"),
+                            "--start", "40", "--out", str(forecast)], pinned)]
+        assert all(pids) if pinned else not any(pids)
+        outputs[pinned] = [forecast.read_bytes(),
+                           (gen / "manifest.json").read_bytes(),
+                           *(p.read_bytes()
+                             for p in sorted((gen / "trips").iterdir()))]
+    assert len(outputs[True]) == 2 + 3
+    assert outputs[True] == outputs[False]

@@ -8,12 +8,14 @@ verify them step by step, so they double as documentation of the physics.
 import hashlib
 import logging
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripcast import pipeline, synth
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     MAX_ABS,
@@ -514,9 +516,19 @@ PINNED = [
 ]
 
 
+# where the first half of a paired ingest stage runs (conftest ``worker``)
+MODES = ["inline", "process", "late"]
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("kwargs, arrays_sha, csv_sha", PINNED,
                          ids=["clean", "noisy", "parked"])
-def test_synth_and_csv_bytes_pinned(tmp_path, kwargs, arrays_sha, csv_sha):
+def test_synth_and_csv_bytes_pinned(tmp_path, kwargs, arrays_sha, csv_sha,
+                                    mode, worker, monkeypatch):
+    # with the size constant under 300, the synthesis and each CSV write
+    # run as two halves
+    monkeypatch.setattr(pipeline, "PAIR_MIN_SAMPLES", 200)
+    used = worker(mode)
     arrays, csvs = hashlib.sha256(), hashlib.sha256()
     for trip in synthesize_trips(2, 300, seed=7, **kwargs):
         for name, seq in trip.channels.items():
@@ -525,6 +537,7 @@ def test_synth_and_csv_bytes_pinned(tmp_path, kwargs, arrays_sha, csv_sha):
         csvs.update((tmp_path / "trip.csv").read_bytes())
     assert arrays.hexdigest() == arrays_sha
     assert csvs.hexdigest() == csv_sha
+    assert used.calls == (0 if mode == "inline" else 3)
 
 
 class TestSynthTrips:
@@ -705,3 +718,156 @@ class TestPrepareDataset:
         for name, want in zip(("input_mean", "input_std", "target_mean",
                                "target_std"), stats):
             assert getattr(split.stats, name).tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------ ingest pairs
+
+
+def _ingest_bytes(root):
+    """The bytes of every ingest stage for 3 trips of 1,200 samples: each
+    stage is above ``PAIR_MIN_SAMPLES``."""
+    root.mkdir()
+    trips = synthesize_trips(3, 1200, seed=5)
+    out = []
+    for trip in trips:
+        write_trip_csv(trip, root / f"{trip.trip_id}.csv")
+        out.append((root / f"{trip.trip_id}.csv").read_bytes())
+    loaded = load_trips(root, DEFAULT_SCHEMA, 0.5)
+    for trip in (*trips, *loaded):
+        out += [trip.trip_id, *trip.channels,
+                *(seq.tobytes() for seq in trip.channels.values())]
+    split = prepare_dataset(loaded, DEFAULT_SCHEMA, 12, 6, 21, 2, 5.0,
+                            200, 50, 50, seed=2)
+    for part in (split.train, split.validation, split.test):
+        out += [part.x_enc.tobytes(), part.teacher.tobytes(),
+                part.y.tobytes(), part.trip_id.tolist(), part.start.tobytes()]
+    return out + [a.tobytes() for a in vars(split.stats).values()]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ingest_bytes_do_not_depend_on_the_worker(tmp_path, mode, worker,
+                                                  monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "PAIR_MIN_SAMPLES", 10 ** 12)
+        whole = _ingest_bytes(tmp_path / "whole")
+    used = worker(mode)
+    assert _ingest_bytes(tmp_path / mode) == whole
+    # the synthesis, three writes, three parses and the preprocessing
+    assert used.calls == (0 if mode == "inline" else 8)
+
+
+def _tiny_csv(faults: dict) -> str:
+    """A TINY-schema CSV of 1,200 data rows, row ``i`` (line ``i + 2``)
+    replaced by ``faults[i]`` where given."""
+    rows = [faults.get(i, f"{i},{2 * i}") for i in range(1200)]
+    return "a,b\n" + "".join(f"{row}\n" for row in rows)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({100: "3.0"}, "ragged row 102: expected 2 cells, got 1"),
+    ({1000: "3.0,x"}, "non-numeric cell 'x' at row 1002, column 'b'"),
+    ({200: "1.0", 900: "1.0,oops"}, "ragged row 202: expected 2 cells, got 1"),
+    ({300: "1.0,oops", 800: "1.0"},
+     "non-numeric cell 'oops' at row 302, column 'b'"),
+], ids=["ragged in first half", "bad cell in second half",
+        "both halves, ragged first", "both halves, bad cell first"])
+@pytest.mark.parametrize("mode", MODES)
+def test_paired_parse_raises_the_one_piece_message(tmp_path, faults, message,
+                                                   mode, worker):
+    path = tmp_path / "bad.csv"
+    path.write_text(_tiny_csv(faults), encoding="utf-8")
+    used = worker(mode)
+    with pytest.raises(ValueError) as err:
+        load_trips(path, TINY, 1.0)
+    assert str(err.value) == f"{path}: {message}"
+    assert used.calls == (0 if mode == "inline" else 1)
+
+
+@pytest.mark.parametrize("bad", [1, 3], ids=["first half", "second half"])
+@pytest.mark.parametrize("mode", MODES)
+def test_paired_preprocessing_raises_the_one_piece_error(bad, mode, worker,
+                                                         monkeypatch, caplog):
+    # trip 0 is too short for windows and warns; trip ``bad`` lacks a vent
+    # thermometer; in one piece the warning comes before the error
+    trips = synthesize_trips(4, 400, seed=8)
+    trips[0] = synthesize_trips(1, 30, seed=9)[0]
+    del trips[bad].channels["vent_temp_fl"]
+
+    def run():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING), \
+                pytest.raises(ValueError) as err:
+            prepare_dataset(trips, DEFAULT_SCHEMA, 12, 6, 21, 2, 1.0,
+                            100, 20, 20, seed=0)
+        return str(err.value), [r.getMessage() for r in caplog.records]
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "PAIR_MIN_SAMPLES", 10 ** 12)
+        whole = run()
+    worker(mode)
+    assert run() == whole
+    assert whole[0] == (f"trip 'synth-{bad:03d}': aggregation 'avg_vent_temp' "
+                        f"is missing member channel(s): vent_temp_fl")
+    assert len(whole[1]) == 1 and "too short" in whole[1][0]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_quoted_and_bare_cr_files_keep_their_values(tmp_path, mode, worker):
+    # a file holding a quote parses in one piece, since a quoted cell may
+    # span lines (here, at the middle row); a bare-CR file pairs
+    a = np.arange(1200.0)
+    b = 2.0 * a
+    b[600] = 2.5
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(_tiny_csv({600: '600,"2.5\n"'}), encoding="utf-8")
+    bare_cr = tmp_path / "bare_cr.csv"
+    bare_cr.write_bytes(_tiny_csv({600: "600,2.5"}).replace(
+        "\n", "\r").encode())
+    used = worker(mode)
+    for path, calls in ((quoted, 0), (bare_cr, 1)):
+        trip = load_trips(path, TINY, 1.0)[0]
+        assert trip.channels["a"].tobytes() == a.tobytes()
+        assert trip.channels["b"].tobytes() == b.tobytes()
+        assert used.calls == (0 if mode == "inline" else calls)
+
+
+def test_too_short_warning_reaches_the_caller(worker, caplog):
+    # trip 1 is preprocessed in the worker; its windows are cut here
+    trips = synthesize_trips(4, 400, seed=10)
+    trips[1] = synthesize_trips(2, 30, seed=11)[1]
+    used = worker("process")
+    with caplog.at_level(logging.WARNING):
+        split = prepare_dataset(trips, DEFAULT_SCHEMA, 12, 6, 21, 2, 1.0,
+                                100, 20, 20, seed=0)
+    assert used.calls == 1
+    assert len(split.train) == 100
+    assert [r.getMessage() for r in caplog.records] == [
+        "trip 'synth-001' too short for windowing: length 15 < W+H=18; "
+        "skipped"]
+
+
+def test_pairs_run_with_public_functions_wrapped_in_closures(worker,
+                                                             monkeypatch):
+    # as perfbench's Tracer wraps them: only private helpers go to the
+    # worker, so each call still pairs, and the caller's wrapped
+    # preprocess_trip sees its own half of the trips only
+    def run():
+        trips = synth.synthesize_trips(4, 400, seed=3)
+        split = pipeline.prepare_dataset(trips, DEFAULT_SCHEMA, 12, 6, 21, 2,
+                                         1.0, 100, 20, 20, seed=0)
+        return [t.channels["soc"].tobytes() for t in trips] + [
+            split.train.x_enc.tobytes(), split.test.y.tobytes()]
+
+    worker("inline")
+    want = run()
+    calls = Counter()
+    for module, name in ((synth, "synthesize_trips"),
+                         (pipeline, "preprocess_trip")):
+        def wrapped(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    used = worker("process")
+    assert run() == want
+    assert used.calls == 2
+    assert calls == {"synthesize_trips": 1, "preprocess_trip": 2}

@@ -29,6 +29,21 @@ def sample_arrays(rng):
     ]
 
 
+# headers whose array entries are well-formed JSON but not a valid table,
+# each followed by the payload its shapes ask for, and the words it is
+# refused with
+BAD_ENTRIES = [
+    (b'{"container": "checkpoint", "meta": {}, '
+     b'"arrays": [{"name": [1], "shape": [1]}]}', "names must be strings"),
+    (b'{"container": "checkpoint", "meta": {}, '
+     b'"arrays": [{"name": "a", "shape": [true]}]}',
+     "shapes must be non-negative integers"),
+    (b'{"container": "checkpoint", "meta": {}, "arrays": '
+     b'[{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]}',
+     "names repeated: ['a']"),
+]
+
+
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path, rng):
         arrays = sample_arrays(rng)
@@ -166,6 +181,7 @@ class TestFailureModes:
         b'{"container": "demo", "meta": {}, "arrays": [{"name": "a"}]}',
         b'{"container": "demo", "meta": {}, '
         b'"arrays": [{"name": "a", "shape": [-1]}]}',
+        *(header for header, _ in BAD_ENTRIES),
     ])
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "c.bin"
@@ -173,6 +189,26 @@ class TestFailureModes:
                          + header)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_container(path)
+
+
+@pytest.mark.parametrize("header, words", BAD_ENTRIES,
+                         ids=["list name", "bool shape", "repeated name"])
+def test_bad_array_entry_refused_by_reader_and_predict(tmp_path, header,
+                                                       words):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header))
+                     + header + bytes(16 if b'"a", "shape": [1]}, {' in header
+                                      else 8))
+    with pytest.raises(ValueError) as err:
+        read_container(path, expect_kind="checkpoint")
+    assert str(err.value).startswith(f"{path}: malformed container header")
+    assert words in str(err.value)
+    trip = tmp_path / "trip.csv"
+    trip.write_text("a\n1\n")
+    rc, stderr = _predict(path, str(trip), tmp_path / "out.csv")
+    assert rc == 1
+    assert stderr.startswith(f"error: {path}: malformed container header")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.fixture(scope="module")

@@ -91,18 +91,23 @@ CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing",
                        "mmap")
 # the calls that start or place a process, and the worker itself
 WORKER_NAMES = ("submit", "_worker", "fork", "sched_setaffinity")
+# the one module that owns the worker process
+WORKER_MODULE = "worker.py"
+# modules a planted case goes in: the model code, and the ingest stages
+# that hand halves to the worker through its pair function
+PLANTED = ("models.py", "tensor.py", "pipeline.py", "synth.py")
 
 
 def _concurrency_imports(paths):
     """``file:line`` of every import of a ``CONCURRENCY_MODULES`` module,
-    or of a name from one, outside ``training.py``."""
+    or of a name from one, outside ``worker.py``."""
     def banned(name):
         return any(name == m or name.startswith(m + ".")
                    for m in CONCURRENCY_MODULES)
 
     found = []
     for path in paths:
-        if path.name == "training.py":
+        if path.name == WORKER_MODULE:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -119,11 +124,11 @@ def _concurrency_imports(paths):
 
 def _worker_uses(paths):
     """``file:line`` of every use or import of a ``WORKER_NAMES`` name
-    outside ``training.py``: ``.submit``, the worker (``training._worker``),
+    outside ``worker.py``: ``.submit``, the worker (``worker._worker``),
     ``os.fork`` and ``os.sched_setaffinity``."""
     found = []
     for path in paths:
-        if path.name == "training.py":
+        if path.name == WORKER_MODULE:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Attribute) and node.attr in WORKER_NAMES
@@ -133,17 +138,18 @@ def _worker_uses(paths):
     return found
 
 
-def test_only_training_starts_threads():
+def test_only_the_worker_module_starts_threads():
     # the worker process is the package's one helper; a second pool would
     # compete with it and with BLAS for the same cores, a fork or a shared
-    # block outside training.py would escape its gate and its lifecycle,
-    # and a task handed to the worker from elsewhere would bypass _pair
+    # block outside worker.py would escape its gate and its lifecycle, and
+    # a task handed to the worker from elsewhere would bypass pair
+    assert (SOURCES[0].parent / WORKER_MODULE).is_file()
     found = _concurrency_imports(SOURCES)
     assert not found, f"thread, process or shared-memory imports outside " \
-        f"training.py: {found}"
+        f"{WORKER_MODULE}: {found}"
     found = _worker_uses(SOURCES)
     assert not found, f"the worker, a fork or a CPU pin outside " \
-        f"training.py: {found}"
+        f"{WORKER_MODULE}: {found}"
 
 
 @pytest.mark.parametrize("line", [
@@ -154,27 +160,29 @@ def test_only_training_starts_threads():
     "import multiprocessing.reduction",
 ])
 def test_concurrency_rule_catches_a_planted_import(tmp_path, line):
-    for name in ("models.py", "tensor.py"):
+    for name in PLANTED:
         planted = tmp_path / name
         planted.write_text(f"{line}\n", encoding="utf-8")
         assert _concurrency_imports([planted]) == [f"{name}:1"]
-    allowed = tmp_path / "training.py"
+    allowed = tmp_path / WORKER_MODULE
     allowed.write_text(f"{line}\n", encoding="utf-8")
     assert _concurrency_imports([allowed]) == []
 
 
 @pytest.mark.parametrize("line", [
-    "pool.submit(fn)", "T._worker", "from .training import _worker",
-    "from .training import _worker as w", "training._worker.submit(fn, x)",
+    "pool.submit(fn)", "T._worker", "from .worker import _worker",
+    "from .worker import _worker as w", "worker._worker.submit(fn, x)",
+    "worker._worker.pair(_task, first, second, None)",
+    "from . import worker\nworker._worker.send(msg)",
     "os.fork()", "pid = os.fork()", "from os import fork",
     "os.sched_setaffinity(0, {1})", "from os import sched_setaffinity as pin",
 ])
 def test_worker_rule_catches_a_planted_use(tmp_path, line):
-    for name in ("models.py", "tensor.py"):
+    for name in PLANTED:
         planted = tmp_path / name
         planted.write_text(f"{line}\n", encoding="utf-8")
         assert _worker_uses([planted]) != []
-    allowed = tmp_path / "training.py"
+    allowed = tmp_path / WORKER_MODULE
     allowed.write_text(f"{line}\n", encoding="utf-8")
     assert _worker_uses([allowed]) == []
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripcast import training
+from tripcast import worker as W
 from tripcast.models import DECODER_INPUT_KINDS, KINDS, Model, ModelSpec, build
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
@@ -36,12 +36,10 @@ from tripcast.training import (
     GridCell,
     GridReport,
     TrainConfig,
-    _blas_leaves_a_core,
+    _forward,
     _no_tape_batches,
-    _pair,
     _predict_ar,
     _teacher_forced_loss,
-    _worker_allowed,
     clip_gradients,
     evaluate,
     evaluate_split,
@@ -50,6 +48,7 @@ from tripcast.training import (
     run_grid,
     train,
 )
+from tripcast.worker import _blas_leaves_a_core, _worker_allowed, pair
 
 TINY_MODEL = dict(window=4, horizon=2, n_features=15, n_targets=2,
                   d_model=16, n_heads=2, enc_layers=1, dec_layers=1,
@@ -491,7 +490,7 @@ def forward_spy(monkeypatch):
 
 
 class TestPair:
-    """``_pair`` returns its two halves' results in order whether the first
+    """``pair`` returns its two halves' results in order whether the first
     runs in the worker process, inline before the second, or after it."""
 
     SPEC = ModelSpec(kind="tst_lstm", **TINY_MODEL)
@@ -522,9 +521,9 @@ class TestPair:
         assert _worker_allowed(environ, cpus, threads) is on
 
     def _halves(self, model, x, start):
-        return np.concatenate(_pair(
-            model, "forward", (x[:32], {"start": start[:32]}),
-            (x[32:], {"start": start[32:]}))).tobytes()
+        return np.concatenate(pair(
+            _forward, (x[:32], {"start": start[:32]}),
+            (x[32:], {"start": start[32:]}), model)).tobytes()
 
     def _inputs(self, rng, n=64):
         return (rng.standard_normal((n, 4, 15)),
@@ -559,7 +558,7 @@ class TestPair:
         used = worker("process")
         want = self._halves(model, x, start)
         key, _, _ = used.bind(model)
-        used.send(("forward", key, (x[32:], {"start": start[32:]})))
+        used.send(("run", key, _forward, (x[32:], {"start": start[32:]})))
         used.busy = True
         pid = used.process.pid
         assert self._halves(model, x, start) == want
@@ -618,14 +617,14 @@ class TestPair:
         want = np.concatenate([
             model.forward(x[:32], start=start[:32]).data,
             model.forward(x[32:], start=start[32:]).data]).tobytes()
-        for var in training._BLAS_THREAD_VARS:
+        for var in W._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         if case != "BLAS unpinned":
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         cpus = {1} if case == "one CPU" else {0, 1}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        fresh = training._Worker()
-        monkeypatch.setattr(training, "_worker", fresh)
+        fresh = W._Worker()
+        monkeypatch.setattr(W, "_worker", fresh)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         if case == "another thread":
@@ -649,7 +648,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 _CHILD_SETUP = """
 import json, os, signal, sys, time
 import numpy as np
-from tripcast import training
+from tripcast import worker as W
 from tripcast.models import Model, ModelSpec, build
 from tripcast.pipeline import DatasetSplit, NormStats, Windows
 from tripcast.training import TrainConfig, evaluate, train
@@ -671,7 +670,7 @@ def report():
         return f"RuntimeError: {exc}"
 
 first = report()
-worker = training._worker.process
+worker = W._worker.process
 """
 
 _LIFECYCLE = _CHILD_SETUP + """
@@ -723,7 +722,7 @@ open(FLAG, "w").close()                     # the worker dies in its half
 during = report()
 os.remove(FLAG)
 again = report()
-restarted = training._worker.process.pid
+restarted = W._worker.process.pid
 open(FLAG, "w").close()
 from tripcast.cli import main
 code = main(["train", "--config", sys.argv[2], "--out", sys.argv[3]])
@@ -748,7 +747,7 @@ _FORKED = _CHILD_SETUP + """
 before = [p.data.copy() for _, p in model.named_params()]
 pid = os.fork()
 if pid == 0:
-    training._worker.conn = None        # a pair sent to it would fail
+    W._worker.conn = None               # a pair sent to it would fail
     same = report() == first
     split = DatasetSplit(windows, windows, windows, stats=stats)
     train(model, split, TrainConfig(epochs=1, batch_size=64))
