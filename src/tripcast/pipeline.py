@@ -9,8 +9,9 @@ statistics taken from the training portion only.
 Writing and parsing a trip CSV split it by rows, and preprocessing splits
 the trips, into two halves that run at once, the first in the worker
 process (:func:`worker.pair`), once a stage holds ``PAIR_MIN_SAMPLES``
-trip samples. The bytes are those of the one-piece run, and so is any
-error: a stage whose half fails runs again in one piece.
+trip samples and the worker can run; otherwise the stage runs in one
+piece. The bytes are those of the one-piece run, and so is any error: a
+stage whose half fails runs again in one piece.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .savgol import savgol_smooth
 from .serialize import atomic_write
-from .worker import pair
+from .worker import available, pair
 
 log = logging.getLogger(__name__)
 
@@ -184,9 +185,10 @@ def _halves(task, items, samples: int, *args):
     """``(task(items[:mid], *args), task(items[mid:], *args))``, the first
     half in the worker process while the second runs here, where ``items``
     hold at least ``PAIR_MIN_SAMPLES`` trip samples (``samples``). None
-    where they hold fewer, or where a half failed: the caller then runs its
+    where they hold fewer, where the worker will not run (a pair would run
+    both halves here), or where a half failed: the caller then runs its
     stage in one piece, which raises a fault as it always has."""
-    if len(items) < 2 or samples < PAIR_MIN_SAMPLES:
+    if len(items) < 2 or samples < PAIR_MIN_SAMPLES or not available():
         return None
     mid = len(items) // 2
     try:
@@ -213,9 +215,41 @@ def load_trips(path, schema: FeatureSchema, sample_period_s: float) -> list:
 
 def _load_trip_file(path: Path, schema: FeatureSchema,
                     sample_period_s: float) -> TripSeries:
-    channels = _paired_channels(path, schema)
-    if channels is None:
-        channels = _whole_channels(path, schema)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read trip file: "
+                         f"{exc.strerror or exc}") from None
+    # a quoted cell may span lines: a file holding a quote is parsed in one
+    # piece; in any other, each line is one row
+    quoted = any('"' in line for line in lines)
+    rows = _rows(path, lines if quoted else lines[:1])
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    try:
+        keep = _kept_columns(path, header, schema)
+    except ValueError:
+        _rows(path, lines)      # an unreadable row further on comes first
+        raise
+    body = rows[1:] if quoted else lines[1:]    # the data rows, or lines
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    index = [i for i, _ in keep]
+    halves = None if quoted else _halves(_parse_columns, body, len(body),
+                                         len(header), index)
+    if halves is not None:
+        columns = [np.concatenate(col) for col in zip(*halves)]
+    else:
+        data = body if quoted else _rows(path, body)
+        try:
+            columns = _columns(data, len(header), index)
+        except ValueError:
+            raise ValueError(_first_fault(path, header, keep, data)) from None
+    channels = {name: col for (_, name), col in zip(keep, columns)}
     for name, arr in channels.items():
         ok = np.abs(arr) <= MAX_ABS  # False for NaN and ±inf too
         if not ok.all():
@@ -229,58 +263,13 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
     return TripSeries(path.stem, sample_period_s, channels)
 
 
-def _whole_channels(path: Path, schema: FeatureSchema) -> dict:
-    """The schema's raw channels of a trip CSV, parsed in one piece; a
-    fault raises ``ValueError`` naming ``path``."""
+def _rows(path: Path, lines: list) -> list:
+    """The CSV rows of ``lines``; a malformed one raises ``ValueError``
+    naming ``path``."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read trip file: "
-                         f"{exc.strerror or exc}") from None
+        return list(csv.reader(lines))
     except csv.Error as exc:
         raise ValueError(f"{path}: unreadable CSV: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    keep = _kept_columns(path, header, schema)
-    data = rows[1:]
-    if not data:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        columns = _columns(data, len(header), [i for i, _ in keep])
-    except ValueError:
-        raise ValueError(_first_fault(path, header, keep, data)) from None
-    return {name: col for (_, name), col in zip(keep, columns)}
-
-
-def _paired_channels(path: Path, schema: FeatureSchema):
-    """:func:`_whole_channels`, with the data lines parsed as two halves
-    at once; None where the file is parsed in one piece: it holds fewer
-    than ``PAIR_MIN_SAMPLES`` data lines or a ``"`` (a quoted cell may span
-    lines), or it has a fault, which the one-piece parse reports. The
-    header is checked here; the data is split at the line break after its
-    middle line."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = list(fh)
-    except (OSError, ValueError):
-        return None
-    if any('"' in line for line in lines):
-        return None
-    try:
-        header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
-        keep = _kept_columns(path, header, schema)
-    except (csv.Error, ValueError):
-        return None
-    halves = _halves(_parse_columns, lines[1:], len(lines) - 1, len(header),
-                     [i for i, _ in keep])
-    if halves is None:
-        return None
-    return {name: np.concatenate(col)
-            for (_, name), col in zip(keep, zip(*halves))}
 
 
 def _kept_columns(path: Path, header: list, schema: FeatureSchema) -> list:

@@ -18,6 +18,7 @@ parameters share memory with the model's.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import itertools
 import math
 import mmap
@@ -129,12 +130,39 @@ class _Replicas(dict):
         return None
 
 
+# glibc's mallopt parameters, and the values the worker sets them to: blocks
+# of up to 32 MiB come from the heap (the ceiling of glibc's own sliding
+# threshold on 64-bit), and the heap is never trimmed (-1). Left to glibc,
+# both start where the caller's stood at the fork. Forked at the first
+# ingest stage, before the caller had freed any large block, the worker
+# gave its heap top back to the kernel after most tasks and faulted it in
+# again at the next; trimming only above 64 MiB, glibc's ceiling, still
+# cost a training half 8,800 faults. In 20 s `perfbench/run.py` runs (2-vCPU
+# VM, OpenBLAS at one thread) the worker took 359k minor faults in
+# `forecast` and 1.0M in `train`; with these settings, 21k and 51k, as with
+# the worker forked at the first model pair.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, -1))
+
+
+def _keep_heap() -> None:
+    """Fix this process's malloc thresholds at ``_HEAP_SETTINGS``, where
+    the C library has glibc's ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def _serve(conn, callers_end, cpu: int) -> None:
     """The worker process: carries out the caller's messages until a stop
     message or the end of the pipe, which comes when the caller exits."""
     callers_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the caller's
     os.sched_setaffinity(0, {cpu})
+    _keep_heap()
     replicas = _Replicas()
     while True:
         try:
@@ -297,6 +325,13 @@ class _Worker:
 _worker = _Worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _worker.unshare())
+
+
+def available() -> bool:
+    """Whether a pair started now would run its first half in the worker
+    process: the worker runs for this process, or may be forked now."""
+    return (_worker.pid in (None, os.getpid())
+            and (_worker.process is not None or _may_fork()))
 
 
 def pair(task, first: tuple, second: tuple, model: Model | None = None):

@@ -7,6 +7,7 @@ verify them step by step, so they double as documentation of the physics.
 
 import hashlib
 import logging
+import os
 import re
 from collections import Counter
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripcast import pipeline, synth
+from tripcast import worker as W
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     MAX_ABS,
@@ -164,6 +166,21 @@ class TestLoadErrors:
         p = self._write(tmp_path, "a,b\n1.0," + "2" * 200_000 + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{p}: unreadable CSV: field larger than field limit")):
+            load_trips(p, TINY, 1.0)
+
+    @pytest.mark.parametrize("header", ["a,c", 'a,c,"d'])
+    def test_unreadable_row_comes_before_a_header_fault(self, tmp_path,
+                                                        header):
+        # as in a one-piece parse: the whole file is read as CSV first
+        p = self._write(tmp_path, f"{header}\n1.0,{'2' * 200_000}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: unreadable CSV: field larger than field limit")):
+            load_trips(p, TINY, 1.0)
+
+    def test_header_spanning_every_line_has_no_data_rows(self, tmp_path):
+        p = self._write(tmp_path, 'a,b,"c\nd"\n')
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: no data rows")):
             load_trips(p, TINY, 1.0)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -754,6 +771,27 @@ def test_ingest_bytes_do_not_depend_on_the_worker(tmp_path, mode, worker,
     assert _ingest_bytes(tmp_path / mode) == whole
     # the synthesis, three writes, three parses and the preprocessing
     assert used.calls == (0 if mode == "inline" else 8)
+
+
+def test_stages_run_in_one_piece_where_the_worker_will_not_run(
+        tmp_path, worker, monkeypatch):
+    # BLAS unpinned, one CPU or another thread alive: no stage splits, so
+    # none pays for two halves run one after the other
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return W.pair(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pair", counted)
+    worker("inline")
+    assert not W.available()
+    _ingest_bytes(tmp_path / "whole")
+    assert calls == []
+    worker("late")
+    assert W.available()
+    monkeypatch.setattr(W._worker, "pid", os.getpid() + 1)  # a forked child
+    assert not W.available()
 
 
 def _tiny_csv(faults: dict) -> str:

@@ -8,6 +8,7 @@ deliberately tiny models so the whole file stays fast.
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -766,6 +767,28 @@ print(json.dumps({
 """
 
 
+# two 3 MiB blocks allocated and freed again and again: a worker forked
+# first thing, before the caller had freed any large block, keeps its heap
+# and faults no page in after the first round; the caller, with glibc's
+# sliding thresholds, gives the heap top back and faults it in every round
+_HEAP = """
+import json, resource
+import numpy as np
+from tripcast import worker as W
+
+def _faults(rounds):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(rounds):
+        a, b = np.ones(3 << 17), np.ones(3 << 17)
+        del a, b
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+W.pair(_faults, (2,), (2,))
+print(json.dumps([W._worker.process is not None,
+                  W.pair(_faults, (100,), (100,))]))
+"""
+
+
 def _run_child(script, *args, timeout=120):
     env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, "-c", script, *args], env=env,
@@ -777,6 +800,15 @@ def _run_child(script, *args, timeout=120):
                     reason="the worker process needs Linux and two CPUs")
 class TestWorkerProcess:
     """The real worker, in child interpreters with BLAS at one thread."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap settings are glibc's")
+    def test_worker_keeps_its_freed_heap(self):
+        proc = _run_child(_HEAP)
+        assert proc.returncode == 0, proc.stderr
+        ran, (worker, caller) = json.loads(proc.stdout)
+        assert ran
+        assert caller > 10_000 and worker < caller // 100
 
     @pytest.mark.parametrize("how", ["exits", "killed"])
     def test_worker_ends_with_its_caller(self, how):
