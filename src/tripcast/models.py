@@ -163,9 +163,10 @@ class Model(Module):
         one :class:`~tripcast.layers.DecodeCache` per layer, for the one
         position ``y_in`` holds at the caches' step."""
         first = caches[0].step if caches else 0
-        rows = slice(first, first + y_in.shape[1])
-        d = add(self.decoder_embed(y_in), Tensor(self.pe_dec[rows]))
-        mask = Tensor(self.mask_dec[rows])
+        rows = slice(first, first + y_in.data.shape[1])
+        pe = Tensor._result(self.pe_dec[rows], None)    # views, not copies
+        mask = Tensor._result(self.mask_dec[rows], None)
+        d = add(self.decoder_embed(y_in), pe)
         for blk, kv, cache in zip(self.decoder, cross_kv,
                                   caches or [None] * len(self.decoder)):
             d = blk(d, kv, mask, cache)[0]

@@ -5,7 +5,8 @@ Operations record a node on an implicit tape (one node per primitive applied);
 ``backward()`` on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients into every tensor that requires
 them. The graph is consumed by the traversal: training loops rebuild it on
-each forward pass.
+each forward pass. An op that does not record, inside :func:`no_grad` or
+with no input that needs a gradient, builds no backward rule at all.
 
 Broadcasting is deliberately restricted to two cases: a size-1 operand
 (scalar), and a trailing-suffix match where the smaller operand's shape equals
@@ -267,9 +268,15 @@ def _as_tensor(x: Union["Tensor", Scalar]) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _tracked(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` records: outside :func:`no_grad`, with
+    an input that needs a gradient."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _record(op: str, inputs: Sequence[Tensor], data: np.ndarray,
             backward_fn: Callable) -> Tensor:
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _tracked(*inputs):
         return Tensor._result(data, _Node(op, tuple(inputs), backward_fn))
     return Tensor._result(data, None)
 
@@ -280,8 +287,10 @@ def _record(op: str, inputs: Sequence[Tensor], data: np.ndarray,
 
 def add(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _elementwise_shape(a.shape, b.shape)
+    _elementwise_shape(a.data.shape, b.data.shape)
     data = a.data + b.data
+    if not _tracked(a, b):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -294,8 +303,10 @@ def add(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
 
 def mul(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _elementwise_shape(a.shape, b.shape)
+    _elementwise_shape(a.data.shape, b.data.shape)
     data = a.data * b.data
+    if not _tracked(a, b):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -322,10 +333,11 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     data = np.where(mask, a.data, 0.0)
+    if not _tracked(a):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        a._accumulate(g * mask)
 
     return _record("relu", (a,), data, backward_fn)
 
@@ -343,55 +355,57 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     whatever ``L`` is; a call on that one position repeats them exactly.
     The result is position-major in memory.
     """
-    if a.ndim < 2 or w.ndim != 2 or per_position and a.ndim != 3:
+    sa, sw = a.data.shape, w.data.shape
+    if len(sa) < 2 or len(sw) != 2 or per_position and len(sa) != 3:
         raise ShapeError(
             f"matmul needs an at least 2-d left operand (3-d per position) "
-            f"and a 2-d weight, got {a.shape} and {w.shape}"
+            f"and a 2-d weight, got {sa} and {sw}"
         )
-    d, h = w.shape
-    if a.shape[-1] != d:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} vs {w.shape}"
-        )
-    if bias is not None and bias.shape != (h,):
-        raise ShapeError(f"matmul bias {bias.shape} does not fit weight "
-                         f"{w.shape}")
+    d, h = sw
+    if sa[-1] != d:
+        raise ShapeError(f"matmul inner dimensions disagree: {sa} vs {sw}")
+    if bias is not None and bias.data.shape != (h,):
+        raise ShapeError(f"matmul bias {bias.data.shape} does not fit weight "
+                         f"{sw}")
     if per_position:
         data = np.matmul(a.data.swapaxes(0, 1), w.data).swapaxes(0, 1)
     else:   # fold every leading axis of ``a`` into rows, one GEMM each
-        data = (a.data.reshape(-1, d) @ w.data).reshape(a.shape[:-1] + (h,))
+        data = (a.data.reshape(-1, d) @ w.data).reshape(sa[:-1] + (h,))
     if bias is not None:
         data += bias.data
+    inputs = (a, w) if bias is None else (a, w, bias)
+    if not _tracked(*inputs):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            bias._accumulate(_unbroadcast(g, (h,)))
         g2 = g.reshape(-1, h)
         if a.requires_grad:
-            a._accumulate((g2 @ w.data.T).reshape(a.shape))
+            a._accumulate((g2 @ w.data.T).reshape(sa))
         if w.requires_grad:
             w._accumulate(a.data.reshape(-1, d).T @ g2)
 
-    return _record("matmul", (a, w) if bias is None else (a, w, bias), data,
-                   backward_fn)
+    return _record("matmul", inputs, data, backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     data = np.ascontiguousarray(a.data).reshape(shape)
+    if not _tracked(a):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+        a._accumulate(g.reshape(a.shape))
 
     return _record("reshape", (a,), data, backward_fn)
 
 
 def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    if not _tracked(a):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape))
@@ -410,6 +424,9 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mse operand shapes differ: {a.shape} vs {b.shape}")
     diff = a.data - b.data
     n = diff.size
+    data = np.add.reduce(diff * diff, axis=None) / n    # as ndarray.mean
+    if not _tracked(a, b):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         g = (g / n) * diff
@@ -419,7 +436,7 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(-g)
 
-    return _record("mse", (a, b), (diff * diff).mean(), backward_fn)
+    return _record("mse", (a, b), data, backward_fn)
 
 
 def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
@@ -429,7 +446,7 @@ def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
     maximum is exact, so the bits are the same."""
     n = x.shape[axis]
     if n > 16 or x.size < 32 * n * n:
-        return x.max(axis=axis, keepdims=True)
+        return np.maximum.reduce(x, axis=axis, keepdims=True)
     cols = np.moveaxis(x, axis, -1)
     m = cols[..., :1].copy()
     for j in range(1, n):
@@ -442,35 +459,42 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError("softmax input contains non-finite values")
     e = x - _row_max(x, axis)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` by the same arithmetic, a sum and
+    then a divide by the width, without ``ndarray.mean``'s Python wrapper."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standardize the last axis to zero mean and unit variance (plus
     1e-5), then scale by ``gain`` and shift by ``bias``."""
-    if gain.shape != (a.shape[-1],) or bias.shape != gain.shape:
-        raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} "
-                         f"do not fit input {a.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
+    x, sg, sb = a.data, gain.data.shape, bias.data.shape
+    if sg != x.shape[-1:] or sb != sg:
+        raise ShapeError(f"layer_norm gain {sg} and bias {sb} do not fit "
+                         f"input {x.shape}")
+    xc = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + 1e-5)
     out = xc * inv
 
     data = out * gain.data
     data += bias.data
+    if not _tracked(a, gain, bias):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            bias._accumulate(_unbroadcast(g, sb))
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * out, gain.shape))
+            gain._accumulate(_unbroadcast(g * out, sg))
         if a.requires_grad:
             g = g * gain.data
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * out).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (g - gm - out * gym))
+            a._accumulate(inv * (g - _row_mean(g) - out * _row_mean(g * out)))
 
     return _record("layer_norm", (a, gain, bias), data, backward_fn)
 
@@ -482,10 +506,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def tslice(a: Tensor, idx) -> Tensor:
     """Basic (slice/int tuple) indexing with scatter-into-zeros backward."""
     data = np.ascontiguousarray(a.data[idx])
+    if not _tracked(a):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate_at(idx, g)
+        a._accumulate_at(idx, g)
 
     return _record("slice", (a,), data, backward_fn)
 
@@ -496,20 +521,27 @@ def tslice(a: Tensor, idx) -> Tensor:
 
 def _to_heads(x: np.ndarray, n: int) -> np.ndarray:
     x = x.reshape(x.shape[:-1] + (n, x.shape[-1] // n))
-    return np.ascontiguousarray(np.swapaxes(x, -3, -2))
+    return np.ascontiguousarray(x.swapaxes(-3, -2))
 
 
 def heads(a: Tensor, n_heads: int) -> Tensor:
     """Split ``(*lead, L, D)`` into ``(*lead, n_heads, L, D / n_heads)``."""
-    if a.ndim < 2 or a.shape[-1] % n_heads:
-        raise ShapeError(f"cannot split {a.shape} into {n_heads} heads")
+    shape = a.data.shape
+    if len(shape) < 2 or shape[-1] % n_heads:
+        raise ShapeError(f"cannot split {shape} into {n_heads} heads")
     data = _to_heads(a.data, n_heads)
+    if not _tracked(a):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, -3, -2).reshape(a.shape))
+        a._accumulate(g.swapaxes(-3, -2).reshape(shape))
 
     return _record("heads", (a,), data, backward_fn)
+
+
+def _row_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` as one 1-row product per row of ``x``."""
+    return np.matmul(x[..., None, :], y[..., None, :, :])[..., 0, :]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -525,46 +557,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     query row, so a 1-row call under that row of the mask repeats the row's
     bits; the keys are read in place, and the backward stays batched.
     """
-    if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] + (n_heads,)
-            or k.shape[-1] * n_heads != q.shape[-1]
-            or v.shape[:-1] != k.shape[:-1]):
-        raise ShapeError(f"attention query {q.shape}, keys {k.shape} and "
-                         f"values {v.shape} do not fit {n_heads} heads")
-    if mask is not None and mask.shape != (q.shape[-2], k.shape[-2]):
-        raise ShapeError(f"mask shape {mask.shape} does not match (Lq, Lk)="
-                         f"({q.shape[-2]}, {k.shape[-2]})")
-    c = 1.0 / math.sqrt(k.shape[-1])
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    if (len(sq) < 2 or sk[:-2] != sq[:-2] + (n_heads,)
+            or sk[-1] * n_heads != sq[-1] or sv[:-1] != sk[:-1]):
+        raise ShapeError(f"attention query {sq}, keys {sk} and "
+                         f"values {sv} do not fit {n_heads} heads")
+    if mask is not None and mask.data.shape != (sq[-2], sk[-2]):
+        raise ShapeError(f"mask shape {mask.data.shape} does not match "
+                         f"(Lq, Lk)=({sq[-2]}, {sk[-2]})")
+    c = 1.0 / math.sqrt(sk[-1])
     qh = _to_heads(q.data, n_heads)
-    kt = np.swapaxes(k.data, -2, -1)
+    kt = k.data.swapaxes(-2, -1)
     if per_position:    # one 1-row product per query row
-        def product(x, y):
-            return np.matmul(x[..., None, :], y[..., None, :, :])[..., 0, :]
+        product = _row_products
     else:
-        kt = np.ascontiguousarray(kt)
-        product = np.matmul
+        kt, product = np.ascontiguousarray(kt), np.matmul
     scores = product(qh, kt)
     scores *= c
     if mask is not None:
         scores += mask.data
     w = _softmax(scores, -1)
-    merged = np.ascontiguousarray(np.swapaxes(product(w, v.data), -3, -2))
+    merged = np.ascontiguousarray(product(w, v.data).swapaxes(-3, -2))
+    data = merged.reshape(sq[:-1] + (-1,))
+    if not _tracked(q, k, v):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         # the composed ops' rules in reverse: merge, ·v, softmax, ·c, q·kᵀ
-        g = np.swapaxes(g.reshape(merged.shape), -3, -2)
+        g = g.reshape(merged.shape).swapaxes(-3, -2)
         if v.requires_grad:
-            v._accumulate(np.matmul(np.swapaxes(w, -1, -2), g))
-        g = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            v._accumulate(np.matmul(w.swapaxes(-1, -2), g))
+        g = np.matmul(g, v.data.swapaxes(-1, -2))
         g = w * (g - (g * w).sum(axis=-1, keepdims=True)) * c
         if q.requires_grad:
-            q._accumulate(np.swapaxes(np.matmul(g, np.swapaxes(kt, -1, -2)),
-                                      -3, -2).reshape(q.shape))
+            q._accumulate(np.matmul(g, kt.swapaxes(-1, -2))
+                          .swapaxes(-3, -2).reshape(sq))
         if k.requires_grad:
-            k._accumulate(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g),
-                                      -2, -1))
+            k._accumulate(np.matmul(qh.swapaxes(-1, -2), g).swapaxes(-2, -1))
 
-    return _record("attention", (q, k, v), merged.reshape(q.shape[:-1] + (-1,)),
-                   backward_fn)
+    return _record("attention", (q, k, v), data, backward_fn)
 
 
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
@@ -585,22 +616,19 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     ``u`` and ``b`` as one GEMM or sum over all rows. Per-step buffers are
     time-major, so every step reads and writes contiguous ``(B, ·)`` blocks.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"lstm input must be (B, L, d), got {x.shape}")
-    batch, length, d = x.shape
-    hid = u.shape[0]
+    sx, sw, su, sb = x.data.shape, w.data.shape, u.data.shape, b.data.shape
+    if len(sx) != 3:
+        raise ShapeError(f"lstm input must be (B, L, d), got {sx}")
+    batch, length, d = sx
+    hid = su[0]
     if length == 0:
         raise ShapeError("LSTM cannot run on a length-zero sequence")
-    if (w.shape != (d, 4 * hid) or u.shape != (hid, 4 * hid)
-            or b.shape != (4 * hid,)):
-        raise ShapeError(
-            f"lstm weights {w.shape}, {u.shape}, {b.shape} do not fit input "
-            f"{x.shape} and hidden size {hid}"
-        )
-    if h0.shape != (batch, hid) or c0.shape != (batch, hid):
-        raise ShapeError(
-            f"lstm states {h0.shape}, {c0.shape} must be ({batch}, {hid})"
-        )
+    if sw != (d, 4 * hid) or su != (hid, 4 * hid) or sb != (4 * hid,):
+        raise ShapeError(f"lstm weights {sw}, {su}, {sb} do not fit input "
+                         f"{sx} and hidden size {hid}")
+    sh, sc = h0.data.shape, c0.data.shape
+    if sh != (batch, hid) or sc != (batch, hid):
+        raise ShapeError(f"lstm states {sh}, {sc} must be ({batch}, {hid})")
     rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(-1, d)
     if per_position:
         gates = np.matmul(rows.reshape(length, batch, d), w.data)
@@ -623,6 +651,8 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     data = np.empty((batch, length, 2 * hid))
     data[:, :, :hid] = hs[1:].transpose(1, 0, 2)
     data[:, :, hid:] = cs[1:].transpose(1, 0, 2)
+    if not _tracked(x, h0, c0, w, u, b):
+        return Tensor._result(data, None)
 
     def backward_fn(g):
         g = g.transpose(1, 0, 2)

@@ -321,8 +321,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig,
                 )
                 break
 
-    for name, p in params:
-        p.data = best_params[name]
+    for name, p in params:      # in place: shared with the worker still
+        p.data[...] = best_params[name]
     return model, log
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import itertools
 import math
 import mmap
@@ -39,12 +40,34 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS")
 
 
+@functools.cache
+def _blas_thread_query():
+    """The loaded OpenBLAS's own thread-count query, looked up through
+    numpy's linear-algebra library, or None where none is found."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_",   # numpy 2's wheels
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        query = getattr(lib, name, None)
+        if query is not None:
+            query.argtypes, query.restype = [], ctypes.c_int
+            return query
+    return None
+
+
 def _blas_leaves_a_core(environ, cpus) -> bool:
     """Whether BLAS runs on one thread and this process may use two cores.
 
-    The first of ``_BLAS_THREAD_VARS`` set to a positive count decides, as
-    in OpenBLAS; unset, OpenBLAS takes every core.
+    The loaded OpenBLAS's own count decides where :func:`_blas_thread_query`
+    finds it, since OpenBLAS fixed it when numpy was loaded. Elsewhere the
+    first of ``_BLAS_THREAD_VARS`` set to a positive count in ``environ``
+    decides, as in OpenBLAS; unset, OpenBLAS takes every core.
     """
+    query = _blas_thread_query()
+    if query is not None:
+        return query() == 1 and len(cpus) >= 2
     for var in _BLAS_THREAD_VARS:
         try:
             n = int(environ.get(var, ""))

@@ -554,6 +554,28 @@ class TestAutoregressiveConsistency:
         assert recorded == []
         assert got.node is None and not got.requires_grad
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_grad_forecast_builds_no_node(self, kind, rng, monkeypatch):
+        # an op that will not record returns before it builds its backward
+        # rule, so a batch-1 forecast constructs no tape node at all
+        spec = ModelSpec(kind=kind)
+        model = build(spec, seed=0)
+        built = []
+        init = T._Node.__init__
+
+        def counted(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(T._Node, "__init__", counted)
+        x = rng.standard_normal((1, spec.window, spec.n_features))
+        y = rng.standard_normal((1, spec.horizon, spec.n_targets))
+        with no_grad():
+            model.forward(x, start=y[:, 0])
+        assert built == []
+        model.forward(x, teacher=y, training=True)  # the spy sees nodes
+        assert built
+
     def test_first_step_depends_only_on_start(self, rng):
         # step 0 of the rollout must not change when later teacher
         # positions change: causality of the decoding loop

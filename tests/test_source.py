@@ -215,3 +215,30 @@ def test_global_rule_catches_a_planted_global(tmp_path, source):
     planted.write_text(source, encoding="utf-8")
     assert _globals([planted]) != [("tensor.py", "no_grad",
                                     ["_grad_enabled"])]
+
+
+def _mean_uses(paths):
+    """``file:line`` of every ``.mean`` attribute, ``x.mean(...)`` and
+    ``np.mean`` alike, and of every import of a name ``mean``."""
+    return [f"{path.name}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "mean"
+            or isinstance(node, ast.alias) and node.name == "mean"]
+
+
+def test_tensor_ops_take_no_mean_wrapper():
+    # ndarray.mean runs a Python wrapper around np.add.reduce and a divide
+    # that costs several times the reduction on a short row; the ops take
+    # the sum and divide themselves, with the same bits
+    tensor_py = [path for path in SOURCES if path.name == "tensor.py"]
+    assert tensor_py and _mean_uses(tensor_py) == []
+
+
+@pytest.mark.parametrize("line", [
+    "mu = a.data.mean(axis=-1, keepdims=True)", "m = (x * x).mean()",
+    "m = np.mean(x)", "from numpy import mean",
+])
+def test_mean_rule_catches_a_planted_mean(tmp_path, line):
+    planted = tmp_path / "tensor.py"
+    planted.write_text(f"{line}\n", encoding="utf-8")
+    assert _mean_uses([planted]) == ["tensor.py:1"]

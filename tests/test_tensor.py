@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tripcast.layers import MASK_VALUE, causal_mask
 from tripcast.tensor import (
+    RECORDED_OPS,
     GraphError,
     ShapeError,
     Tensor,
@@ -23,6 +24,7 @@ from tripcast.tensor import (
     attention,
     heads,
     layer_norm,
+    lstm,
     matmul,
     mse,
     mul,
@@ -514,6 +516,86 @@ class TestGraphDiscipline:
             y = add(y, 1.0)
         tsum(y).backward()
         np.testing.assert_array_equal(x.grad, np.ones(2))
+
+
+# (op, function of the input tensors, input shapes with B for the rows):
+# each op's every shipped call form, the per-position variants included
+B = "B"
+_MASK = causal_mask(5).data[1:]
+UNTRACKED_CASES = [
+    ("add", lambda t: add(*t), [(B, 4, 8), (8,)]),
+    ("mul", lambda t: mul(*t), [(B, 4, 8), (B, 4, 8)]),
+    ("relu", lambda t: relu(*t), [(B, 4, 8)]),
+    ("matmul", lambda t: matmul(*t), [(B, 4, 8), (8, 5), (5,)]),
+    ("matmul", lambda t: matmul(*t), [(B, 4, 8), (8, 5)]),
+    ("matmul", lambda t: matmul(*t, per_position=True),
+     [(B, 4, 8), (8, 5), (5,)]),
+    ("reshape", lambda t: reshape(t[0], (-1, 32)), [(B, 4, 8)]),
+    ("sum", lambda t: tsum(t[0], axis=1), [(B, 4, 8)]),
+    ("mse", lambda t: mse(*t), [(B, 4, 8), (B, 4, 8)]),
+    ("layer_norm", lambda t: layer_norm(*t), [(B, 4, 8), (8,), (8,)]),
+    ("slice", lambda t: t[0][:, 1:3], [(B, 4, 8)]),
+    ("heads", lambda t: heads(t[0], 2), [(B, 4, 8)]),
+    ("attention", lambda t: attention(*t, 2, Tensor(_MASK)),
+     [(B, 4, 8), (B, 2, 5, 4), (B, 2, 5, 4)]),
+    ("attention", lambda t: attention(*t, 2, Tensor(_MASK),
+                                      per_position=True),
+     [(B, 4, 8), (B, 2, 5, 4), (B, 2, 5, 4)]),
+    ("lstm", lambda t: lstm(*t),
+     [(B, 4, 3), (B, 5), (B, 5), (3, 20), (5, 20), (20,)]),
+    ("lstm", lambda t: lstm(*t, per_position=True),
+     [(B, 4, 3), (B, 5), (B, 5), (3, 20), (5, 20), (20,)]),
+]
+
+
+class TestUntracked:
+    """An op that does not record returns its value before it builds a
+    backward rule; the value must be the recorded op's, byte for byte."""
+
+    def test_cases_cover_every_recorded_op(self):
+        assert {op for op, _, _ in UNTRACKED_CASES} == RECORDED_OPS
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("op, fn, shapes", UNTRACKED_CASES,
+                             ids=[f"{op}{i}" for i, (op, _, _)
+                                  in enumerate(UNTRACKED_CASES)])
+    def test_untracked_output_keeps_the_recorded_bytes(self, op, fn, shapes,
+                                                       rows, rng):
+        arrays = [rng.standard_normal([rows if n == B else n for n in shape])
+                  for shape in shapes]
+        recorded = fn([Tensor(a, requires_grad=True) for a in arrays])
+        assert recorded.node is not None and recorded.node.op == op
+        with no_grad():
+            free = fn([Tensor(a, requires_grad=True) for a in arrays])
+        constants = fn([Tensor(a) for a in arrays])
+        for out in (free, constants):
+            assert out.node is None and not out.requires_grad
+            assert out.data.shape == recorded.data.shape
+            assert out.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_layer_norm_keeps_the_bits_of_mean_statistics(self, rows, rng):
+        # the statistics are np.add.reduce and a divide, the arithmetic of
+        # ndarray.mean without its Python wrapper: a reference computing
+        # them with ndarray.mean gives the same bytes, forward and backward
+        x, gain, bias, up = (rng.standard_normal(s) for s in
+                             [(rows, 6, 16), 16, 16, (rows, 6, 16)])
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        out = xc * inv
+        want = out * gain
+        want += bias
+        gg = up * gain
+        want_dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                         - out * (gg * out).mean(axis=-1, keepdims=True))
+
+        ts = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        y = layer_norm(*ts)
+        tsum(mul(y, Tensor(up))).backward()
+        assert y.data.tobytes() == want.tobytes()
+        assert ts[0].grad.tobytes() == want_dx.tobytes()
+        assert ts[1].grad.tobytes() == (up * out).sum(axis=(0, 1)).tobytes()
+        assert ts[2].grad.tobytes() == up.sum(axis=(0, 1)).tobytes()
 
 
 @given(

@@ -25,6 +25,7 @@ from tripcast import worker as W
 from tripcast.models import DECODER_INPUT_KINDS, KINDS, Model, ModelSpec, build
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
+    DatasetSplit,
     NormStats,
     Windows,
     normalize_and_split,
@@ -508,8 +509,22 @@ class TestPair:
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, {0, 1}, False),
         ({"MKL_NUM_THREADS": "1"}, {0, 1}, False),
     ])
-    def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on):
+    def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on,
+                                                       monkeypatch):
+        # the environment decides where no loaded OpenBLAS reports a count
+        monkeypatch.setattr(W, "_blas_thread_query", lambda: None)
         assert _blas_leaves_a_core(environ, cpus) is on
+
+    @pytest.mark.parametrize("loaded, environ, on", [
+        (1, {}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, False),  # pinned after the load
+        (4, {}, False),
+    ])
+    def test_the_loaded_blas_count_decides_over_the_environment(
+            self, loaded, environ, on, monkeypatch):
+        monkeypatch.setattr(W, "_blas_thread_query", lambda: lambda: loaded)
+        assert _blas_leaves_a_core(environ, {0, 1}) is on
+        assert _blas_leaves_a_core(environ, {0}) is False
 
     @pytest.mark.parametrize("environ, cpus, threads, on", [
         ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 1, True),
@@ -518,7 +533,8 @@ class TestPair:
         ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 2, False),  # another thread
     ])
     def test_worker_forked_only_alone_and_with_a_core_to_spare(
-            self, environ, cpus, threads, on):
+            self, environ, cpus, threads, on, monkeypatch):
+        monkeypatch.setattr(W, "_blas_thread_query", lambda: None)
         assert _worker_allowed(environ, cpus, threads) is on
 
     def _halves(self, model, x, start):
@@ -591,6 +607,20 @@ class TestPair:
         assert run() == inline
         assert used.calls == 24
 
+    def test_train_restores_the_best_parameters_into_the_block(self, rng,
+                                                               worker):
+        # restored in place, every parameter stays its shared-block slot,
+        # so the next pair's bind copies nothing back in
+        used = worker("process")
+        model = build(self.SPEC, seed=0)
+        w = _row_windows(64, self.SPEC, rng)
+        stats = NormStats(np.zeros(15), np.ones(15), np.zeros(2), np.ones(2))
+        train(model, DatasetSplit(w, w, w, stats=stats),
+              TrainConfig(epochs=2, batch_size=64))
+        _, slots, _ = used.blocks[model]
+        assert all(p.data is slot
+                   for (_, p), slot in zip(model.named_params(), slots))
+
     @pytest.mark.parametrize("failing", ["first", "second", "both"])
     @pytest.mark.parametrize("mode", ["inline", "late"])
     def test_failure_raised_after_the_other_finished(self, mode, failing,
@@ -618,10 +648,8 @@ class TestPair:
         want = np.concatenate([
             model.forward(x[:32], start=start[:32]).data,
             model.forward(x[32:], start=start[32:]).data]).tobytes()
-        for var in W._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if case != "BLAS unpinned":
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        threads = 2 if case == "BLAS unpinned" else 1
+        monkeypatch.setattr(W, "_blas_thread_query", lambda: lambda: threads)
         cpus = {1} if case == "one CPU" else {0, 1}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         fresh = W._Worker()
@@ -789,8 +817,23 @@ print(json.dumps([W._worker.process is not None,
 """
 
 
-def _run_child(script, *args, timeout=120):
-    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+# BLAS pinned only after tripcast, so numpy, is loaded: OpenBLAS has
+# already taken its thread count from the environment it started with
+_LATE_PIN = """
+import json, multiprocessing, os
+from tripcast import worker as W
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+print(json.dumps([W.available(), W.pair(divmod, (7, 2), (9, 4)),
+                  len(multiprocessing.active_children())]))
+"""
+
+
+def _run_child(script, *args, timeout=120, blas_threads="1"):
+    env = {key: value for key, value in os.environ.items()
+           if key not in W._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
@@ -841,6 +884,15 @@ class TestWorkerProcess:
         assert out["cli"] == 2
         assert "runtime failure: the tripcast worker" in proc.stderr
         assert restarted not in (None, killed)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_gate_asks_the_loaded_blas_not_the_environment(self, pinned):
+        # pinned only after the import, BLAS still runs on every core, so
+        # the worker must not start; pinned at launch, it starts
+        proc = _run_child(_LATE_PIN, blas_threads="1" if pinned else None)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [pinned, [[3, 1], [2, 1]],
+                                           int(pinned)]
 
     def test_forked_child_runs_inline_and_keeps_its_weights_apart(self):
         proc = _run_child(_FORKED)
