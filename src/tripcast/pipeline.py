@@ -11,7 +11,9 @@ the trips, into two halves that run at once, the first in the worker
 process (:func:`worker.pair`), once a stage holds ``PAIR_MIN_SAMPLES``
 trip samples and the worker can run; otherwise the stage runs in one
 piece. The bytes are those of the one-piece run, and so is any error: a
-stage whose half fails runs again in one piece.
+stage whose half fails runs again in one piece. numpy's C reader parses
+the rows of a trip CSV; csv.reader parses a file holding a quote, and a
+block that the C reader might read otherwise than csv.reader and ``float``.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
                          f"{exc.strerror or exc}") from None
     # a quoted cell may span lines: a file holding a quote is parsed in one
     # piece; in any other, each line is one row
-    quoted = any('"' in line for line in lines)
+    quoted = '"' in "".join(lines)
     rows = _rows(path, lines if quoted else lines[:1])
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -239,11 +241,15 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
     if not body:
         raise ValueError(f"{path}: no data rows")
     index = [i for i, _ in keep]
-    halves = None if quoted else _halves(_parse_columns, body, len(body),
-                                         len(header), index)
-    if halves is not None:
-        columns = [np.concatenate(col) for col in zip(*halves)]
-    else:
+    columns = None
+    if not quoted:
+        halves = _halves(_parse_columns, body, len(body), len(header), index)
+        try:
+            columns = ([np.concatenate(col) for col in zip(*halves)] if halves
+                       else _parse_columns(body, len(header), index))
+        except ValueError:      # left to csv.reader, which names the fault
+            pass
+    if columns is None:
         data = body if quoted else _rows(path, body)
         try:
             columns = _columns(data, len(header), index)
@@ -288,8 +294,18 @@ def _kept_columns(path: Path, header: list, schema: FeatureSchema) -> list:
 
 
 def _parse_columns(lines: list, width: int, columns: list) -> list:
-    """:func:`_columns` of the CSV rows of ``lines``."""
-    return _columns(list(csv.reader(lines)), width, columns)
+    """:func:`_columns` of unquoted ``lines`` by numpy's C reader; raises
+    ``ValueError`` where csv.reader and ``float`` might read them otherwise:
+    a cell numpy refuses (``1_0``), a blank line, a NUL, an overlong line."""
+    text = "".join(lines)
+    if ("\0" in text or text.isspace()     # all blank: numpy would warn
+            or max(map(len, lines)) > csv.field_size_limit()):
+        raise ValueError("left to csv.reader")
+    table = np.loadtxt(lines, np.float64, delimiter=",", comments=None,
+                       ndmin=2)
+    if table.shape != (len(lines), width):
+        raise ValueError("a blank line or a ragged row")
+    return [np.ascontiguousarray(table[:, i]) for i in columns]
 
 
 def _columns(rows: list, width: int, columns: list) -> list:

@@ -35,10 +35,6 @@ import numpy as np
 from .models import Model, _NoDraw
 from .tensor import grad_enabled
 
-# the variables OpenBLAS takes its thread count from, in the order it reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
 
 @functools.cache
 def _blas_thread_query():
@@ -57,39 +53,26 @@ def _blas_thread_query():
     return None
 
 
-def _blas_leaves_a_core(environ, cpus) -> bool:
-    """Whether BLAS runs on one thread and this process may use two cores.
-
-    The loaded OpenBLAS's own count decides where :func:`_blas_thread_query`
-    finds it, since OpenBLAS fixed it when numpy was loaded. Elsewhere the
-    first of ``_BLAS_THREAD_VARS`` set to a positive count in ``environ``
-    decides, as in OpenBLAS; unset, OpenBLAS takes every core.
-    """
+def _blas_leaves_a_core(cpus) -> bool:
+    """Whether the loaded OpenBLAS runs on one thread, a count it fixed when
+    numpy was loaded, and this process may use two cores. Where no OpenBLAS
+    answers, BLAS may run on every core whatever the environment says."""
     query = _blas_thread_query()
-    if query is not None:
-        return query() == 1 and len(cpus) >= 2
-    for var in _BLAS_THREAD_VARS:
-        try:
-            n = int(environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n == 1 and len(cpus) >= 2
-    return False
+    return query is not None and query() == 1 and len(cpus) >= 2
 
 
-def _worker_allowed(environ, cpus, threads: int) -> bool:
+def _worker_allowed(cpus, threads: int) -> bool:
     """Whether the worker process may be forked now: BLAS leaves a core,
     and the caller's is the only thread alive (``threads``), since a fork
     copies another thread's locks as they stand but not the thread."""
-    return threads == 1 and _blas_leaves_a_core(environ, cpus)
+    return threads == 1 and _blas_leaves_a_core(cpus)
 
 
 def _may_fork() -> bool:
     """:func:`_worker_allowed` here and now, on Linux, outside ``no_grad``:
     the worker keeps the tape switch it was forked with."""
     return (hasattr(os, "memfd_create") and grad_enabled()
-            and _worker_allowed(os.environ, os.sched_getaffinity(0),
+            and _worker_allowed(os.sched_getaffinity(0),
                                 threading.active_count()))
 
 

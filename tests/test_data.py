@@ -9,6 +9,7 @@ import hashlib
 import logging
 import os
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -867,6 +868,126 @@ def test_quoted_and_bare_cr_files_keep_their_values(tmp_path, mode, worker):
         assert trip.channels["a"].tobytes() == a.tobytes()
         assert trip.channels["b"].tobytes() == b.tobytes()
         assert used.calls == (0 if mode == "inline" else calls)
+
+
+# cells that test where numpy's C reader and ``float`` after csv.reader
+# may part: ``float`` takes the first two and numpy refuses them, and
+# csv.reader refuses a field over its limit; among the lines, numpy skips
+# blank ones that csv.reader reads as empty rows
+EDGE_CELLS = ["1_0", "١٢", " 1.5", "\t1.5", "1.5\xa0", "+NaN", "Infinity",
+              "1e400", "1e-400", ".5", "5.", "-0", "", "x", "\0",
+              "7" * 131_073]
+
+
+def _refuse(lines, width, columns):
+    """Stands in for the fast parse: every block goes to csv.reader."""
+    raise ValueError("forced to csv.reader")
+
+
+def _load_result(path):
+    """``load_trips``'s trips, each channel as its dtype, layout and bytes,
+    or the text of the ``ValueError`` it raised."""
+    try:
+        trips = load_trips(path, TINY, 1.0)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return [(trip.trip_id, [(name, seq.dtype.str, seq.flags.c_contiguous,
+                             seq.tobytes())
+                            for name, seq in trip.channels.items()])
+            for trip in trips]
+
+
+def _assert_fast_parse_is_exact(path, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's "no data", say
+        got = _load_result(path)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_parse_columns", _refuse)
+        assert got == _load_result(path)
+
+
+def _three_column_csv(faults: dict, end: str = "\n") -> str:
+    """A TINY-schema CSV of 1,200 data rows with a ``note`` column between
+    ``a`` and ``b``, row ``i`` replaced by ``faults[i]`` where given."""
+    rows = [faults.get(i, f"{i},{-i},{2 * i}") for i in range(1200)]
+    return "".join(f"{row}{end}" for row in ["a,note,b", *rows])
+
+
+@pytest.mark.parametrize("faults, end", [
+    *(({100: f"{cell},0,200"}, "\n") for cell in EDGE_CELLS),
+    *(({900: f"900,{cell},1800"}, "\r\n") for cell in EDGE_CELLS),
+    ({300: ""}, "\n"),                      # a blank line
+    ({300: " \t"}, "\n"),                   # whitespace only
+    ({300: "300,-300"}, "\n"),              # ragged, short
+    ({900: "900,-900,1800,1"}, "\r\n"),     # ragged, long
+    ({0: "", 1199: ""}, "\r"),              # bare CR, blank ends
+    ({}, "\r"),
+    ({i: "" for i in range(600, 1200)}, "\n"),   # a blank second half
+    ({i: "" for i in range(1200)}, "\r\n"),     # nothing but blank lines
+], ids=[*(f"a={c!r}" for c in EDGE_CELLS), *(f"note={c!r}" for c in EDGE_CELLS),
+        "blank", "whitespace", "short", "long", "bare CR blank", "bare CR",
+        "blank half", "all blank"])
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_fast_parse_matches_csv_reader_table(tmp_path, faults, end, mode,
+                                             worker, monkeypatch):
+    path = tmp_path / "trip.csv"
+    path.write_bytes(_three_column_csv(faults, end).encode())
+    worker(mode)
+    _assert_fast_parse_is_exact(path, monkeypatch)
+
+
+_clean_cells = st.sampled_from(["0", "-1.25", "3e2", "42"])
+_cells = st.one_of(_clean_cells, _clean_cells, st.sampled_from(EDGE_CELLS))
+# a data row, a bad cell in the note column only, or a ragged, blank or
+# whitespace-only line
+_lines = st.one_of(
+    st.tuples(_cells, _cells, _cells),
+    st.tuples(_clean_cells, st.sampled_from(EDGE_CELLS), _clean_cells),
+    st.lists(_cells, max_size=4).map(tuple),
+    st.just((" ",)))
+
+
+@given(body=st.lists(st.tuples(_lines, st.sampled_from(["\n", "\r\n", "\r"])),
+                     min_size=1, max_size=12),
+       last_end=st.booleans())
+@settings(max_examples=120, derandomize=True, database=None)
+def _fast_parse_property(tmp_path, monkeypatch, body, last_end):
+    text = "".join(",".join(cells) + end
+                   for cells, end in [(("a", "note", "b"), "\n"), *body])
+    path = tmp_path / "trip.csv"
+    path.write_bytes((text if last_end else text.rstrip("\r\n")).encode())
+    _assert_fast_parse_is_exact(path, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_fast_parse_matches_csv_reader_property(tmp_path, mode, worker,
+                                                monkeypatch):
+    # every body of two rows or more pairs where the worker runs
+    monkeypatch.setattr(pipeline, "PAIR_MIN_SAMPLES", 2)
+    worker(mode)
+    _fast_parse_property(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_clean_files_take_the_fast_parse(tmp_path, mode, worker,
+                                         monkeypatch):
+    # no cell of a clean file is parsed in Python, in either half
+    calls = []
+    columns = pipeline._columns
+
+    def spied(*args):
+        calls.append(len(args[0]))
+        return columns(*args)
+
+    monkeypatch.setattr(pipeline, "_columns", spied)
+    path = tmp_path / "trip.csv"
+    path.write_text(_tiny_csv({}), encoding="utf-8")
+    used = worker(mode)
+    trip = load_trips(path, TINY, 1.0)[0]
+    assert calls == []
+    assert used.calls == (0 if mode == "inline" else 1)
+    assert trip.channels["a"].tobytes() == np.arange(1200.0).tobytes()
+    assert trip.channels["b"].tobytes() == np.arange(0.0, 2400, 2).tobytes()
 
 
 def test_too_short_warning_reaches_the_caller(worker, caplog):

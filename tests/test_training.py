@@ -497,23 +497,24 @@ class TestPair:
 
     SPEC = ModelSpec(kind="tst_lstm", **TINY_MODEL)
 
-    @pytest.mark.parametrize("environ, cpus, on", [
-        ({}, {0, 1}, False),        # unset: OpenBLAS takes every core
-        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, {0}, False),
-        ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1, 2, 3}, False),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, {0, 1}, True),
-        ({"OMP_NUM_THREADS": "1"}, {2, 5}, True),
-        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, {0, 1}, True),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, {0, 1}, False),
-        ({"MKL_NUM_THREADS": "1"}, {0, 1}, False),
+    @pytest.mark.parametrize("environ", [
+        {}, {"OPENBLAS_NUM_THREADS": "1"}, {"GOTO_NUM_THREADS": "1"},
+        {"OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "1"},
     ])
-    def test_worker_runs_only_when_blas_leaves_a_core(self, environ, cpus, on,
+    def test_no_openblas_answer_keeps_the_gate_closed(self, environ,
                                                        monkeypatch):
-        # the environment decides where no loaded OpenBLAS reports a count
+        # a BLAS that answers no OpenBLAS query (MKL, say) may run on every
+        # core whatever the environment says, so no worker runs beside it
         monkeypatch.setattr(W, "_blas_thread_query", lambda: None)
-        assert _blas_leaves_a_core(environ, cpus) is on
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in environ.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert _blas_leaves_a_core({0, 1}) is False
+        assert _worker_allowed({0, 1}, 1) is False
+        assert W._may_fork() is False
 
     @pytest.mark.parametrize("loaded, environ, on", [
         (1, {}, True),
@@ -523,19 +524,21 @@ class TestPair:
     def test_the_loaded_blas_count_decides_over_the_environment(
             self, loaded, environ, on, monkeypatch):
         monkeypatch.setattr(W, "_blas_thread_query", lambda: lambda: loaded)
-        assert _blas_leaves_a_core(environ, {0, 1}) is on
-        assert _blas_leaves_a_core(environ, {0}) is False
+        for var, value in environ.items():
+            monkeypatch.setenv(var, value)
+        assert _blas_leaves_a_core({0, 1}) is on
+        assert _blas_leaves_a_core({0}) is False
 
-    @pytest.mark.parametrize("environ, cpus, threads, on", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 1, True),
-        ({}, {0, 1}, 1, False),                             # BLAS unpinned
-        ({"OPENBLAS_NUM_THREADS": "1"}, {1}, 1, False),     # one CPU
-        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 2, False),  # another thread
+    @pytest.mark.parametrize("loaded, cpus, threads, on", [
+        (1, {0, 1}, 1, True),
+        (2, {0, 1}, 1, False),      # BLAS unpinned
+        (1, {1}, 1, False),         # one CPU
+        (1, {0, 1}, 2, False),      # another thread
     ])
     def test_worker_forked_only_alone_and_with_a_core_to_spare(
-            self, environ, cpus, threads, on, monkeypatch):
-        monkeypatch.setattr(W, "_blas_thread_query", lambda: None)
-        assert _worker_allowed(environ, cpus, threads) is on
+            self, loaded, cpus, threads, on, monkeypatch):
+        monkeypatch.setattr(W, "_blas_thread_query", lambda: lambda: loaded)
+        assert _worker_allowed(cpus, threads) is on
 
     def _halves(self, model, x, start):
         return np.concatenate(pair(
@@ -830,7 +833,8 @@ print(json.dumps([W.available(), W.pair(divmod, (7, 2), (9, 4)),
 
 def _run_child(script, *args, timeout=120, blas_threads="1"):
     env = {key: value for key, value in os.environ.items()
-           if key not in W._BLAS_THREAD_VARS}
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = SRC
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
