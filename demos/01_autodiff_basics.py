@@ -10,24 +10,25 @@ Run:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from tripcast.gradcheck import run_gradcheck
-from tripcast.tensor import Tensor, layer_norm, matmul, mse, mul, tsum
+from tripcast.tensor import Tensor, add, layer_norm, matmul, mse, reshape
 
 rule = "-" * 64
 
 # ----------------------------------------------------------------------
 print(rule)
-print("1. A scalar chain: y = mse(p, 0), the mean of p², with p = a * b")
+print("1. A scalar chain: y = mse(p, 0), the mean of p², with p = a @ b")
 print(rule)
 
-a = Tensor(np.array([0.3, -1.2, 0.8]), requires_grad=True)
-b = Tensor(np.array([1.5, 0.4, -0.7]), requires_grad=True)
-p = mul(a, b)
-zero = Tensor(np.zeros(3))
+a = Tensor(np.array([[0.3, -1.2, 0.8]]), requires_grad=True)
+b = Tensor(np.array([[1.5, 0.2], [0.4, -0.3], [-0.7, 1.0]]),
+           requires_grad=True)
+p = matmul(a, b)
+zero = Tensor(np.zeros((1, 2)))
 y = mse(p, zero)
 y.backward()
 
-# d/da mean((a*b)^2) = 2 * (a*b) * b / n
-manual = 2.0 * a.data * b.data * b.data / a.data.size
+# d/da mean((a@b)^2) = 2 * (a@b) @ b^T / n
+manual = 2.0 * (a.data @ b.data) @ b.data.T / p.size
 print("y           =", float(y.data))
 print("a.grad      =", a.grad)
 print("closed form =", manual)
@@ -42,17 +43,16 @@ print(rule)
 # Nudge one coordinate of `a` both ways and difference the losses.  This
 # is the oracle the gradient audit uses for every parameter of every op.
 step = 1e-6
-i = 1
-fd = np.zeros_like(a.data)
+i = (0, 1)
+fd = 0.0
 for sign in (+1.0, -1.0):
     bumped = a.data.copy()
     bumped[i] += sign * step
-    pb = mul(Tensor(bumped), Tensor(b.data))
-    out = mse(pb, zero)
-    fd[i] += sign * float(out.data)
-fd[i] /= 2.0 * step
-print(f"finite difference for a[{i}] = {fd[i]:.10f}")
-print(f"reverse mode for a[{i}]     = {a.grad[i]:.10f}")
+    out = mse(matmul(Tensor(bumped), Tensor(b.data)), zero)
+    fd += sign * float(out.data)
+fd /= 2.0 * step
+print(f"finite difference for a{list(i)} = {fd:.10f}")
+print(f"reverse mode for a{list(i)}     = {a.grad[i]:.10f}")
 
 # ----------------------------------------------------------------------
 print()
@@ -63,10 +63,14 @@ print(rule)
 w = Tensor(np.arange(6.0).reshape(2, 3) / 10.0, requires_grad=True)
 x = Tensor(np.ones((3, 2)))
 # w is used twice; its gradient is the sum of both paths
-y = tsum(mul(matmul(w, x), matmul(w, x)))
+s = add(matmul(w, x), matmul(w, x))
+y = mse(s, Tensor(np.zeros((2, 2))))
 y.backward()
+# d/dw mean(s^2) with s = 2·w@x: each path carries (2s/n) @ x^T
 print("w used twice, grad shape", w.grad.shape)
 print(w.grad)
+print("closed form:")
+print(2.0 * (2.0 * s.data / s.size) @ x.data.T)
 
 # ----------------------------------------------------------------------
 print()
@@ -83,7 +87,10 @@ unit = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))).data
 print("row means:    ", unit.mean(axis=-1))
 print("row variances:", unit.var(axis=-1), "(just under 1: eps is 1e-5)")
 c = np.array([[1.0, -2.0, 0.5, 0.0], [0.3, 0.3, -1.0, 2.0]])
-tsum(mul(layer_norm(x, gain, bias), Tensor(c))).backward()
+# sum(norm(x) * gain * c), as the gradient audit builds a weighted sum:
+# the output as one row times the weights as one column
+weights = Tensor(c.reshape(-1, 1))
+matmul(reshape(layer_norm(x, gain, bias), (1, -1)), weights).backward()
 # d/dgain sum(norm(x) * gain * c) = sum over rows of norm(x) * c
 print("gain.grad   =", gain.grad)
 print("closed form =", (unit * c).sum(axis=0))

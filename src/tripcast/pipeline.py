@@ -7,13 +7,13 @@ step, cut sliding windows, then shuffle, split, and z-score normalize with
 statistics taken from the training portion only.
 
 Writing and parsing a trip CSV split it by rows, and preprocessing splits
-the trips, into two halves that run at once, the first in the worker
-process (:func:`worker.pair`), once a stage holds ``PAIR_MIN_SAMPLES``
-trip samples and the worker can run; otherwise the stage runs in one
-piece. The bytes are those of the one-piece run, and so is any error: a
-stage whose half fails runs again in one piece. numpy's C reader parses
-the rows of a trip CSV; csv.reader parses a file holding a quote, and a
-block that the C reader might read otherwise than csv.reader and ``float``.
+the trips, into two halves once a stage holds ``PAIR_MIN_SAMPLES`` trip
+samples, the first in the worker process where it runs (:func:`worker.pair`).
+The bytes are those of the one-piece run, and so is any error: a stage
+whose half fails runs again in one piece. numpy's C reader parses the rows
+of a trip CSV; csv.reader parses a file holding a quote, and, with no
+second C parse, a file with a block that the C reader might read otherwise
+than csv.reader and ``float``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .savgol import savgol_smooth
 from .serialize import atomic_write
-from .worker import available, pair
+from .worker import pair
 
 log = logging.getLogger(__name__)
 
@@ -184,13 +184,12 @@ class DatasetSplit:
 
 
 def _halves(task, items, samples: int, *args):
-    """``(task(items[:mid], *args), task(items[mid:], *args))``, the first
-    half in the worker process while the second runs here, where ``items``
-    hold at least ``PAIR_MIN_SAMPLES`` trip samples (``samples``). None
-    where they hold fewer, where the worker will not run (a pair would run
-    both halves here), or where a half failed: the caller then runs its
-    stage in one piece, which raises a fault as it always has."""
-    if len(items) < 2 or samples < PAIR_MIN_SAMPLES or not available():
+    """``(task(items[:mid], *args), task(items[mid:], *args))`` through
+    :func:`worker.pair`, where ``items`` hold at least ``PAIR_MIN_SAMPLES``
+    trip samples (``samples``). None where they hold fewer, or where a half
+    failed: the caller then runs its stage in one piece, which raises a
+    fault as it always has."""
+    if len(items) < 2 or samples < PAIR_MIN_SAMPLES:
         return None
     mid = len(items) // 2
     try:
@@ -242,13 +241,11 @@ def _load_trip_file(path: Path, schema: FeatureSchema,
         raise ValueError(f"{path}: no data rows")
     index = [i for i, _ in keep]
     columns = None
-    if not quoted:
-        halves = _halves(_parse_columns, body, len(body), len(header), index)
-        try:
-            columns = ([np.concatenate(col) for col in zip(*halves)] if halves
-                       else _parse_columns(body, len(header), index))
-        except ValueError:      # left to csv.reader, which names the fault
-            pass
+    if not quoted:      # a block the C reader refuses goes to csv.reader
+        parts = (_halves(_parse_columns, body, len(body), len(header), index)
+                 or [_parse_columns(body, len(header), index)])
+        if None not in parts:
+            columns = [np.concatenate(col) for col in zip(*parts)]
     if columns is None:
         data = body if quoted else _rows(path, body)
         try:
@@ -293,18 +290,21 @@ def _kept_columns(path: Path, header: list, schema: FeatureSchema) -> list:
     return [(i, name) for i, name in enumerate(header) if name in required]
 
 
-def _parse_columns(lines: list, width: int, columns: list) -> list:
-    """:func:`_columns` of unquoted ``lines`` by numpy's C reader; raises
-    ``ValueError`` where csv.reader and ``float`` might read them otherwise:
-    a cell numpy refuses (``1_0``), a blank line, a NUL, an overlong line."""
+def _parse_columns(lines: list, width: int, columns: list):
+    """:func:`_columns` of unquoted ``lines`` by numpy's C reader; None
+    where csv.reader and ``float`` might read them otherwise: a cell numpy
+    refuses (``1_0``), a blank line, a NUL, an overlong line."""
     text = "".join(lines)
     if ("\0" in text or text.isspace()     # all blank: numpy would warn
             or max(map(len, lines)) > csv.field_size_limit()):
-        raise ValueError("left to csv.reader")
-    table = np.loadtxt(lines, np.float64, delimiter=",", comments=None,
-                       ndmin=2)
-    if table.shape != (len(lines), width):
-        raise ValueError("a blank line or a ragged row")
+        return None
+    try:
+        table = np.loadtxt(lines, np.float64, delimiter=",", comments=None,
+                           ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines), width):  # a blank line or a ragged row
+        return None
     return [np.ascontiguousarray(table[:, i]) for i in columns]
 
 

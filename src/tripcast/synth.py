@@ -10,9 +10,8 @@ noise. Trips carry the raw 18-column layout, including the four individual
 vent thermometers, so the whole ingestion pipeline gets exercised.
 
 Each trip draws from its own seed, so once the trips hold
-``pipeline.PAIR_MIN_SAMPLES`` samples, and the worker can run, the first
-half of them is made in the worker process while the second is made here,
-with the same bytes.
+``pipeline.PAIR_MIN_SAMPLES`` samples they are made as two halves, the
+first in the worker process where it runs, with the same bytes.
 """
 
 from __future__ import annotations

@@ -54,10 +54,11 @@ import numpy as np
 
 Scalar = Union[int, float]
 
-# every op name that can appear on the tape
+# every op name this module records, each one recorded by the five models'
+# training steps
 RECORDED_OPS = frozenset({
-    "add", "mul", "relu", "matmul", "reshape", "sum", "mse", "layer_norm",
-    "slice", "heads", "attention", "lstm",
+    "add", "relu", "matmul", "reshape", "mse", "layer_norm", "slice",
+    "heads", "attention", "lstm",
 })
 
 
@@ -301,22 +302,6 @@ def add(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
     return _record("add", (a, b), data, backward_fn)
 
 
-def mul(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _elementwise_shape(a.data.shape, b.data.shape)
-    data = a.data * b.data
-    if not _tracked(a, b):
-        return Tensor._result(data, None)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _record("mul", (a, b), data, backward_fn)
-
-
 def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic function as ``0.5·tanh(0.5x) + 0.5``, written into ``out``.
 
@@ -398,19 +383,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         a._accumulate(g.reshape(a.shape))
 
     return _record("reshape", (a,), data, backward_fn)
-
-
-def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    if not _tracked(a):
-        return Tensor._result(data, None)
-
-    def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape))
-
-    return _record("sum", (a,), data, backward_fn)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

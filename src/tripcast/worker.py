@@ -333,13 +333,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _worker.unshare())
 
 
-def available() -> bool:
-    """Whether a pair started now would run its first half in the worker
-    process: the worker runs for this process, or may be forked now."""
-    return (_worker.pid in (None, os.getpid())
-            and (_worker.process is not None or _may_fork()))
-
-
 def pair(task, first: tuple, second: tuple, model: Model | None = None):
     """``(task(*first), task(*second))``, the first half in the worker
     process while the second runs here. With ``model``, the halves are

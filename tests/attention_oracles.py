@@ -14,7 +14,7 @@ import numpy as np
 from tripcast import tensor as T
 from tripcast.tensor import Tensor
 
-from oracle_ops import bmatmul, softmax, transpose
+from oracle_ops import bmatmul, mul, softmax, transpose
 
 
 def composed_attention(q, k, v, n_heads, mask=None):
@@ -26,7 +26,7 @@ def composed_attention(q, k, v, n_heads, mask=None):
         return transpose(t, -3, -2)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(bmatmul(qh, transpose(kh)), 1.0 / math.sqrt(qh.shape[-1]))
+    scores = mul(bmatmul(qh, transpose(kh)), 1.0 / math.sqrt(qh.shape[-1]))
     if mask is not None:
         scores = T.add(scores, mask)
     weights = softmax(scores, axis=-1)

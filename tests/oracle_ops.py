@@ -3,10 +3,10 @@
 The composed attention in ``attention_oracles``, the per-step LSTM oracle
 in ``test_layers`` and the composed squared error ``tmean(mul(d, d))`` with
 ``d = sub(a, b)`` are chains of these ops, which the fused ``attention``,
-``lstm`` and ``mse`` ops must match. Each records through
-``tensor._record`` like a shipped op, so the tape walks it and a test can
-tamper with its backward; ``test_oracle_ops`` audits every one against
-finite differences.
+``lstm`` and ``mse`` ops must match; ``tsum`` and ``mul`` also build the
+weighted-sum losses of the tests. Each records through ``tensor._record``
+like a shipped op, so the tape walks it and a test can tamper with its
+backward; ``test_oracle_ops`` audits every one against finite differences.
 """
 
 from typing import Optional, Sequence, Union
@@ -29,6 +29,31 @@ def sub(a: Tensor, b: Union[Tensor, float]) -> Tensor:
             b._accumulate(-T._unbroadcast(g, b.shape))
 
     return T._record("sub", (a, b), data, backward_fn)
+
+
+def mul(a: Tensor, b: Union[Tensor, float]) -> Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    T._elementwise_shape(a.shape, b.shape)
+    data = a.data * b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(T._unbroadcast(g * a.data, b.shape))
+
+    return T._record("mul", (a, b), data, backward_fn)
+
+
+def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape))
+
+    return T._record("sum", (a,), data, backward_fn)
 
 
 def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:

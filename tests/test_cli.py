@@ -902,13 +902,14 @@ class TestGradcheck:
         assert "matmul" in out and "lstm_cell" in out
 
     def test_corrupted_backward_exit_2(self, capsys):
-        rc = main(["gradcheck", "--corrupt-op", "mul"])
+        rc = main(["gradcheck", "--corrupt-op", "lstm"])
         out = capsys.readouterr().out
         assert rc == 2
         assert "FAIL" in out
 
-    # tanh lives only in the test oracles, so the audit has no rule for it
-    @pytest.mark.parametrize("op", ["mull", "tanh"])
+    # tanh, mul and sum live only in the test oracles, so the audit has no
+    # rule for them
+    @pytest.mark.parametrize("op", ["mull", "tanh", "mul", "sum"])
     def test_unknown_corrupt_op_exit_1(self, op, capsys):
         rc = main(["gradcheck", "--corrupt-op", op])
         assert rc == 1

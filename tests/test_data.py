@@ -7,7 +7,6 @@ verify them step by step, so they double as documentation of the physics.
 
 import hashlib
 import logging
-import os
 import re
 import warnings
 from collections import Counter
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripcast import pipeline, synth
-from tripcast import worker as W
 from tripcast.pipeline import (
     DEFAULT_SCHEMA,
     MAX_ABS,
@@ -774,27 +772,6 @@ def test_ingest_bytes_do_not_depend_on_the_worker(tmp_path, mode, worker,
     assert used.calls == (0 if mode == "inline" else 8)
 
 
-def test_stages_run_in_one_piece_where_the_worker_will_not_run(
-        tmp_path, worker, monkeypatch):
-    # BLAS unpinned, one CPU or another thread alive: no stage splits, so
-    # none pays for two halves run one after the other
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return W.pair(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "pair", counted)
-    worker("inline")
-    assert not W.available()
-    _ingest_bytes(tmp_path / "whole")
-    assert calls == []
-    worker("late")
-    assert W.available()
-    monkeypatch.setattr(W._worker, "pid", os.getpid() + 1)  # a forked child
-    assert not W.available()
-
-
 def _tiny_csv(faults: dict) -> str:
     """A TINY-schema CSV of 1,200 data rows, row ``i`` (line ``i + 2``)
     replaced by ``faults[i]`` where given."""
@@ -820,6 +797,42 @@ def test_paired_parse_raises_the_one_piece_message(tmp_path, faults, message,
         load_trips(path, TINY, 1.0)
     assert str(err.value) == f"{path}: {message}"
     assert used.calls == (0 if mode == "inline" else 1)
+
+
+# the lines of each block the fast parse was given in this process
+_PARSED = []
+_PARSE = pipeline._parse_columns
+
+
+def _counted_parse(lines, width, columns):
+    """The fast parse, counted in ``_PARSED``; module-level, so a pair can
+    send it to the worker process, which counts in its own copy."""
+    _PARSED.append(len(lines))
+    return _PARSE(lines, width, columns)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({100: "3.0"}, "ragged row 102: expected 2 cells, got 1"),
+    ({1000: "1_0,2000"}, None),     # ``float`` reads what numpy refuses
+], ids=["ragged", "underscore"])
+@pytest.mark.parametrize("mode", MODES)
+def test_failed_half_goes_straight_to_csv_reader(tmp_path, faults, message,
+                                                 mode, worker, monkeypatch):
+    # each half is parsed by numpy once, and the body not again after a
+    # half fails; the worker's half is parsed in the worker process
+    _PARSED.clear()
+    monkeypatch.setattr(pipeline, "_parse_columns", _counted_parse)
+    path = tmp_path / "trip.csv"
+    path.write_text(_tiny_csv(faults), encoding="utf-8")
+    worker(mode)
+    if message is None:
+        trip = load_trips(path, TINY, 1.0)[0]
+        assert trip.channels["a"][1000] == 10.0
+    else:
+        with pytest.raises(ValueError) as err:
+            load_trips(path, TINY, 1.0)
+        assert str(err.value) == f"{path}: {message}"
+    assert _PARSED == ([600] if mode == "process" else [600, 600])
 
 
 @pytest.mark.parametrize("bad", [1, 3], ids=["first half", "second half"])
@@ -881,7 +894,7 @@ EDGE_CELLS = ["1_0", "١٢", " 1.5", "\t1.5", "1.5\xa0", "+NaN", "Infinity",
 
 def _refuse(lines, width, columns):
     """Stands in for the fast parse: every block goes to csv.reader."""
-    raise ValueError("forced to csv.reader")
+    return None
 
 
 def _load_result(path):

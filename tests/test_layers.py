@@ -27,10 +27,10 @@ from tripcast.layers import (
     positional_encoding,
     xavier_uniform,
 )
-from tripcast.tensor import ShapeError, Tensor, layer_norm, tsum
+from tripcast.tensor import ShapeError, Tensor, layer_norm
 
 from attention_oracles import composed_attention, one_head
-from oracle_ops import concat, sigmoid, tanh
+from oracle_ops import concat, mul, sigmoid, tanh, tsum
 
 
 def attention_oracle(q, k, v, causal=False):
@@ -154,7 +154,7 @@ class TestAttentionOpMatchesComposition:
         for fn in (_fused_attention, lambda *a: composed_attention(*a)[0]):
             inputs = [Tensor(a, requires_grad=True) for a in arrays]
             out = fn(*inputs, 3, mask)
-            tsum(T.mul(out, weight)).backward()
+            tsum(mul(out, weight)).backward()
             results.append([out.data.tobytes()]
                            + [t.grad.tobytes() for t in inputs])
         assert results[0] == results[1]
@@ -392,8 +392,8 @@ def lstm_step_oracle(x, h, c, w, u, b):
         f_g = sigmoid(z[:, hid:2 * hid])
         o_g = sigmoid(z[:, 2 * hid:3 * hid])
         g_g = tanh(z[:, 3 * hid:4 * hid])
-        c = T.add(T.mul(f_g, c), T.mul(i_g, g_g))
-        h = T.mul(o_g, tanh(c))
+        c = T.add(mul(f_g, c), mul(i_g, g_g))
+        h = mul(o_g, tanh(c))
         outs.append(concat([h, c], axis=-1))
     return concat([o.reshape(o.shape[0], 1, 2 * hid) for o in outs], axis=1)
 
@@ -417,7 +417,7 @@ class TestFusedLstmOp:
         for fn in (T.lstm, lstm_step_oracle):
             inputs = [Tensor(a, requires_grad=True) for a in arrays]
             out = fn(*inputs)
-            tsum(T.mul(out, weight)).backward()
+            tsum(mul(out, weight)).backward()
             results.append((out.data, [t.grad for t in inputs]))
         (got, got_grads), (want, want_grads) = results
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)

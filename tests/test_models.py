@@ -302,12 +302,11 @@ class TestForward:
         assert (sum(counts.values()), counts["matmul"]) == (nodes, matmuls)
 
     def test_shipped_ops_are_the_ops_the_models_record(self, rng, tape_ops):
-        # every op tensor ships is recorded by some kind's training step,
-        # except ``sum`` and ``mul``, which the gradcheck objective records
+        # every op tensor ships is recorded by some kind's training step
         recorded = set()
         for kind in KINDS:
             recorded |= set(self._default_step_tape(kind, rng, tape_ops))
-        assert recorded | {"sum", "mul"} == T.RECORDED_OPS
+        assert recorded == T.RECORDED_OPS
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65])
     @pytest.mark.parametrize("kind", KINDS)

@@ -2,8 +2,11 @@
 
 ``tripcast gradcheck`` covers only the ops the models record, so the ops
 the oracles are built from get the same central-difference check here,
-and a backward scaled by 1.01 must fail it.
+through the same objective built from shipped ops, and a backward scaled
+by 1.01 must fail it.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -14,16 +17,21 @@ from tripcast.gradcheck import DEFAULT_TOLERANCE, max_grad_error
 from oracle_ops import (
     bmatmul,
     concat,
+    mul,
     sigmoid,
     softmax,
     sub,
     tanh,
     tmean,
     transpose,
+    tsum,
 )
 
 # (op, function of the inputs, input shapes)
 CASES = [
+    ("mul", mul, [(3, 4), (3, 4)]),
+    ("sum", lambda a: (tsum(a, axis=1), tsum(a, axis=0, keepdims=True),
+                       tsum(a)), [(2, 3, 4)]),
     ("sub", sub, [(2, 3, 4), (3, 4)]),
     ("mean", lambda a: T.add(tmean(a, axis=-1, keepdims=True), tmean(a)),
      [(2, 3, 4)]),
@@ -39,13 +47,25 @@ IDS = [name for name, _, _ in CASES[:-1]] + ["bmatmul_shared_a"]
 
 
 def _case(fn, shapes):
-    """A fixed weighted sum of ``fn``'s output, and its random inputs."""
+    """A fixed weighted sum of ``fn``'s outputs, built from shipped ops as
+    ``tripcast gradcheck`` builds it, and its random inputs."""
     rng = np.random.default_rng(0)
     arrays = [rng.standard_normal(s) for s in shapes]
+
+    def outputs(xs):
+        outs = fn(*xs)
+        return list(outs) if isinstance(outs, tuple) else [outs]
+
     with T.no_grad():
-        out_shape = fn(*map(T.Tensor, arrays)).shape
-    weight = T.Tensor(rng.standard_normal(out_shape))
-    return lambda *xs: T.tsum(T.mul(fn(*xs), weight)), arrays
+        sizes = [o.size for o in outputs(map(T.Tensor, arrays))]
+    weights = [T.Tensor(rng.standard_normal((n, 1))) for n in sizes]
+
+    def objective(*xs):
+        return functools.reduce(T.add, [
+            T.matmul(T.reshape(o, (1, -1)), w)
+            for o, w in zip(outputs(xs), weights)])
+
+    return objective, arrays
 
 
 @pytest.mark.parametrize("name, fn, shapes", CASES, ids=IDS)

@@ -27,23 +27,23 @@ from tripcast.tensor import (
     lstm,
     matmul,
     mse,
-    mul,
     no_grad,
     relu,
     reshape,
-    tsum,
 )
 
 from attention_oracles import composed_attention
 from oracle_ops import (
     bmatmul,
     concat,
+    mul,
     sigmoid,
     softmax,
     sub,
     tanh,
     tmean,
     transpose,
+    tsum,
 )
 
 
@@ -171,7 +171,7 @@ class TestBroadcasting:
 
     def test_mismatched_rejected(self):
         with pytest.raises(ShapeError):
-            mul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+            add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     def test_matmul_rejects_batched_right_operand(self):
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 4, 5\)"):
@@ -524,14 +524,12 @@ B = "B"
 _MASK = causal_mask(5).data[1:]
 UNTRACKED_CASES = [
     ("add", lambda t: add(*t), [(B, 4, 8), (8,)]),
-    ("mul", lambda t: mul(*t), [(B, 4, 8), (B, 4, 8)]),
     ("relu", lambda t: relu(*t), [(B, 4, 8)]),
     ("matmul", lambda t: matmul(*t), [(B, 4, 8), (8, 5), (5,)]),
     ("matmul", lambda t: matmul(*t), [(B, 4, 8), (8, 5)]),
     ("matmul", lambda t: matmul(*t, per_position=True),
      [(B, 4, 8), (8, 5), (5,)]),
     ("reshape", lambda t: reshape(t[0], (-1, 32)), [(B, 4, 8)]),
-    ("sum", lambda t: tsum(t[0], axis=1), [(B, 4, 8)]),
     ("mse", lambda t: mse(*t), [(B, 4, 8), (B, 4, 8)]),
     ("layer_norm", lambda t: layer_norm(*t), [(B, 4, 8), (8,), (8,)]),
     ("slice", lambda t: t[0][:, 1:3], [(B, 4, 8)]),

@@ -826,7 +826,7 @@ _LATE_PIN = """
 import json, multiprocessing, os
 from tripcast import worker as W
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-print(json.dumps([W.available(), W.pair(divmod, (7, 2), (9, 4)),
+print(json.dumps([W._may_fork(), W.pair(divmod, (7, 2), (9, 4)),
                   len(multiprocessing.active_children())]))
 """
 
